@@ -80,21 +80,20 @@ sim::Task<ErrorOr<Bytes>> ImplAdapter::handleCall(std::string_view Method,
     // and run the original method.  Each buffered call executes under the
     // causal id of the proxy invocation that produced it, falling back to
     // the dispatch context for legacy ctx-free payloads.
-    for (BufferedCall &Call : *Calls) {
+    for (const BufferedCall &Call : *Calls) {
       ErrorOr<Bytes> Result = co_await timedCall(
-          Real, std::move(Call.Args), Call.Ctx ? Call.Ctx : DispatchCtx);
+          Real, Call.Args, Call.Ctx ? Call.Ctx : DispatchCtx);
       if (!Result)
         co_return Result.error();
     }
     co_return Bytes{};
   }
-  ErrorOr<Bytes> Result =
-      co_await timedCall(std::string(Method), Bytes(Args), DispatchCtx);
+  ErrorOr<Bytes> Result = co_await timedCall(Method, Args, DispatchCtx);
   co_return Result;
 }
 
-sim::Task<ErrorOr<Bytes>> ImplAdapter::timedCall(std::string Method,
-                                                 Bytes Args,
+sim::Task<ErrorOr<Bytes>> ImplAdapter::timedCall(std::string_view Method,
+                                                 const Bytes &Args,
                                                  uint64_t ParentCtx) {
   sim::Simulator &Sim = Om.runtime().sim();
   sim::SimTime Start = Sim.now();

@@ -83,8 +83,10 @@ public:
 private:
   /// Runs one real call on the inner IO, timing it for the OM and emitting
   /// a scoopp.execute span parented at \p ParentCtx on traced runs.
-  sim::Task<ErrorOr<Bytes>> timedCall(std::string Method, Bytes Args,
-                                      uint64_t ParentCtx);
+  /// \p Method and \p Args are views: the awaiting caller owns both for
+  /// the whole call.
+  sim::Task<ErrorOr<Bytes>> timedCall(std::string_view Method,
+                                      const Bytes &Args, uint64_t ParentCtx);
 
   ObjectManager &Om;
   std::string ClassName;

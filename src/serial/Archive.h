@@ -22,6 +22,7 @@
 
 #include "support/Error.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <cstring>
@@ -39,7 +40,7 @@ using Bytes = std::vector<uint8_t>;
 /// Appends encoded values to a byte buffer.
 class OutputArchive {
 public:
-  OutputArchive() = default;
+  OutputArchive() { Buffer.reserve(InitialCapacity); }
 
   /// Continues an existing buffer: writes append after its current
   /// contents, and take() returns the whole thing.  Lets framing code
@@ -52,13 +53,15 @@ public:
 
   void write(bool Value) { write(static_cast<uint8_t>(Value ? 1 : 0)); }
 
-  /// Writes any non-bool integral type little-endian.
+  /// Writes any non-bool integral type little-endian, as one append.
   template <typename T>
     requires(std::is_integral_v<T> && !std::is_same_v<T, bool>)
   void write(T Value) {
     auto U = static_cast<std::make_unsigned_t<T>>(Value);
+    uint8_t Raw[sizeof(T)];
     for (size_t I = 0; I < sizeof(T); ++I)
-      Buffer.push_back(static_cast<uint8_t>(U >> (8 * I)));
+      Raw[I] = static_cast<uint8_t>(U >> (8 * I));
+    writeRaw(Raw, sizeof(T));
   }
 
   void write(double Value) {
@@ -88,7 +91,9 @@ public:
   template <typename T> void write(const std::vector<T> &Values) {
     write(static_cast<uint32_t>(Values.size()));
     if constexpr (std::is_arithmetic_v<T>) {
-      // Hot path for numeric arrays (the ping-pong payloads).
+      // Hot path for numeric arrays (the ping-pong payloads): one growth
+      // for the whole array, then fixed-width appends.
+      reserveMore(Values.size() * sizeof(T));
       for (const T &Value : Values)
         write(Value);
     } else {
@@ -131,6 +136,19 @@ public:
   Bytes take() { return std::move(Buffer); }
 
 private:
+  /// Capacity a fresh archive starts with: enough for a typical call body
+  /// or argument pack, so a small message costs one allocation instead of
+  /// a chain of doublings.
+  static constexpr size_t InitialCapacity = 64;
+
+  /// Makes room for \p Extra more bytes, keeping geometric growth so many
+  /// small arrays in one archive stay linear.
+  void reserveMore(size_t Extra) {
+    size_t Need = Buffer.size() + Extra;
+    if (Need > Buffer.capacity())
+      Buffer.reserve(std::max(Need, 2 * Buffer.capacity()));
+  }
+
   Bytes Buffer;
 };
 

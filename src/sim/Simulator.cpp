@@ -15,16 +15,10 @@
 #include "support/Metrics.h"
 #include "support/Trace.h"
 
-#include <algorithm>
 #include <cassert>
 
 using namespace parcs;
 using namespace parcs::sim;
-
-void parcs::sim::detail::detachedTaskFinished(Simulator &Sim, void *Frame) {
-  [[maybe_unused]] size_t Erased = Sim.LiveDetached.erase(Frame);
-  assert(Erased == 1 && "detached frame was not registered");
-}
 
 /// LogClock callback: virtual time of the simulator passed as context.
 static long long simulatorNowNs(void *Ctx) {
@@ -43,17 +37,20 @@ Simulator::Simulator(Options Opts)
 
 void Simulator::reapDetached() {
   // Destroy coroutines that never finished (e.g. server dispatch loops, or
-  // frames parked forever by a node crash) in spawn order, not hash order.
-  // Copy first: destroying a frame may cascade into child Task destructors
-  // but never into LiveDetached mutation, since children are not detached.
-  std::vector<std::pair<uint64_t, void *>> Pending;
-  Pending.reserve(LiveDetached.size());
-  for (const auto &[Frame, Seq] : LiveDetached)
-    Pending.emplace_back(Seq, Frame);
-  LiveDetached.clear();
-  std::sort(Pending.begin(), Pending.end());
-  for (const auto &[Seq, Frame] : Pending)
-    std::coroutine_handle<>::from_address(Frame).destroy();
+  // frames parked forever by a node crash) in spawn order.  The chain is
+  // taken off the sentinel first, so a frame spawned by a destructor lands
+  // on the fresh list.  Destroying a frame runs its locals' destructors but
+  // never its final suspend, so it cannot unlink a frame further down.
+  using PromiseT = Task<void>::promise_type;
+  detail::DetachedLink *Link = LiveDetached.Next;
+  LiveDetached.Prev = LiveDetached.Next = &LiveDetached;
+  while (Link != &LiveDetached) {
+    detail::DetachedLink *Next = Link->Next;
+    // spawn() takes only Task<void>, so every linked promise is one.
+    auto &Promise = static_cast<PromiseT &>(*Link);
+    std::coroutine_handle<PromiseT>::from_promise(Promise).destroy();
+    Link = Next;
+  }
 }
 
 Simulator::~Simulator() {
@@ -102,8 +99,7 @@ void Simulator::scheduleResumeAt(SimTime At, std::coroutine_handle<> Handle) {
 void Simulator::spawn(Task<void> T) {
   assert(T.valid() && "spawning an empty task");
   auto Handle = T.release();
-  Handle.promise().DetachedIn = this;
-  LiveDetached.emplace(Handle.address(), NextDetachSeq++);
+  Handle.promise().linkBefore(LiveDetached);
   scheduleResumeAt(now(), Handle);
 }
 

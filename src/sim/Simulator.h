@@ -47,8 +47,6 @@
 #include <coroutine>
 #include <cstdint>
 #include <type_traits>
-#include <unordered_map>
-#include <vector>
 
 namespace parcs::sim {
 
@@ -177,8 +175,6 @@ public:
   CounterGroup counterSnapshot() const;
 
 private:
-  friend void detail::detachedTaskFinished(Simulator &Sim, void *Frame);
-
   /// Executes one popped event (shared tail of step()).
   void execute(SimKernel::EventNode *Node);
   /// Cold path of step()'s periodic queue-depth sampling; out of line so
@@ -197,12 +193,12 @@ private:
   /// the time source; restored on destruction (simulators nest in tests).
   LogClock PrevLogClock;
 
-  /// Frames of detached coroutines still alive, keyed to their spawn order.
-  /// ~Simulator destroys them in spawn order (sorted by the value), so
-  /// teardown side effects -- child Task destructors, logging -- are
-  /// deterministic instead of following the hash layout.
-  std::unordered_map<void *, uint64_t> LiveDetached;
-  uint64_t NextDetachSeq = 0;
+  /// Sentinel of the circular list of detached coroutine frames still
+  /// alive, linked through their promises in spawn order.  A frame unlinks
+  /// itself at final suspend; reapDetached() destroys the rest in spawn
+  /// order, so teardown side effects -- child Task destructors, logging --
+  /// are deterministic.
+  detail::DetachedLink LiveDetached{&LiveDetached, &LiveDetached};
 };
 
 } // namespace parcs::sim

@@ -22,6 +22,8 @@
 #include <deque>
 #include <memory>
 #include <optional>
+#include <utility>
+#include <vector>
 
 namespace parcs::sim {
 
@@ -31,14 +33,27 @@ template <typename T> struct FutureState {
   explicit FutureState(Simulator &Sim) : Sim(Sim) {}
   Simulator &Sim;
   std::optional<T> Value;
-  std::deque<std::coroutine_handle<>> Waiters;
+  /// Waiters in arrival order.  Nearly every future has exactly one (the
+  /// RPC caller), held inline; later ones spill into a vector, so a
+  /// Promise costs one allocation (the shared state) and no more.
+  std::coroutine_handle<> FirstWaiter;
+  std::vector<std::coroutine_handle<>> LaterWaiters;
+
+  void addWaiter(std::coroutine_handle<> Handle) {
+    if (!FirstWaiter)
+      FirstWaiter = Handle;
+    else
+      LaterWaiters.push_back(Handle);
+  }
 
   void set(T NewValue) {
     assert(!Value && "promise fulfilled twice");
     Value.emplace(std::move(NewValue));
-    for (std::coroutine_handle<> Handle : Waiters)
+    if (FirstWaiter)
+      Sim.scheduleResume(SimTime(), std::exchange(FirstWaiter, nullptr));
+    for (std::coroutine_handle<> Handle : LaterWaiters)
       Sim.scheduleResume(SimTime(), Handle);
-    Waiters.clear();
+    LaterWaiters.clear();
   }
 };
 
@@ -69,7 +84,7 @@ public:
         return State->Value.has_value();
       }
       void await_suspend(std::coroutine_handle<> Handle) {
-        State->Waiters.push_back(Handle);
+        State->addWaiter(Handle);
       }
       const T &await_resume() const { return *State->Value; }
     };

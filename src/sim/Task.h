@@ -17,7 +17,11 @@
 ///  - Awaiting a Task transfers control; the frame is destroyed by the
 ///    awaiting Task object's destructor after completion.
 ///  - A detached (spawned) Task frame destroys itself at final suspend and
-///    unregisters from the simulator's live set.
+///    unlinks from the simulator's live list.
+///
+/// Frames are recycled: every call path nests several Tasks, so frame
+/// allocation would otherwise dominate a fine-grained simulated call.  See
+/// detail::FramePool.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,27 +30,130 @@
 
 #include <cassert>
 #include <coroutine>
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
+#include <new>
 #include <optional>
 #include <utility>
 
-namespace parcs::sim {
+// AddressSanitizer must see every frame's allocation and release: a pooled
+// frame resumed after free would read a recycled block instead of faulting.
+#if defined(__SANITIZE_ADDRESS__)
+#define PARCS_FRAME_POOL 0
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define PARCS_FRAME_POOL 0
+#endif
+#endif
+#ifndef PARCS_FRAME_POOL
+#define PARCS_FRAME_POOL 1
+#endif
 
-class Simulator;
+namespace parcs::sim {
 
 namespace detail {
 
-/// Called from promise final-suspend when a detached coroutine finishes, so
-/// the simulator can drop it from the live set.  Defined in Simulator.cpp.
-void detachedTaskFinished(Simulator &Sim, void *FramePointer);
+/// Recycles coroutine frames through per-thread free lists, one per 64-byte
+/// size class -- the frame-side counterpart of the event kernel's EventNode
+/// free list.  In steady state each new frame pops the block a finished
+/// frame of the same class pushed, so a call path allocates no frames.
+///
+///  - The lists are thread-local: PDES workers never share one and nothing
+///    locks.  A frame freed on another thread than the one that allocated
+///    it joins the freeing thread's list (all blocks of a class are alike).
+///  - Frames larger than MaxBytes go to the global allocator.
+///  - The lists are plain constant-initialised data, so the fast path is a
+///    TLS pointer pop or push with no initialisation guard.  A thread's
+///    first recycled frame arms a thread-exit hook that returns the lists'
+///    blocks to the global allocator; frames freed after it has run go
+///    straight to the global allocator too.
+///  - Under AddressSanitizer the pool is compiled out (Enabled is false)
+///    and every frame is a plain global allocation.
+class FramePool {
+public:
+  static constexpr bool Enabled = PARCS_FRAME_POOL;
+  static constexpr size_t ClassBytes = 64;
+  static constexpr size_t Classes = 32;
+  static constexpr size_t MaxBytes = ClassBytes * Classes;
+
+  static void *allocate(size_t Size) {
+    if (!Enabled || Size > MaxBytes)
+      return ::operator new(Size);
+    size_t Class = classOf(Size);
+    if (void *Frame = Tls.Free[Class]) [[likely]] {
+      Tls.Free[Class] = *static_cast<void **>(Frame);
+      return Frame;
+    }
+    return ::operator new(blockBytes(Class));
+  }
+
+  static void deallocate(void *Frame, size_t Size) noexcept {
+    if (!Enabled || Size > MaxBytes) {
+      ::operator delete(Frame, Size);
+      return;
+    }
+    size_t Class = classOf(Size);
+    if (!Tls.Armed && !arm()) [[unlikely]] {
+      ::operator delete(Frame, blockBytes(Class));
+      return;
+    }
+    *static_cast<void **>(Frame) = Tls.Free[Class];
+    Tls.Free[Class] = Frame;
+  }
+
+private:
+  struct Lists {
+    void *Free[Classes];
+    /// The thread-exit hook is registered.
+    bool Armed;
+    /// The thread-exit hook has run; recycling is over for this thread.
+    bool Retired;
+  };
+
+  static size_t classOf(size_t Size) { return (Size - 1) / ClassBytes; }
+  static size_t blockBytes(size_t Class) { return (Class + 1) * ClassBytes; }
+
+  /// Registers the thread-exit hook; false once it has run.
+  static bool arm() noexcept;
+
+  static constinit inline thread_local Lists Tls{};
+};
+
+/// Intrusive link through a detached frame's promise: the simulator keeps
+/// its live detached frames on a circular list in spawn order, with no
+/// per-spawn allocation.
+struct DetachedLink {
+  DetachedLink *Prev = nullptr;
+  DetachedLink *Next = nullptr;
+
+  bool linked() const { return Next != nullptr; }
+
+  /// Links this node in just before \p Pos (at the tail when \p Pos is the
+  /// list's sentinel).
+  void linkBefore(DetachedLink &Pos) {
+    Prev = Pos.Prev;
+    Next = &Pos;
+    Pos.Prev->Next = this;
+    Pos.Prev = this;
+  }
+
+  void unlink() {
+    Prev->Next = Next;
+    Next->Prev = Prev;
+    Prev = Next = nullptr;
+  }
+};
 
 /// State shared by all Task promises, independent of the result type.
-struct PromiseBase {
+struct PromiseBase : DetachedLink {
   /// Coroutine to resume when this task completes (the awaiting parent).
   std::coroutine_handle<> Continuation;
-  /// Non-null when the task was detached via Simulator::spawn.
-  Simulator *DetachedIn = nullptr;
+
+  static void *operator new(size_t Size) { return FramePool::allocate(Size); }
+  static void operator delete(void *Frame, size_t Size) noexcept {
+    FramePool::deallocate(Frame, Size);
+  }
 
   std::suspend_always initial_suspend() noexcept { return {}; }
 
@@ -57,8 +164,8 @@ struct PromiseBase {
     std::abort();
   }
 
-  /// Final awaiter: resume the continuation if any; self-destroy when
-  /// detached.
+  /// Final awaiter: resume the continuation if any; unlink from the
+  /// simulator's live list and self-destroy when detached.
   struct FinalAwaiter {
     bool await_ready() noexcept { return false; }
 
@@ -68,8 +175,8 @@ struct PromiseBase {
       PromiseBase &P = Handle.promise();
       if (P.Continuation)
         return P.Continuation;
-      if (P.DetachedIn) {
-        detachedTaskFinished(*P.DetachedIn, Handle.address());
+      if (P.linked()) {
+        P.unlink();
         Handle.destroy();
       }
       return std::noop_coroutine();
