@@ -22,7 +22,6 @@
 
 #include "support/Error.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <cstring>
@@ -91,9 +90,7 @@ public:
   template <typename T> void write(const std::vector<T> &Values) {
     write(static_cast<uint32_t>(Values.size()));
     if constexpr (std::is_arithmetic_v<T>) {
-      // Hot path for numeric arrays (the ping-pong payloads): one growth
-      // for the whole array, then fixed-width appends.
-      reserveMore(Values.size() * sizeof(T));
+      // Hot path for numeric arrays (the ping-pong payloads).
       for (const T &Value : Values)
         write(Value);
     } else {
@@ -140,14 +137,6 @@ private:
   /// or argument pack, so a small message costs one allocation instead of
   /// a chain of doublings.
   static constexpr size_t InitialCapacity = 64;
-
-  /// Makes room for \p Extra more bytes, keeping geometric growth so many
-  /// small arrays in one archive stay linear.
-  void reserveMore(size_t Extra) {
-    size_t Need = Buffer.size() + Extra;
-    if (Need > Buffer.capacity())
-      Buffer.reserve(std::max(Need, 2 * Buffer.capacity()));
-  }
 
   Bytes Buffer;
 };

@@ -39,14 +39,16 @@
 
 // AddressSanitizer must see every frame's allocation and release: a pooled
 // frame resumed after free would read a recycled block instead of faulting.
+// Whether the pool is on follows from that check alone.
 #if defined(__SANITIZE_ADDRESS__)
 #define PARCS_FRAME_POOL 0
 #elif defined(__has_feature)
 #if __has_feature(address_sanitizer)
 #define PARCS_FRAME_POOL 0
+#else
+#define PARCS_FRAME_POOL 1
 #endif
-#endif
-#ifndef PARCS_FRAME_POOL
+#else
 #define PARCS_FRAME_POOL 1
 #endif
 

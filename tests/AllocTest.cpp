@@ -240,9 +240,9 @@ TEST(FramePoolTest, FreedFrameIsReusedByTheNextFrameOfItsClass) {
   FramePool::deallocate(A, 100);
   void *B = FramePool::allocate(120);
   EXPECT_EQ(A, B);
+  FramePool::deallocate(B, 120);
   void *C = FramePool::allocate(130);
   EXPECT_NE(B, C);
-  FramePool::deallocate(B, 120);
   FramePool::deallocate(C, 130);
 }
 
