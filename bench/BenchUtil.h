@@ -125,8 +125,6 @@ public:
     Data.Points.push_back(std::move(P));
   }
 
-  const model::DataSet &data() const { return Data; }
-
   /// Writes the sweep to \p Path (no-op on "").  Prints where it went;
   /// complains on stderr and returns false when the file can't be written.
   bool write(const std::string &Path) const {

@@ -72,7 +72,7 @@ private:
 /// generator keeps its proxies alive until the *global* backlog drains.
 struct RunState {
   sim::Simulator &Sim;
-  metrics::Histogram Latency;
+  metrics::Histogram Latency{};
   uint64_t Offered = 0;
   uint64_t Completed = 0;
   uint64_t Rejected = 0;

@@ -408,82 +408,6 @@ void checkHotPathAlloc(FileCtx &Ctx) {
 }
 
 //===----------------------------------------------------------------------===//
-// Rule: cross-partition-shared-state
-//===----------------------------------------------------------------------===//
-
-/// Singleton accessor spellings: a qualified `X::global()` / `X::instance()`
-/// call hands out process-wide state, which PARCS_HOT regions must not touch
-/// (every PDES partition worker runs them concurrently).
-constexpr std::string_view SingletonAccessors[] = {
-    "global",
-    "instance",
-    "singleton",
-};
-
-void checkCrossPartitionSharedState(FileCtx &Ctx) {
-  if (Ctx.HotRegions.empty())
-    return;
-  for (size_t I = 0; I < Ctx.Toks.size(); ++I) {
-    const CppToken &T = Ctx.Toks[I];
-    if (!T.is(TokKind::Identifier) || !Ctx.inHotRegion(T.Line))
-      continue;
-
-    // Mutable function-local / file-scope static.  `static const` /
-    // `static constexpr` are immutable after init and stay legal;
-    // `static thread_local` is per-worker and stays legal.  (`static_cast`
-    // and `static_assert` are distinct identifier tokens, so they never
-    // match.)
-    if (T.Text == "static") {
-      const CppToken &Next = Ctx.tok(I + 1);
-      if (Next.isIdent("const") || Next.isIdent("constexpr") ||
-          Next.isIdent("thread_local"))
-        continue;
-      // `static` that introduces a function (internal linkage) is not
-      // state: a '(' shows up before any '=', ';' or '{' initializer.
-      bool IsFunction = false;
-      constexpr size_t MaxDeclTokens = 24;
-      for (size_t J = I + 1; J < I + 1 + MaxDeclTokens && J < Ctx.Toks.size();
-           ++J) {
-        const CppToken &D = Ctx.Toks[J];
-        if (D.isPunct("(")) {
-          IsFunction = true;
-          break;
-        }
-        if (D.isPunct("=") || D.isPunct(";") || D.isPunct("{") ||
-            D.is(TokKind::EndOfFile))
-          break;
-      }
-      if (IsFunction)
-        continue;
-      Ctx.report(rules::CrossPartitionSharedState, T,
-                 "mutable 'static' inside a PARCS_HOT region is shared "
-                 "across PDES partition workers; use partition-owned state "
-                 "or 'static constexpr'");
-      continue;
-    }
-    if (T.Text == "thread_local")
-      continue;
-
-    // Qualified singleton accessor call: `Registry::global()` et al.
-    if (I >= 2 && Ctx.tok(I - 1).isPunct("::") &&
-        Ctx.tok(I - 2).is(TokKind::Identifier) &&
-        Ctx.tok(I + 1).isPunct("(") && Ctx.tok(I + 2).isPunct(")")) {
-      for (std::string_view Accessor : SingletonAccessors) {
-        if (T.Text == Accessor) {
-          Ctx.report(rules::CrossPartitionSharedState, T,
-                     "singleton accessor '" + std::string(Ctx.tok(I - 2).Text) +
-                         "::" + std::string(Accessor) +
-                         "()' inside a PARCS_HOT region reaches process-wide "
-                         "state shared across PDES partition workers; fold "
-                         "into per-partition shards outside the hot loop");
-          break;
-        }
-      }
-    }
-  }
-}
-
-//===----------------------------------------------------------------------===//
 // Rule: suspension-ref (v2: path-sensitive, over the CFG from lint/Cfg.h)
 //===----------------------------------------------------------------------===//
 
@@ -613,10 +537,9 @@ void checkNonreentrant(FileCtx &Ctx) {
 const std::vector<std::string> &parcs::lint::allRules() {
   static const std::vector<std::string> Rules = {
       rules::WallClock,        rules::UnorderedIteration,
-      rules::HotPathAlloc,     rules::CrossPartitionSharedState,
-      rules::SuspensionRef,    rules::NonreentrantCall,
-      rules::HotPathRegion,    rules::SyncCallDeadlock,
-      rules::DeterminismTaint,
+      rules::HotPathAlloc,     rules::SuspensionRef,
+      rules::NonreentrantCall, rules::HotPathRegion,
+      rules::SyncCallDeadlock, rules::DeterminismTaint,
   };
   return Rules;
 }
@@ -718,8 +641,6 @@ std::vector<Finding> parcs::lint::lintSource(std::string_view RelPath,
     checkUnorderedIteration(Ctx);
   if (Enabled(rules::HotPathAlloc))
     checkHotPathAlloc(Ctx);
-  if (Enabled(rules::CrossPartitionSharedState))
-    checkCrossPartitionSharedState(Ctx);
   if (Enabled(rules::SuspensionRef))
     checkSuspensionRef(Ctx);
   if (Enabled(rules::NonreentrantCall))

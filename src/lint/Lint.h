@@ -21,9 +21,6 @@
 ///                                 across a coroutine suspension
 ///   nonreentrant-call             no non-reentrant libc calls in src/
 ///   hot-path-region               PARCS_HOT_BEGIN/END pairing is sound
-///   cross-partition-shared-state  no mutable statics / singleton accessors
-///                                 in PARCS_HOT regions (PDES partitions run
-///                                 those regions concurrently)
 ///
 /// Findings are suppressed inline with
 ///   // parcs-lint: allow(<rule>[, <rule>...]): <justification>
@@ -61,14 +58,6 @@ inline constexpr const char *SuspensionRef = "suspension-ref";
 inline constexpr const char *NonreentrantCall = "nonreentrant-call";
 /// Meta-rule: malformed PARCS_HOT region annotations (unclosed/unopened).
 inline constexpr const char *HotPathRegion = "hot-path-region";
-/// PDES safety: PARCS_HOT regions execute on every partition worker
-/// concurrently, so they must only touch partition-owned state.  Mutable
-/// function-local statics and process-wide singleton accessors
-/// (`X::global()` / `X::instance()`) are shared across partitions: a data
-/// race at worst, a nondeterministic interleaving leaking into exports at
-/// best.
-inline constexpr const char *CrossPartitionSharedState =
-    "cross-partition-shared-state";
 /// Interprocedural (lint/Analysis.h): a cycle of synchronous invokes
 /// between parallel classes -- joined from parcgen facts and the C++ call
 /// graph -- deadlocks the active objects.

@@ -61,9 +61,10 @@ namespace detail {
 /// free list.  In steady state each new frame pops the block a finished
 /// frame of the same class pushed, so a call path allocates no frames.
 ///
-///  - The lists are thread-local: PDES workers never share one and nothing
-///    locks.  A frame freed on another thread than the one that allocated
-///    it joins the freeing thread's list (all blocks of a class are alike).
+///  - The lists are thread-local: simulators on different threads never
+///    share one and nothing locks.  A frame freed on another thread than
+///    the one that allocated it joins the freeing thread's list (all blocks
+///    of a class are alike).
 ///  - Frames larger than MaxBytes go to the global allocator.
 ///  - The lists are plain constant-initialised data, so the fast path is a
 ///    TLS pointer pop or push with no initialisation guard.  A thread's

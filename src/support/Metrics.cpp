@@ -93,38 +93,10 @@ double Histogram::percentile(double P) const {
 }
 
 //===----------------------------------------------------------------------===//
-// Sliding sim-time windows
+// HistogramSnapshot
 //===----------------------------------------------------------------------===//
 
-WindowedCounter::WindowedCounter(int64_t WindowNs, int Slots) {
-  assert(WindowNs > 0 && Slots > 0 && "degenerate window");
-  SlotNs = std::max<int64_t>(1, WindowNs / Slots);
-  Ring.resize(size_t(Slots));
-}
-
-void WindowedCounter::add(int64_t AtNs, uint64_t N) {
-  int64_t Index = std::max<int64_t>(0, AtNs) / SlotNs;
-  Slot &S = Ring[size_t(Index % int64_t(Ring.size()))];
-  if (S.Index > Index)
-    return; // Stale sample from before the slot was recycled; drop it.
-  if (S.Index < Index) {
-    S.Index = Index;
-    S.Count = 0;
-  }
-  S.Count += N;
-}
-
-uint64_t WindowedCounter::inWindow(int64_t AtNs) const {
-  int64_t Newest = std::max<int64_t>(0, AtNs) / SlotNs;
-  int64_t Oldest = Newest - int64_t(Ring.size()) + 1;
-  uint64_t Total = 0;
-  for (const Slot &S : Ring)
-    if (S.Index >= Oldest && S.Index <= Newest)
-      Total += S.Count;
-  return Total;
-}
-
-void WindowedHistogram::Snapshot::record(int64_t Value) {
+void HistogramSnapshot::record(int64_t Value) {
   uint64_t V = Value < 0 ? 0 : uint64_t(Value);
   ++Buckets[detail::bucketIndex(V)];
   int64_t Clamped = int64_t(V);
@@ -136,7 +108,7 @@ void WindowedHistogram::Snapshot::record(int64_t Value) {
   ++Count;
 }
 
-void WindowedHistogram::Snapshot::merge(const Snapshot &Other) {
+void HistogramSnapshot::merge(const HistogramSnapshot &Other) {
   if (Other.Count == 0)
     return;
   for (int B = 0; B < Histogram::NumBuckets; ++B)
@@ -149,45 +121,9 @@ void WindowedHistogram::Snapshot::merge(const Snapshot &Other) {
   Count += Other.Count;
 }
 
-double WindowedHistogram::Snapshot::percentile(double P) const {
+double HistogramSnapshot::percentile(double P) const {
   return detail::bucketsPercentile(Buckets, Count, double(Min), double(Max),
                                    P);
-}
-
-WindowedHistogram::WindowedHistogram(int64_t WindowNs, int Slots) {
-  assert(WindowNs > 0 && Slots > 0 && "degenerate window");
-  SlotNs = std::max<int64_t>(1, WindowNs / Slots);
-  Ring.resize(size_t(Slots));
-}
-
-void WindowedHistogram::record(int64_t AtNs, int64_t Value) {
-  int64_t Index = std::max<int64_t>(0, AtNs) / SlotNs;
-  Slot &S = Ring[size_t(Index % int64_t(Ring.size()))];
-  if (S.Index > Index)
-    return; // Stale sample from before the slot was recycled; drop it.
-  if (S.Index < Index) {
-    S.Index = Index;
-    S.Data = Snapshot();
-  }
-  S.Data.record(Value);
-}
-
-uint64_t WindowedHistogram::countInWindow(int64_t AtNs) const {
-  return snapshot(AtNs).Count;
-}
-
-double WindowedHistogram::percentileInWindow(int64_t AtNs, double P) const {
-  return snapshot(AtNs).percentile(P);
-}
-
-WindowedHistogram::Snapshot WindowedHistogram::snapshot(int64_t AtNs) const {
-  int64_t Newest = std::max<int64_t>(0, AtNs) / SlotNs;
-  int64_t Oldest = Newest - int64_t(Ring.size()) + 1;
-  Snapshot Merged;
-  for (const Slot &S : Ring)
-    if (S.Index >= Oldest && S.Index <= Newest)
-      Merged.merge(S.Data);
-  return Merged;
 }
 
 std::string Histogram::str() const {

@@ -38,7 +38,6 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace parcs::metrics {
 
@@ -52,9 +51,8 @@ int bucketIndex(uint64_t Value);
 /// Percentile interpolation over a Histogram-layout bucket array holding
 /// \p Count samples with observed range [\p Min, \p Max], clamped to that
 /// range so a single sample reports itself exactly.  Returns
-/// Histogram::EmptyPercentile when \p Count is zero.  Shared by the
-/// cumulative Histogram, the windowed variant, and the telemetry
-/// collector's merged cluster series.
+/// Histogram::EmptyPercentile when \p Count is zero.  Shared by Histogram
+/// and HistogramSnapshot.
 double bucketsPercentile(const uint64_t *Buckets, uint64_t Count, double Min,
                          double Max, double P);
 
@@ -127,105 +125,30 @@ private:
   RunningStats Stats;
 };
 
-//===----------------------------------------------------------------------===//
-// Sliding sim-time windows
-//===----------------------------------------------------------------------===//
-//
-// The cumulative metrics above answer "what happened over the whole run";
-// the windowed variants below answer "what happened over the last W
-// nanoseconds of sim-time" -- the question live SLO evaluation and online
-// controllers need.  Both are rings of fixed-width slots keyed by the
-// *sample timestamp*, not by any wall clock, so results are a pure
-// function of the recorded (time, value) stream: byte-identical at every
-// PARCS_SIM_THREADS value, provided each instance is fed from one
-// partition (give each node its own, as the telemetry agents do).
-//
-// Slots are reclaimed lazily: each slot remembers which absolute slot
-// index it last held, and a reader simply ignores slots whose index has
-// fallen out of the queried window.  That makes add() O(1), queries O(#
-// slots), and -- the important edge case -- a multi-hour idle gap costs
-// nothing: stale slots are skipped, never eagerly zeroed one by one.
+/// A log2-bucket histogram as plain mergeable data: the telemetry plane's
+/// per-window wire and merge unit.  Agents record each window's samples
+/// into one, and the collector merges snapshots from many nodes
+/// bucket-wise into a cluster series.  Same bucket layout and percentile
+/// interpolation as Histogram, clamped to the observed min/max; an empty
+/// snapshot reports Histogram::EmptyPercentile, exactly like an empty
+/// Histogram.
+struct HistogramSnapshot {
+  uint64_t Buckets[Histogram::NumBuckets] = {};
+  uint64_t Count = 0;
+  int64_t Min = 0;
+  int64_t Max = 0;
+  uint64_t Sum = 0;
 
-/// Event count over a sliding sim-time window: a ring of \p Slots slots,
-/// each WindowNs / Slots wide.  Timestamps must be non-decreasing (stale
-/// samples older than the newest slot are dropped).
-class WindowedCounter {
-public:
-  explicit WindowedCounter(int64_t WindowNs = 100'000'000, int Slots = 10);
-
-  /// Records \p N events at sim-time \p AtNs (>= 0).
-  void add(int64_t AtNs, uint64_t N = 1);
-
-  /// Events recorded in the window (AtNs - windowNs(), AtNs].
-  uint64_t inWindow(int64_t AtNs) const;
-
-  int64_t windowNs() const { return SlotNs * int64_t(Ring.size()); }
-  int64_t slotNs() const { return SlotNs; }
-
-private:
-  struct Slot {
-    int64_t Index = -1; // Absolute slot index (AtNs / SlotNs); -1 = never.
-    uint64_t Count = 0;
-  };
-  int64_t SlotNs;
-  std::vector<Slot> Ring;
-};
-
-/// Log2-bucket histogram over a sliding sim-time window, same ring layout
-/// as WindowedCounter.  Queries merge the live slots into a Snapshot and
-/// reuse the cumulative Histogram's percentile interpolation, clamped to
-/// the window's observed min/max; an empty window reports
-/// Histogram::EmptyPercentile, exactly like an empty Histogram.
-class WindowedHistogram {
-public:
-  /// The merged view of one window (also the telemetry wire/merge unit:
-  /// snapshots from many nodes merge bucket-wise into a cluster series).
-  struct Snapshot {
-    uint64_t Buckets[Histogram::NumBuckets] = {};
-    uint64_t Count = 0;
-    int64_t Min = 0;
-    int64_t Max = 0;
-    uint64_t Sum = 0;
-
-    bool empty() const { return Count == 0; }
-    double mean() const {
-      return Count == 0 ? 0.0 : double(Sum) / double(Count);
-    }
-    /// The \p P-th percentile (0..100); Histogram::EmptyPercentile when
-    /// the snapshot is empty.
-    double percentile(double P) const;
-    /// Folds \p Other in (bucket-wise add, min/max/sum/count merge).
-    void merge(const Snapshot &Other);
-    /// Records one sample directly into the snapshot (the telemetry
-    /// agents accumulate per-window deltas this way).
-    void record(int64_t Value);
-  };
-
-  explicit WindowedHistogram(int64_t WindowNs = 100'000'000, int Slots = 10);
-
-  /// Records one sample at sim-time \p AtNs; negative values clamp to 0.
-  void record(int64_t AtNs, int64_t Value);
-
-  /// Samples in the window (AtNs - windowNs(), AtNs].
-  uint64_t countInWindow(int64_t AtNs) const;
-
-  /// The \p P-th percentile over the window; Histogram::EmptyPercentile
-  /// for an empty window.
-  double percentileInWindow(int64_t AtNs, double P) const;
-
-  /// The merged window contents ending at \p AtNs.
-  Snapshot snapshot(int64_t AtNs) const;
-
-  int64_t windowNs() const { return SlotNs * int64_t(Ring.size()); }
-  int64_t slotNs() const { return SlotNs; }
-
-private:
-  struct Slot {
-    int64_t Index = -1;
-    Snapshot Data;
-  };
-  int64_t SlotNs;
-  std::vector<Slot> Ring;
+  double mean() const {
+    return Count == 0 ? 0.0 : double(Sum) / double(Count);
+  }
+  /// The \p P-th percentile (0..100); Histogram::EmptyPercentile when the
+  /// snapshot is empty.
+  double percentile(double P) const;
+  /// Folds \p Other in (bucket-wise add, min/max/sum/count merge).
+  void merge(const HistogramSnapshot &Other);
+  /// Records one sample; negative values clamp to 0.
+  void record(int64_t Value);
 };
 
 /// How a report should be written (parsed from PARCS_METRICS).

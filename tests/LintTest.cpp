@@ -297,10 +297,6 @@ TEST(LintGoldenTest, HotPathAlloc) {
   expectGolden("src/hot_alloc.cpp", "hot_alloc.txt");
 }
 
-TEST(LintGoldenTest, CrossPartitionSharedState) {
-  expectGolden("src/cross_partition.cpp", "cross_partition.txt");
-}
-
 TEST(LintGoldenTest, SuspensionRef) {
   expectGolden("src/suspension_ref.cpp", "suspension_ref.txt");
 }
@@ -366,23 +362,6 @@ TEST(LintRuleTest, HotPathAllocFiresOnlyInsideRegions) {
   EXPECT_TRUE(hasFinding(Findings, rules::HotPathAlloc, 18)); // to_string
   EXPECT_FALSE(hasFinding(Findings, rules::HotPathAlloc, 27)); // suppressed
   EXPECT_TRUE(hasFinding(Findings, rules::HotPathRegion, 35)); // unclosed
-}
-
-TEST(LintRuleTest, CrossPartitionSharedStateFiresOnlyInsideRegions) {
-  std::vector<Finding> Findings = lintFixture("src/cross_partition.cpp");
-  const char *Rule = rules::CrossPartitionSharedState;
-  EXPECT_FALSE(hasFinding(Findings, Rule, 13)); // cold static
-  EXPECT_FALSE(hasFinding(Findings, Rule, 14)); // cold global()
-  EXPECT_FALSE(hasFinding(Findings, Rule, 18)); // static fn, not state
-  EXPECT_TRUE(hasFinding(Findings, Rule, 20));  // mutable static
-  EXPECT_FALSE(hasFinding(Findings, Rule, 21)); // static const
-  EXPECT_FALSE(hasFinding(Findings, Rule, 22)); // static constexpr
-  EXPECT_FALSE(hasFinding(Findings, Rule, 23)); // static thread_local
-  EXPECT_TRUE(hasFinding(Findings, Rule, 25));  // Registry::global()
-  EXPECT_TRUE(hasFinding(Findings, Rule, 26));  // Registry::instance()
-  EXPECT_FALSE(hasFinding(Findings, Rule, 29)); // suppressed
-  EXPECT_FALSE(hasFinding(Findings, Rule, 35)); // cold again after END
-  EXPECT_FALSE(hasFinding(Findings, Rule, 36)); // cold instance()
 }
 
 TEST(LintRuleTest, SuspensionRefFiresAtUseSite) {

@@ -276,92 +276,35 @@ TEST(HistogramTest, PercentilesAreMonotonicAndBracketed) {
 }
 
 //===----------------------------------------------------------------------===//
-// Windowed (sliding sim-time) primitives.
+// Per-window histogram snapshots (the telemetry plane's merge unit).
 //===----------------------------------------------------------------------===//
 
-TEST(WindowedCounterTest, EmptyAndBasicWindow) {
-  metrics::WindowedCounter C(/*WindowNs=*/1000, /*Slots=*/10);
-  EXPECT_EQ(C.windowNs(), 1000);
-  EXPECT_EQ(C.slotNs(), 100);
-  EXPECT_EQ(C.inWindow(0), 0u);
-  EXPECT_EQ(C.inWindow(5000), 0u);
-
-  C.add(100);
-  C.add(150, 2);
-  C.add(950);
-  EXPECT_EQ(C.inWindow(1000), 4u);
-  // Aging is slot-granular: once the query moves into slot 11, slot 1
-  // (the 100ns and 150ns samples) falls out of the 10-slot window.
-  EXPECT_EQ(C.inWindow(1199), 1u);
-  EXPECT_EQ(C.inWindow(1849), 1u); // Slot 9 (the 950ns sample) still in.
-  EXPECT_EQ(C.inWindow(1900), 0u); // ...and out one slot later.
-  EXPECT_EQ(C.inWindow(2000), 0u);
-}
-
-TEST(WindowedCounterTest, RingRotationAcrossLongIdleGap) {
-  metrics::WindowedCounter C(1000, 10);
-  C.add(500, 7);
-  // An idle gap many multiples of the window: the stale slots must not
-  // leak into queries after the ring indices lap.
-  int64_t Later = 500 + 1000 * 1000 + 37; // Same ring position, much later.
-  EXPECT_EQ(C.inWindow(Later), 0u) << "stale slot leaked across a lap";
-  C.add(Later, 3);
-  EXPECT_EQ(C.inWindow(Later), 3u);
-  EXPECT_EQ(C.inWindow(Later + 900), 3u); // Within the 10-slot window.
-  EXPECT_EQ(C.inWindow(Later + 1100), 0u);
-}
-
-TEST(WindowedCounterTest, StaleAddIsDropped) {
-  metrics::WindowedCounter C(1000, 10);
-  C.add(10'000, 5);
-  // A sample older than the oldest live slot must be dropped, not recorded
-  // into a recycled slot where it would masquerade as recent data.
-  C.add(100, 99);
-  EXPECT_EQ(C.inWindow(10'000), 5u);
-}
-
 TEST(WindowedHistogramTest, EmptyWindowReportsSentinel) {
-  metrics::WindowedHistogram H(1000, 10);
-  EXPECT_EQ(H.countInWindow(0), 0u);
-  EXPECT_EQ(H.percentileInWindow(0, 50), metrics::Histogram::EmptyPercentile);
-  EXPECT_EQ(H.percentileInWindow(123456, 99),
-            metrics::Histogram::EmptyPercentile);
-  metrics::WindowedHistogram::Snapshot S = H.snapshot(500);
-  EXPECT_TRUE(S.empty());
+  metrics::HistogramSnapshot S;
+  EXPECT_EQ(S.Count, 0u);
+  EXPECT_EQ(S.percentile(0), metrics::Histogram::EmptyPercentile);
   EXPECT_EQ(S.percentile(50), metrics::Histogram::EmptyPercentile);
+  EXPECT_EQ(S.percentile(99), metrics::Histogram::EmptyPercentile);
 }
 
 TEST(WindowedHistogramTest, BucketBoundaryValues) {
-  metrics::WindowedHistogram H(1000, 10);
+  metrics::HistogramSnapshot S;
   // Exact powers of two sit on log2 bucket boundaries; make sure both the
   // count and the percentile clamp stay exact at the edges.
   for (int64_t V : {1, 2, 4, 1024, 1 << 20})
-    H.record(500, V);
-  EXPECT_EQ(H.countInWindow(1000), 5u);
-  EXPECT_EQ(H.percentileInWindow(1000, 0), 1.0);
-  EXPECT_EQ(H.percentileInWindow(1000, 100), double(1 << 20));
-  double P50 = H.percentileInWindow(1000, 50);
+    S.record(V);
+  EXPECT_EQ(S.Count, 5u);
+  EXPECT_EQ(S.percentile(0), 1.0);
+  EXPECT_EQ(S.percentile(100), double(1 << 20));
+  double P50 = S.percentile(50);
   EXPECT_GE(P50, 1.0);
   EXPECT_LE(P50, double(1 << 20));
-}
-
-TEST(WindowedHistogramTest, SamplesAgeOut) {
-  metrics::WindowedHistogram H(1000, 10);
-  H.record(100, 10);
-  H.record(900, 1000);
-  EXPECT_EQ(H.countInWindow(1000), 2u);
-  // After the first slot ages out, only the 1000-valued sample remains and
-  // every percentile collapses onto it.
-  EXPECT_EQ(H.countInWindow(1500), 1u);
-  EXPECT_EQ(H.percentileInWindow(1500, 0), 1000.0);
-  EXPECT_EQ(H.percentileInWindow(1500, 100), 1000.0);
-  EXPECT_EQ(H.countInWindow(5000), 0u);
 }
 
 TEST(WindowedHistogramTest, SnapshotMergeMatchesCombinedRecording) {
   // Merging two snapshots must equal recording every sample into one --
   // the property the telemetry collector's cross-node merge relies on.
-  metrics::WindowedHistogram::Snapshot A, B, Both;
+  metrics::HistogramSnapshot A, B, Both;
   for (int64_t V : {5, 17, 300})
     A.record(V), Both.record(V);
   for (int64_t V : {2, 90000})
@@ -374,7 +317,7 @@ TEST(WindowedHistogramTest, SnapshotMergeMatchesCombinedRecording) {
   for (double P : {0.0, 50.0, 99.0, 100.0})
     EXPECT_EQ(A.percentile(P), Both.percentile(P)) << "P" << P;
   // Merging an empty snapshot is the identity.
-  metrics::WindowedHistogram::Snapshot Empty;
+  metrics::HistogramSnapshot Empty;
   A.merge(Empty);
   EXPECT_EQ(A.Count, Both.Count);
   EXPECT_EQ(A.Min, Both.Min);
