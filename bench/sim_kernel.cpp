@@ -132,15 +132,22 @@ public:
 struct RpcResult {
   double CallsPerSec = 0;
   double EventsPerCall = 0;
+  /// Callback events run; without a telemetry plane, only deadline timers
+  /// are callbacks on this path.
+  uint64_t CallbackEvents = 0;
+  sim::SimTime Elapsed;
 };
 
 /// Full-path RPC throughput: sequential echo calls between two nodes.
 /// With \p WithTelemetry a live telemetry plane rides the same network, so
 /// the engine's rpc.* series are windowed, snapshotted and shipped in-band
 /// while the bench runs -- pricing what "telemetry on" costs a real
-/// workload rather than a synthetic hook loop.
+/// workload rather than a synthetic hook loop.  A non-empty \p Retry sends
+/// every call through callReliable, so each carries a deadline and a dedup
+/// id.
 RpcResult benchRpc(remoting::StackKind Stack, uint64_t Calls,
-                   bool WithTelemetry = false) {
+                   bool WithTelemetry = false,
+                   const remoting::RetryPolicy &Retry = {}) {
   vm::Cluster Machines(2, vm::VmKind::MonoVm117);
   net::Network Net(Machines.sim(), 2);
   std::unique_ptr<telemetry::Plane> Plane;
@@ -154,14 +161,18 @@ RpcResult benchRpc(remoting::StackKind Stack, uint64_t Calls,
   remoting::RpcEndpoint Server(Machines.node(1), Net,
                                remoting::stackProfile(Stack), 1050);
   Server.publish("echo", std::make_shared<EchoServer>());
+  Client.setRetryPolicy(Retry);
 
   Bytes Args = serial::encodeValues(std::string(64, 'x'));
   struct Driver {
     static sim::Task<void> run(remoting::RpcEndpoint &Ep, uint64_t Calls,
                                Bytes Args) {
+      bool Reliable = Ep.retryPolicy().enabled();
       for (uint64_t I = 0; I < Calls; ++I) {
-        ErrorOr<Bytes> Reply =
-            co_await Ep.call(1, 1050, "echo", "ping", Args);
+        sim::Task<ErrorOr<Bytes>> Call =
+            Reliable ? Ep.callReliable(1, 1050, "echo", "ping", Args)
+                     : Ep.call(1, 1050, "echo", "ping", Args);
+        ErrorOr<Bytes> Reply = co_await std::move(Call);
         assert(Reply && "echo call failed");
         (void)Reply;
       }
@@ -172,14 +183,17 @@ RpcResult benchRpc(remoting::StackKind Stack, uint64_t Calls,
   Machines.sim().spawn(Driver::run(Client, Calls, Args));
   Machines.sim().run();
   double Secs = Timer.seconds();
-  std::printf("  rpc(%s%s) %s\n", remoting::stackProfile(Stack).Name,
+  std::printf("  rpc(%s%s%s) %s\n", remoting::stackProfile(Stack).Name,
               WithTelemetry ? "+telemetry" : "",
+              Retry.enabled() ? "+reliable" : "",
               Machines.sim().counterSnapshot().str().c_str());
   RpcResult Result;
   Result.CallsPerSec = static_cast<double>(Calls) / Secs;
   Result.EventsPerCall =
       static_cast<double>(Machines.sim().eventsProcessed()) /
       static_cast<double>(Calls);
+  Result.CallbackEvents = Machines.sim().counters().CallbackEvents;
+  Result.Elapsed = Machines.sim().now();
   return Result;
 }
 
@@ -257,6 +271,27 @@ int main(int argc, char **argv) {
   RpcResult Tcp = benchRpc(remoting::StackKind::MonoRemotingTcp117, RpcCalls);
   RpcResult Http =
       benchRpc(remoting::StackKind::MonoRemotingHttp117, RpcCalls);
+  // The loadgen call path: every call carries a deadline and a dedup id.
+  remoting::RetryPolicy Reliable;
+  Reliable.MaxAttempts = 3;
+  Reliable.AttemptTimeout = sim::SimTime::seconds(2);
+  RpcResult TcpReliable =
+      benchRpc(remoting::StackKind::MonoRemotingTcp117, RpcCalls,
+               /*WithTelemetry=*/false, Reliable);
+  // Deadline timers are armed per endpoint, not per call: about one fires
+  // per AttemptTimeout of virtual time, however many calls ran in it.
+  int64_t Windows = TcpReliable.Elapsed.nanosecondsCount() /
+                    Reliable.AttemptTimeout.nanosecondsCount();
+  uint64_t TimerBound = 2 * (1 + static_cast<uint64_t>(Windows));
+  if (TcpReliable.CallbackEvents > TimerBound) {
+    std::fprintf(stderr,
+                 "rpc-tcp-reliable: %llu deadline callbacks for %llu calls "
+                 "(bound %llu): deadline timers grow with the call count\n",
+                 static_cast<unsigned long long>(TcpReliable.CallbackEvents),
+                 static_cast<unsigned long long>(RpcCalls),
+                 static_cast<unsigned long long>(TimerBound));
+    return 1;
+  }
 
   // Telemetry cost, three ways: the disabled hook (compiled in, no sink),
   // the hook dispatching into a do-nothing sink, and the TCP RPC bench
@@ -286,6 +321,8 @@ int main(int argc, char **argv) {
        fmt(Tcp.EventsPerCall, 1) + " ev/call"});
   row({"rpc-http", fmt(Http.CallsPerSec, 0),
        fmt(Http.EventsPerCall, 1) + " ev/call"});
+  row({"rpc-tcp-reliable", fmt(TcpReliable.CallsPerSec, 0),
+       fmt(TcpReliable.EventsPerCall, 1) + " ev/call"});
   row({"tel-hook-off", fmt(HookOffPerSec, 0), "no sink: load+branch"});
   row({"tel-hook-on", fmt(HookOnPerSec, 0), "null sink dispatch"});
   row({"rpc-tcp+tel", fmt(TcpTel.CallsPerSec, 0),

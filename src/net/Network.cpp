@@ -36,16 +36,24 @@ Network::Network(sim::Simulator &Sim, int NodeCount, NetConfig Config)
     Nics.push_back(std::make_unique<Nic>(Sim));
 }
 
+sim::Channel<Message> *Network::findPort(int NodeId, int Port) const {
+  for (const auto &[Bound, Chan] : Nics[static_cast<size_t>(NodeId)]->Ports)
+    if (Bound == Port)
+      return Chan.get();
+  return nullptr;
+}
+
 sim::Channel<Message> &Network::bind(int NodeId, int Port) {
   assert(NodeId >= 0 && NodeId < nodeCount() && "bind: bad node id");
-  auto &Slot = Ports[{NodeId, Port}];
-  if (!Slot)
-    Slot = std::make_unique<sim::Channel<Message>>(Sim);
-  return *Slot;
+  if (sim::Channel<Message> *Chan = findPort(NodeId, Port))
+    return *Chan;
+  auto &Ports = Nics[static_cast<size_t>(NodeId)]->Ports;
+  Ports.emplace_back(Port, std::make_unique<sim::Channel<Message>>(Sim));
+  return *Ports.back().second;
 }
 
 bool Network::isBound(int NodeId, int Port) const {
-  return Ports.count({NodeId, Port}) != 0;
+  return NodeId >= 0 && NodeId < nodeCount() && findPort(NodeId, Port);
 }
 
 sim::SimTime Network::packetTime(size_t Bytes) const {

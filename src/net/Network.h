@@ -34,8 +34,8 @@
 #include "vm/Calibration.h"
 
 #include <cstdint>
-#include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 namespace parcs::net {
@@ -160,7 +160,14 @@ private:
     /// When this node's receive downlink becomes free (virtual-time
     /// bookkeeping; reservations are made at transmit start).
     sim::SimTime RxFreeAt;
+    /// Ports bound on this node and their delivery channels.  A node binds
+    /// a handful, so a scan of this flat table is the whole lookup.
+    std::vector<std::pair<int, std::unique_ptr<sim::Channel<Message>>>>
+        Ports;
   };
+
+  /// The channel bound to (\p NodeId, \p Port), or null.
+  sim::Channel<Message> *findPort(int NodeId, int Port) const;
 
   sim::Task<void> transfer(Message Msg);
   sim::SimTime packetTime(size_t Bytes) const;
@@ -168,7 +175,6 @@ private:
   sim::Simulator &Sim;
   NetConfig Config;
   std::vector<std::unique_ptr<Nic>> Nics;
-  std::map<std::pair<int, int>, std::unique_ptr<sim::Channel<Message>>> Ports;
   uint64_t NextMessageId = 1;
   uint64_t Delivered = 0;
   uint64_t PayloadBytes = 0;

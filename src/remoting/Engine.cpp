@@ -122,14 +122,7 @@ RpcEndpoint::RpcEndpoint(vm::Node &Host, net::Network &Net,
   // keep their cached replies and at-most-once still holds within one
   // liveness epoch.
   RestartHookId = Host.addRestartHook([this] {
-    for (auto It = DedupWindow.begin(); It != DedupWindow.end();) {
-      if (!It->second.Done) {
-        std::erase(DedupOrder, It->first);
-        It = DedupWindow.erase(It);
-      } else {
-        ++It;
-      }
-    }
+    Dedup.dropInProgress();
     // A crash also kills any in-progress migration on this node: parked
     // calls die with the endpoint's volatile state (their callers' retries
     // re-execute them through the wiped dedup entries above), the park
@@ -192,6 +185,11 @@ void RpcEndpoint::publishWellKnown(const std::string &Name,
 }
 
 bool RpcEndpoint::unpublish(const std::string &Name) {
+  // An idle name's in-flight entry goes with it; a name still executing
+  // keeps its count until those calls finish.
+  auto InF = InFlightByName.find(Name);
+  if (InF != InFlightByName.end() && InF->second == 0)
+    InFlightByName.erase(InF);
   return Published.erase(Name) != 0;
 }
 
@@ -359,23 +357,10 @@ sim::Task<ErrorOr<Bytes>> RpcEndpoint::call(int DstNode, int DstPort,
   }
   Net.send(Host.id(), DstNode, DstPort, std::move(Wire), SendCtx);
 
-  if (Timeout > sim::SimTime()) {
-    // Arm the deadline: if the reply has not resolved the promise by
-    // then, fail the call and forget it (a late reply is dropped as an
-    // unknown call id).
-    Host.sim().schedule(Timeout, [this, CallId] {
-      auto It = PendingCalls.find(CallId);
-      if (It == PendingCalls.end())
-        return;
-      sim::Promise<ErrorOr<Bytes>> Timed = It->second.Reply;
-      PendingCalls.erase(It);
-      // Remember the id: should the reply still show up, it is a late
-      // reply (expected under loss), not a malformed frame.
-      noteTimedOut(CallId);
-      Timed.set(Error(ErrorCode::TimedOut,
-                      "no reply within the call deadline"));
-    });
-  }
+  // If the reply has not resolved the promise by the deadline, the call
+  // fails and is forgotten (a late reply is then counted and dropped).
+  if (Timeout > sim::SimTime())
+    addDeadline(Timeout, CallId);
 
   ErrorOr<Bytes> Result = co_await Reply.future();
   int64_t DoneNs = Host.sim().now().nanosecondsCount();
@@ -387,14 +372,62 @@ sim::Task<ErrorOr<Bytes>> RpcEndpoint::call(int DstNode, int DstPort,
   co_return Result;
 }
 
-void RpcEndpoint::noteTimedOut(uint64_t CallId) {
-  if (TimedOutOrder.size() >= MaxTimedOutRemembered) {
-    TimedOutIds.erase(TimedOutOrder.front());
-    TimedOutOrder.pop_front();
-  }
-  TimedOutIds.insert(CallId);
-  TimedOutOrder.push_back(CallId);
+// PARCS_HOT_BEGIN(rpc-deadline): every call with a deadline pays one heap
+// push here and one pop later; the heap and the timer stack reuse their
+// capacity and a timer captures only `this`.
+
+void RpcEndpoint::addDeadline(sim::SimTime Timeout, uint64_t CallId) {
+  // Claim the sequence number a timer scheduled right now would take:
+  // whenever this deadline's timer is armed, it fires in that slot, so the
+  // event stream is the one a timer per call would give, minus the timers
+  // of answered calls.
+  sim::Simulator &Sim = Host.sim();
+  Deadline D{(Sim.now() + Timeout).nanosecondsCount(), Sim.reserveSeq(),
+             CallId};
+  Deadlines.push_back(D);
+  std::push_heap(Deadlines.begin(), Deadlines.end(), laterDeadline);
+  if (DeadlineTimers.empty() || laterDeadline(DeadlineTimers.back(), D))
+    armDeadlineTimer(D);
 }
+
+void RpcEndpoint::armDeadlineTimer(const Deadline &D) {
+  DeadlineTimers.push_back(D);
+  Host.sim().scheduleAtReserved(sim::SimTime::nanoseconds(D.AtNs), D.Seq,
+                                [this] { fireDeadlineTimer(); });
+}
+
+void RpcEndpoint::pruneDeadlines() {
+  while (!Deadlines.empty() && !PendingCalls.count(Deadlines.front().CallId)) {
+    std::pop_heap(Deadlines.begin(), Deadlines.end(), laterDeadline);
+    Deadlines.pop_back();
+  }
+}
+
+void RpcEndpoint::fireDeadlineTimer() {
+  // Timers pop in key order and are armed only ahead of every pending one,
+  // so the timer firing now is the back of the stack.
+  uint64_t Seq = DeadlineTimers.back().Seq;
+  DeadlineTimers.pop_back();
+  // The heap top is never earlier than this timer; it is this timer's own
+  // deadline unless that call was answered and pruned.
+  if (!Deadlines.empty() && Deadlines.front().Seq == Seq) {
+    auto It = PendingCalls.find(Deadlines.front().CallId);
+    if (It != PendingCalls.end()) {
+      sim::Promise<ErrorOr<Bytes>> Timed = It->second.Reply;
+      PendingCalls.erase(It);
+      Timed.set(Error(ErrorCode::TimedOut,
+                      "no reply within the call deadline"));
+    }
+  }
+  pruneDeadlines();
+  if (Deadlines.empty())
+    return;
+  const Deadline &Next = Deadlines.front();
+  if (DeadlineTimers.empty() || laterDeadline(DeadlineTimers.back(), Next))
+    armDeadlineTimer(Next);
+}
+
+// PARCS_HOT_END
 
 sim::Task<ErrorOr<Bytes>> RpcEndpoint::callReliable(int DstNode, int DstPort,
                                                     std::string ObjectName,
@@ -621,21 +654,21 @@ void RpcEndpoint::handleReturn(std::span<const uint8_t> Content,
   }
   auto It = PendingCalls.find(CallId);
   if (It == PendingCalls.end()) {
-    auto Timed = TimedOutIds.find(CallId);
-    if (Timed != TimedOutIds.end()) {
-      // The reply raced the deadline and lost: expected under loss plus
-      // timeouts, so count it as late, not malformed, and stay quiet.
-      // (The FIFO deque keeps a stale entry; eviction tolerates that.)
-      TimedOutIds.erase(Timed);
+    // Call ids are minted here in increasing order, so an id below the
+    // next one names a call this endpoint issued: its reply raced the
+    // deadline and lost, which is expected under loss plus timeouts.
+    // Count it as late, not malformed, and stay quiet.
+    if (CallId != 0 && CallId < NextCallId)
       ++Stats.LateReplies;
-      return;
-    }
-    ++Stats.MalformedDropped;
+    else
+      ++Stats.MalformedDropped;
     return;
   }
   sim::Promise<ErrorOr<Bytes>> Reply = It->second.Reply;
   uint64_t CallCtx = It->second.Ctx;
   PendingCalls.erase(It);
+  if (!Deadlines.empty() && Deadlines.front().CallId == CallId)
+    pruneDeadlines();
   ++Stats.RepliesReceived;
   if (trace::enabled()) {
     // Reply-side deserialize leg, chained off the reply's wire node; the
@@ -797,6 +830,103 @@ void RpcEndpoint::cancelPark(const std::string &Name) {
 
 // PARCS_HOT_END
 
+// PARCS_HOT_BEGIN(rpc-deadline): every retried call probes the dedup
+// window once and inserts once; both reuse the ring and index sized on
+// first use.
+
+size_t RpcEndpoint::DedupWindow::home(const Key &K) {
+  // The caller's (node, port) folded into its logical id, then the
+  // splitmix64 finaliser.
+  uint64_t Caller =
+      (static_cast<uint64_t>(static_cast<uint32_t>(K.Node)) << 32) |
+      static_cast<uint32_t>(K.Port);
+  uint64_t H = (K.Id * 0x9e3779b97f4a7c15ULL) ^ Caller;
+  H = (H ^ (H >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  H = (H ^ (H >> 27)) * 0x94d049bb133111ebULL;
+  return static_cast<size_t>(H ^ (H >> 31)) & (IndexSize - 1);
+}
+
+RpcEndpoint::DedupWindow::Entry *
+RpcEndpoint::DedupWindow::find(const Key &K) {
+  if (Index.empty())
+    return nullptr;
+  for (size_t I = home(K);; I = (I + 1) & (IndexSize - 1)) {
+    if (Index[I] == 0)
+      return nullptr;
+    Entry &E = Ring[Index[I] - 1];
+    if (E.Call == K)
+      return &E;
+  }
+}
+
+void RpcEndpoint::DedupWindow::insert(const Key &K) {
+  assert(!find(K) && "dedup key inserted twice");
+  if (Ring.empty()) {
+    // Sized once, on the endpoint's first retried call.
+    Ring.resize(Cap);
+    Index.assign(IndexSize, 0);
+  }
+  if (Count == Cap) {
+    // Full: the oldest entry goes, and the new one takes its slot.
+    unindex(Ring[Head].Call);
+    Head = (Head + 1) & (Cap - 1);
+    --Count;
+  }
+  size_t Slot = (Head + Count) & (Cap - 1);
+  ++Count;
+  Entry &E = Ring[Slot];
+  E.Call = K;
+  E.Done = false;
+  E.ReplyTail.clear();
+  index(Slot);
+}
+
+void RpcEndpoint::DedupWindow::index(size_t Slot) {
+  size_t I = home(Ring[Slot].Call);
+  while (Index[I] != 0)
+    I = (I + 1) & (IndexSize - 1);
+  Index[I] = static_cast<uint16_t>(Slot + 1);
+}
+
+void RpcEndpoint::DedupWindow::unindex(const Key &K) {
+  constexpr size_t Mask = IndexSize - 1;
+  size_t Hole = home(K);
+  while (Ring[Index[Hole] - 1].Call != K)
+    Hole = (Hole + 1) & Mask;
+  // Backward-shift deletion: walk the rest of the probe run and pull back
+  // every entry whose home does not lie cyclically in (Hole, J], so each
+  // remaining key stays reachable from its home without a gap.
+  for (size_t J = (Hole + 1) & Mask; Index[J] != 0; J = (J + 1) & Mask) {
+    size_t Home = home(Ring[Index[J] - 1].Call);
+    if (((J - Home) & Mask) >= ((J - Hole) & Mask)) {
+      Index[Hole] = Index[J];
+      Hole = J;
+    }
+  }
+  Index[Hole] = 0;
+}
+
+// PARCS_HOT_END
+
+void RpcEndpoint::DedupWindow::dropInProgress() {
+  // Restart-only: compact the finished entries to the ring's front in
+  // their arrival order and rebuild the index around them.
+  std::vector<Entry> Kept;
+  Kept.reserve(Ring.size());
+  for (size_t I = 0; I < Count; ++I) {
+    Entry &E = Ring[(Head + I) & (Cap - 1)];
+    if (E.Done)
+      Kept.push_back(std::move(E));
+  }
+  Head = 0;
+  Count = Kept.size();
+  Kept.resize(Ring.size());
+  Ring = std::move(Kept);
+  std::fill(Index.begin(), Index.end(), uint16_t(0));
+  for (size_t Slot = 0; Slot < Count; ++Slot)
+    index(Slot);
+}
+
 sim::Task<void> RpcEndpoint::handleCall(net::Message Msg, int64_t RecvNs) {
   // Thin wrapper settling the admission backlog on normal completion.  A
   // handler that crash-parks never resumes this frame either, so the
@@ -881,18 +1011,17 @@ sim::Task<void> RpcEndpoint::handleCallInner(net::Message Msg,
   // covers it); completed ones are answered from the cached reply tail
   // under the retransmission's fresh CallId.
   bool TwoWay = !(Flags & FlagOneWay);
-  DedupKey Key{ReplyNode, ReplyPort, DedupId};
+  DedupWindow::Key Key{ReplyNode, ReplyPort, DedupId};
   if (TwoWay && DedupId != 0) {
-    auto Dup = DedupWindow.find(Key);
-    if (Dup != DedupWindow.end()) {
-      if (!Dup->second.Done) {
+    if (DedupWindow::Entry *Dup = Dedup.find(Key)) {
+      if (!Dup->Done) {
         ++Stats.DedupSuppressed;
         co_return;
       }
       ++Stats.DedupHits;
       serial::OutputArchive Cached;
       Cached.write(CallId);
-      Cached.writeRaw(Dup->second.ReplyTail);
+      Cached.writeRaw(Dup->ReplyTail);
       Bytes CachedWire = frame(KindReturn, "ret", Cached.bytes(),
                                /*Response=*/true);
       Stats.WireBytesSent += CachedWire.size();
@@ -928,14 +1057,8 @@ sim::Task<void> RpcEndpoint::handleCallInner(net::Message Msg,
     co_return;
   }
 
-  if (TwoWay && DedupId != 0) {
-    if (DedupOrder.size() >= DedupWindowCap) {
-      DedupWindow.erase(DedupOrder.front());
-      DedupOrder.pop_front();
-    }
-    DedupWindow.emplace(Key, DedupEntry{});
-    DedupOrder.push_back(Key);
-  }
+  if (TwoWay && DedupId != 0)
+    Dedup.insert(Key);
 
   ErrorOr<Bytes> Result(Bytes{});
   ErrorOr<std::shared_ptr<CallHandler>> Target = resolveTarget(ObjectName);
@@ -949,12 +1072,14 @@ sim::Task<void> RpcEndpoint::handleCallInner(net::Message Msg,
     if (ServeCtx)
       trace::handoff(ServeCtx);
     // Executing-call count per name: migration drains this to zero after
-    // parking, so state capture never races a running method.
+    // parking, so state capture never races a running method.  Re-found
+    // after the call: a restart clears the table while handlers that
+    // straddled it may still finish.
     ++InFlightByName[ObjectName];
     Result = co_await (*Target)->handleCall(Method, Args);
     auto InF = InFlightByName.find(ObjectName);
-    if (InF != InFlightByName.end() && --InF->second == 0)
-      InFlightByName.erase(InF);
+    if (InF != InFlightByName.end() && InF->second > 0)
+      --InF->second;
     if (ServeCtx)
       trace::handoff(0);
   }
@@ -987,11 +1112,9 @@ sim::Task<void> RpcEndpoint::handleCallInner(net::Message Msg,
     // Cache everything after the 8-byte CallId: a retransmission gets the
     // same status + payload under its own attempt's id.  Refind -- the
     // entry may have been FIFO-evicted while the method ran.
-    auto Dup = DedupWindow.find(Key);
-    if (Dup != DedupWindow.end()) {
-      Dup->second.Done = true;
-      Dup->second.ReplyTail.assign(Out.bytes().begin() + 8,
-                                   Out.bytes().end());
+    if (DedupWindow::Entry *Dup = Dedup.find(Key)) {
+      Dup->Done = true;
+      Dup->ReplyTail.assign(Out.bytes().begin() + 8, Out.bytes().end());
     }
   }
   Bytes Wire = frame(KindReturn, "ret", Out.bytes(), /*Response=*/true);

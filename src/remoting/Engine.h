@@ -36,14 +36,11 @@
 #include "vm/Node.h"
 #include "vm/ThreadPool.h"
 
-#include <deque>
 #include <map>
 #include <set>
 #include <span>
 #include <string>
-#include <tuple>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace parcs::remoting {
@@ -56,9 +53,10 @@ struct EndpointStats {
   uint64_t OneWaySent = 0;
   uint64_t WireBytesSent = 0;
   uint64_t MalformedDropped = 0;
-  /// Replies that arrived after their call's deadline fired.  Expected
-  /// under loss + timeouts (the reply raced the timer); dropped silently,
-  /// unlike MalformedDropped which flags genuinely bogus frames.
+  /// Replies to calls this endpoint issued that were no longer pending,
+  /// i.e. that arrived after their call's deadline fired.  Expected under
+  /// loss + timeouts (the reply raced the timer); dropped silently, unlike
+  /// MalformedDropped which flags genuinely bogus frames.
   uint64_t LateReplies = 0;
   /// Frames rejected by the wire checksum (fault-injected corruption).
   uint64_t CorruptedDropped = 0;
@@ -268,6 +266,12 @@ public:
   bool isParked(const std::string &Name) const {
     return ParkedNames.count(Name) != 0;
   }
+  /// Deadline timer events this endpoint has in the simulator's queue.
+  /// Only the earliest pending deadline needs one, so this stays at one
+  /// however many calls carry deadlines, unless later calls are issued
+  /// with earlier deadlines.
+  size_t deadlineTimers() const { return DeadlineTimers.size(); }
+
   /// Calls currently executing against \p Name (migration drains this to
   /// zero before touching state).
   size_t inFlight(const std::string &Name) const {
@@ -360,9 +364,27 @@ private:
     uint64_t Ctx = 0;
   };
 
-  /// Remembers a timed-out call id (bounded FIFO) so its late reply is
-  /// classified as LateReplies rather than MalformedDropped.
-  void noteTimedOut(uint64_t CallId);
+  /// A call deadline.  (AtNs, Seq) is the kernel slot a timer scheduled
+  /// when the call was sent would have taken; Seq was reserved then, so
+  /// the deadline fires in exactly that slot whenever its timer is armed.
+  struct Deadline {
+    int64_t AtNs = 0;
+    uint64_t Seq = 0;
+    uint64_t CallId = 0;
+  };
+  /// Min-heap order on the unique (AtNs, Seq) key.
+  static bool laterDeadline(const Deadline &A, const Deadline &B) {
+    return A.AtNs != B.AtNs ? B.AtNs < A.AtNs : B.Seq < A.Seq;
+  }
+  /// Registers the deadline of call \p CallId, \p Timeout from now.
+  void addDeadline(sim::SimTime Timeout, uint64_t CallId);
+  /// Schedules a timer event in \p D's reserved slot.
+  void armDeadlineTimer(const Deadline &D);
+  /// Runs in the slot of the earliest armed timer: times out that
+  /// deadline's call if it is still pending and arms the next deadline.
+  void fireDeadlineTimer();
+  /// Pops deadlines of calls that are no longer pending off the heap top.
+  void pruneDeadlines();
 
   sim::Task<void> dispatchLoop();
   /// \p RecvNs is when the dispatch loop pulled the message off the wire
@@ -402,6 +424,15 @@ private:
   vm::ThreadPool Pool;
   std::map<std::string, Registration> Published;
   std::unordered_map<uint64_t, PendingCall> PendingCalls;
+  /// Deadlines of calls that may still be pending, as a (AtNs, Seq)
+  /// min-heap.  Answered calls leave theirs behind until it reaches the
+  /// top; none of them ever occupies the simulator's queue.
+  std::vector<Deadline> Deadlines;
+  /// The deadline each timer in the simulator's queue was armed for,
+  /// latest first.  A timer is only armed ahead of all pending ones, so
+  /// the back is always the next to fire and the heap top is never
+  /// earlier than it.
+  std::vector<Deadline> DeadlineTimers;
   /// Destinations we already hold a connection to.
   std::set<std::pair<int, int>> Connected;
   uint64_t NextCallId = 1;
@@ -423,26 +454,60 @@ private:
   /// Tombstones for names that migrated away: stragglers are forwarded.
   std::map<std::string, MovedRoute> Moved;
   /// Calls currently executing, per target name (migration drains these).
+  /// A name's entry is kept at zero between calls, so steady state
+  /// allocates nothing here; unpublish drops an idle name's entry.
   std::map<std::string, size_t> InFlightByName;
   /// Jitter stream for retry backoff (seeded; see setRetryPolicy).
   Rng RetryRng;
-  /// Recently timed-out call ids, bounded FIFO: distinguishes a late
-  /// reply (expected under loss) from a genuinely unknown call id.
-  std::unordered_set<uint64_t> TimedOutIds;
-  std::deque<uint64_t> TimedOutOrder;
-  static constexpr size_t MaxTimedOutRemembered = 128;
+
   /// Server-side at-most-once window, keyed by the caller's identity plus
   /// its logical-call id.  An entry is born in-progress when the first
   /// attempt starts executing and caches the reply tail (everything after
-  /// the CallId) once done; FIFO-evicted.
-  struct DedupEntry {
-    bool Done = false;
-    Bytes ReplyTail;
+  /// the CallId) once done.  At most Cap entries are held; the oldest is
+  /// evicted first.  Entries sit in a ring in arrival order, found through
+  /// an open-addressed index; both are sized on first use, and an evicted
+  /// entry's slot (reply-tail capacity included) is reused by the next, so
+  /// steady state allocates nothing.
+  class DedupWindow {
+  public:
+    struct Key {
+      int32_t Node = 0;
+      int32_t Port = 0;
+      uint64_t Id = 0;
+      bool operator==(const Key &) const = default;
+    };
+    struct Entry {
+      Key Call;
+      bool Done = false;
+      Bytes ReplyTail;
+    };
+    static constexpr size_t Cap = 256;
+
+    /// The entry for \p K, or null.  Valid until the next insert or
+    /// dropInProgress.
+    Entry *find(const Key &K);
+    /// Adds an in-progress entry for \p K (which must be absent), evicting
+    /// the oldest entry when the window is full.
+    void insert(const Key &K);
+    /// Drops every in-progress entry; the rest keep their order.
+    void dropInProgress();
+
+  private:
+    static constexpr size_t IndexSize = 2 * Cap;
+    static size_t home(const Key &K);
+    /// Records ring slot \p Slot under its key.
+    void index(size_t Slot);
+    /// Removes \p K (which must be present) from the index.
+    void unindex(const Key &K);
+
+    std::vector<Entry> Ring;
+    size_t Head = 0;
+    size_t Count = 0;
+    /// Ring slot + 1 per index slot; 0 marks an empty slot.  Linear
+    /// probing at load <= 1/2, with backward-shift deletion.
+    std::vector<uint16_t> Index;
   };
-  using DedupKey = std::tuple<int32_t, int32_t, uint64_t>;
-  std::map<DedupKey, DedupEntry> DedupWindow;
-  std::deque<DedupKey> DedupOrder;
-  static constexpr size_t DedupWindowCap = 256;
+  DedupWindow Dedup;
   /// Host restart hook that clears in-progress dedup entries (their
   /// handlers died with the crash and would otherwise block retries).
   uint64_t RestartHookId = 0;

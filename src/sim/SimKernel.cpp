@@ -79,10 +79,15 @@ void SimKernel::freeAllNodes() {
 // PARCS_HOT_BEGIN(calendar-queue-kernel): every event pays alloc/insert/
 // pop once; a steady-state run must not allocate here.
 
-void SimKernel::insert(EventNode *Node) {
+inline void SimKernel::notePending() {
   ++PendingCount;
   Counters.PeakQueueDepth = std::max<uint64_t>(Counters.PeakQueueDepth,
                                                PendingCount);
+}
+
+// Forced inline: insert() must stay one straight-line function.
+__attribute__((always_inline)) inline void
+SimKernel::insertLater(EventNode *Node) {
   auto HeapPush = [](std::vector<EventNode *> &Heap, EventNode *N) {
     Heap.push_back(N);
     std::push_heap(Heap.begin(), Heap.end(),
@@ -90,10 +95,6 @@ void SimKernel::insert(EventNode *Node) {
                      return laterThan(A->AtNs, A->Seq, B->AtNs, B->Seq);
                    });
   };
-  if (Node->AtNs == NowNs) {
-    Immediate.push(Node);
-    return;
-  }
   if (Node->AtNs >= WindowStartNs && Node->AtNs < WindowEndNs) {
     size_t Idx = size_t((Node->AtNs - WindowStartNs) >> BucketShift);
     HeapPush(Buckets[Idx], Node);
@@ -104,6 +105,22 @@ void SimKernel::insert(EventNode *Node) {
   }
   HeapPush(Overflow, Node);
   ++Counters.OverflowInserts;
+}
+
+void SimKernel::insert(EventNode *Node) {
+  notePending();
+  if (Node->AtNs == NowNs) {
+    Immediate.push(Node);
+    return;
+  }
+  insertLater(Node);
+}
+
+void SimKernel::insertOrdered(EventNode *Node) {
+  assert(Node->AtNs >= NowNs && "scheduling into the past");
+  assert(Node->Seq < NextSeq && "sequence number was never claimed");
+  notePending();
+  insertLater(Node);
 }
 
 void SimKernel::advanceWindow() {

@@ -90,7 +90,8 @@ public:
   }
 
   /// Claims the next event sequence number (ties at equal timestamps pop in
-  /// claim order).
+  /// claim order).  A number may be claimed ahead of its event: see
+  /// insertOrdered.
   uint64_t takeSeq() { return NextSeq++; }
 
   size_t pendingCount() const { return PendingCount; }
@@ -130,6 +131,14 @@ public:
   /// Links \p Node into the lane its timestamp selects.
   void insert(EventNode *Node);
 
+  /// Links \p Node into the buckets or the overflow heap, never the
+  /// immediate lane: for a node stamped with a sequence number claimed
+  /// earlier, whose key may precede events already queued at the current
+  /// time.  Such a node pops exactly where it would have had it been
+  /// inserted when its number was claimed, provided no event with a later
+  /// key has popped since.
+  void insertOrdered(EventNode *Node);
+
   /// Removes and returns the earliest event, or null when empty.
   EventNode *popEarliest();
 
@@ -154,6 +163,10 @@ private:
   static constexpr size_t BucketCountLog2 = 12;
   static constexpr size_t NumBuckets = size_t(1) << BucketCountLog2;
 
+  /// Counts one more pending event (and the high-water mark).
+  void notePending();
+  /// The bucket/overflow half of insert().
+  void insertLater(EventNode *Node);
   /// Repositions the calendar window at the overflow minimum and drains
   /// every overflow event that now falls inside it.
   void advanceWindow();
@@ -192,7 +205,8 @@ private:
 
   /// Events scheduled at exactly the current time, in push order.  Because
   /// NowNs is non-decreasing and Seq is increasing, push order here IS
-  /// (time, seq) order, so the head is always this lane's minimum.
+  /// (time, seq) order, so the head is always this lane's minimum.  Nodes
+  /// carrying an earlier-claimed Seq bypass it (insertOrdered).
   EventFifo Immediate;
   /// Near-future buckets; each is a (time, seq) min-heap of node pointers.
   std::vector<std::vector<EventNode *>> Buckets;

@@ -10,9 +10,12 @@
 /// coroutines scheduled on this single-threaded virtual-time event loop, so
 /// every run is reproducible bit-for-bit on any machine.
 ///
-/// Events with equal timestamps fire in scheduling order (a monotonically
-/// increasing sequence number breaks ties), which makes wake-up ordering of
-/// semaphores, channels and futures deterministic as well.
+/// Events with equal timestamps fire in sequence-number order, which makes
+/// wake-up ordering of semaphores, channels and futures deterministic as
+/// well.  The number is claimed at schedule time, or, for an event
+/// scheduled later under a number claimed in advance (reserveSeq /
+/// scheduleAtReserved), at reservation time: such an event pops exactly
+/// where it would have had it been scheduled when the number was claimed.
 ///
 /// The kernel is built for throughput -- every paper figure is millions of
 /// events:
@@ -85,6 +88,26 @@ public:
         Kernel.allocNode(At.nanosecondsCount(), Kernel.takeSeq());
     Node->Fn.emplace(std::forward<F>(Fn));
     Kernel.insert(Node);
+  }
+
+  /// Claims the sequence number of an event to be scheduled later with
+  /// scheduleAtReserved.  A number that is never used leaves a gap, which
+  /// does not change the relative order of any other events.
+  uint64_t reserveSeq() { return Kernel.takeSeq(); }
+
+  /// Schedules \p Fn at absolute time \p At under the sequence number
+  /// \p Seq from reserveSeq.  \p At must not be in the past, and no event
+  /// with a later (time, sequence) key than (\p At, \p Seq) may have run
+  /// since the reservation; the event then pops in the slot it would have
+  /// taken had it been scheduled at reservation time.
+  template <typename F>
+    requires std::is_invocable_r_v<void, std::decay_t<F> &>
+  void scheduleAtReserved(SimTime At, uint64_t Seq, F &&Fn) {
+    if constexpr (!EventCallback::fitsInline<std::decay_t<F>>())
+      Kernel.noteSboMiss();
+    SimKernel::EventNode *Node = Kernel.allocNode(At.nanosecondsCount(), Seq);
+    Node->Fn.emplace(std::forward<F>(Fn));
+    Kernel.insertOrdered(Node);
   }
 
   /// Schedules \p Handle to be resumed \p Delay from now.  Stores the raw

@@ -169,7 +169,14 @@ scoopp::ParallelClassRegistry echoRegistry() {
   return Registry;
 }
 
-enum class CallKind { IntraGrainSync, IntraGrainAsync, RemoteSync };
+enum class CallKind {
+  IntraGrainSync,
+  IntraGrainAsync,
+  RemoteSync,
+  /// A remote sync call under a retry policy, as loadgen issues them:
+  /// every call carries a deadline and a dedup id.
+  RemoteReliable
+};
 
 constexpr int WarmupCalls = 200;
 constexpr int MeasuredCalls = 2000;
@@ -179,7 +186,8 @@ constexpr int MeasuredCalls = 2000;
 /// Stores heap allocations per steady-state call in \p PerCall.
 sim::Task<void> echoCalls(scoopp::ScooppRuntime &Rt, CallKind Kind,
                           double &PerCall) {
-  bool Local = Kind != CallKind::RemoteSync;
+  bool Local = Kind == CallKind::IntraGrainSync ||
+               Kind == CallKind::IntraGrainAsync;
   scoopp::ProxyBase Owner(Rt, Local ? 0 : 1);
   if (co_await Owner.create("Echo"))
     co_return;
@@ -202,10 +210,14 @@ sim::Task<void> echoCalls(scoopp::ScooppRuntime &Rt, CallKind Kind,
 
 double allocsPerCall(CallKind Kind) {
   scoopp::ScooppConfig Config;
-  if (Kind == CallKind::RemoteSync)
+  if (Kind == CallKind::RemoteSync || Kind == CallKind::RemoteReliable)
     Config.Placement = scoopp::PlacementPolicy::LocalOnly;
   else
     Config.Grain.AgglomerateObjects = true;
+  if (Kind == CallKind::RemoteReliable) {
+    Config.Retry.MaxAttempts = 3;
+    Config.Retry.AttemptTimeout = sim::SimTime::seconds(2);
+  }
   vm::Cluster Machines(2, vm::VmKind::MonoVm117);
   net::Network Net(Machines.sim(), 2);
   scoopp::ScooppRuntime Rt(Machines, Net, echoRegistry(), Config);
@@ -321,8 +333,11 @@ TEST(FutureTest, ThreeWaitersWakeInFifoOrder) {
 //===----------------------------------------------------------------------===//
 //
 // What remains per intra-grain call is the caller's by-value argument copy
-// and the echoed result; a remote call adds the wire buffers, the RPC
-// engine's per-call bookkeeping and the Promise it waits on.
+// and the echoed result.  A remote call adds the wire buffers and decoded
+// copies on both sides, the pending-call entry and the Promise it waits
+// on.  A reliable call adds its per-attempt argument copy; its deadline
+// and dedup entry allocate nothing once the endpoint's deadline heap and
+// dedup window have reached their working size.
 
 TEST(AllocCeilingTest, IntraGrainSyncCall) {
   SKIP_WITHOUT_POOL();
@@ -342,5 +357,12 @@ TEST(AllocCeilingTest, RemoteSyncCall) {
   SKIP_WITHOUT_POOL();
   double PerCall = allocsPerCall(CallKind::RemoteSync);
   ASSERT_GE(PerCall, 0) << "the echo object was not created";
-  EXPECT_LE(PerCall, 16.0);
+  EXPECT_LE(PerCall, 13.5);
+}
+
+TEST(AllocCeilingTest, RemoteReliableCall) {
+  SKIP_WITHOUT_POOL();
+  double PerCall = allocsPerCall(CallKind::RemoteReliable);
+  ASSERT_GE(PerCall, 0) << "the echo object was not created";
+  EXPECT_LE(PerCall, 14.5);
 }

@@ -18,6 +18,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 using namespace parcs;
 using namespace parcs::remoting;
 using namespace parcs::sim;
@@ -35,6 +38,21 @@ public:
     ++Calls;
     co_return Bytes(Args);
   }
+  int Calls = 0;
+};
+
+/// Echo that occupies its node's CPU for a fixed time first.
+class SlowEchoHandler : public CallHandler {
+public:
+  SlowEchoHandler(vm::Node &Host, SimTime Cost) : Host(Host), Cost(Cost) {}
+  sim::Task<ErrorOr<Bytes>> handleCall(std::string_view,
+                                       const Bytes &Args) override {
+    co_await Host.compute(Cost);
+    ++Calls;
+    co_return Bytes(Args);
+  }
+  vm::Node &Host;
+  SimTime Cost;
   int Calls = 0;
 };
 
@@ -175,6 +193,222 @@ TEST(FaultTest, LateRepliesAfterTimeoutAreDropped) {
   EXPECT_EQ(W.Echo->Calls, 1);
   EXPECT_EQ(W.Client.stats().LateReplies, 1u);
   EXPECT_EQ(W.Client.stats().MalformedDropped, 0u);
+}
+
+TEST(FaultTest, LateRepliesPastAnyRecentWindowAreNotMalformed) {
+  // Far more calls time out than any bounded history of timed-out ids
+  // would hold; every one of their replies must still count as late.
+  FaultWorld W;
+  auto Slow = std::make_shared<SlowEchoHandler>(W.Machines.node(1),
+                                                SimTime::microseconds(2500));
+  W.Server.publish("slow", Slow);
+  constexpr int Calls = 200;
+  int TimedOut = 0;
+  struct Proc {
+    static Task<void> run(FaultWorld &W, int &TimedOut) {
+      Bytes Payload = serial::encodeValues(static_cast<int32_t>(3));
+      ErrorOr<Bytes> Out = co_await W.Client.call(1, 1050, "slow", "echo",
+                                                  Payload, /*Timeout=*/ms(1));
+      if (!Out && Out.error().code() == ErrorCode::TimedOut)
+        ++TimedOut;
+    }
+  };
+  for (int I = 0; I < Calls; ++I)
+    W.sim().spawn(Proc::run(W, TimedOut));
+  W.sim().run();
+  EXPECT_EQ(TimedOut, Calls);
+  EXPECT_EQ(Slow->Calls, Calls);
+  EXPECT_EQ(W.Client.stats().LateReplies, static_cast<uint64_t>(Calls));
+  EXPECT_EQ(W.Client.stats().MalformedDropped, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Deadline timers
+//===----------------------------------------------------------------------===//
+
+TEST(FaultTest, FastCallsShareOneDeadlineTimer) {
+  // Calls answered long before their deadline leave no timer per call
+  // behind: one timer is pending at a time, and it fires once.
+  FaultWorld W;
+  constexpr int Calls = 1000;
+  int Ok = 0;
+  size_t MostTimers = 0;
+  struct Proc {
+    static Task<void> run(FaultWorld &W, int &Ok, size_t &MostTimers) {
+      Bytes Payload = serial::encodeValues(static_cast<int32_t>(5));
+      for (int I = 0; I < Calls; ++I) {
+        ErrorOr<Bytes> Out = co_await W.Client.call(
+            1, 1050, "echo", "echo", Payload, SimTime::seconds(10));
+        Ok += Out.hasValue();
+        MostTimers = std::max(MostTimers, W.Client.deadlineTimers());
+      }
+    }
+  };
+  W.sim().spawn(Proc::run(W, Ok, MostTimers));
+  W.sim().run();
+  EXPECT_EQ(Ok, Calls);
+  EXPECT_EQ(MostTimers, 1u);
+  EXPECT_LE(W.sim().counters().CallbackEvents, 1u);
+  EXPECT_EQ(W.Client.deadlineTimers(), 0u);
+}
+
+TEST(FaultTest, EqualDeadlinesFireInIssueOrder) {
+  // Every message is lost, so each call ends at its deadline.  Issue
+  // times are staggered and timeouts shortened to match, so all deadlines
+  // land on one instant.
+  FaultWorld W(/*DropEveryNth=*/1);
+  constexpr int Calls = 6;
+  std::vector<int> Order;
+  std::vector<SimTime> When;
+  struct Proc {
+    static Task<void> one(FaultWorld &W, int I, std::vector<int> &Order,
+                          std::vector<SimTime> &When) {
+      co_await W.sim().delay(ms(I));
+      Bytes Payload = serial::encodeValues(static_cast<int32_t>(I));
+      ErrorOr<Bytes> Out = co_await W.Client.call(1, 1050, "echo", "echo",
+                                                  Payload, ms(20 - I));
+      if (!Out && Out.error().code() == ErrorCode::TimedOut) {
+        Order.push_back(I);
+        When.push_back(W.sim().now());
+      }
+    }
+    static Task<void> run(FaultWorld &W, std::vector<int> &Order,
+                          std::vector<SimTime> &When) {
+      // Connect first, so no call pays the setup inside its window.
+      Bytes Payload = serial::encodeValues(static_cast<int32_t>(-1));
+      (void)co_await W.Client.call(1, 1050, "echo", "echo", Payload, ms(1));
+      for (int I = 0; I < Calls; ++I)
+        W.sim().spawn(one(W, I, Order, When));
+    }
+  };
+  W.sim().spawn(Proc::run(W, Order, When));
+  W.sim().run();
+  EXPECT_EQ(Order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+  ASSERT_EQ(When.size(), static_cast<size_t>(Calls));
+  for (SimTime T : When)
+    EXPECT_EQ(T, When.front());
+}
+
+TEST(FaultTest, LaterCallWithShorterTimeoutTimesOutFirst) {
+  FaultWorld W(/*DropEveryNth=*/1);
+  std::vector<int> Order;
+  size_t TimersWhileBothPending = 0;
+  struct Proc {
+    static Task<void> one(FaultWorld &W, int I, SimTime Start,
+                          SimTime Timeout, std::vector<int> &Order) {
+      co_await W.sim().delay(Start);
+      Bytes Payload = serial::encodeValues(static_cast<int32_t>(I));
+      ErrorOr<Bytes> Out = co_await W.Client.call(1, 1050, "echo", "echo",
+                                                  Payload, Timeout);
+      if (!Out && Out.error().code() == ErrorCode::TimedOut)
+        Order.push_back(I);
+    }
+    static Task<void> probe(FaultWorld &W, size_t &Timers) {
+      co_await W.sim().delay(ms(5));
+      Timers = W.Client.deadlineTimers();
+    }
+  };
+  W.sim().spawn(Proc::one(W, 0, SimTime(), ms(50), Order));
+  W.sim().spawn(Proc::one(W, 1, ms(1), ms(10), Order));
+  W.sim().spawn(Proc::probe(W, TimersWhileBothPending));
+  W.sim().run();
+  EXPECT_EQ(Order, (std::vector<int>{1, 0}));
+  EXPECT_EQ(TimersWhileBothPending, 2u)
+      << "the shorter deadline needs a timer ahead of the pending one";
+}
+
+/// One call's virtual duration after a warm-up call has connected.  With
+/// every message lost, a call lasts exactly its send cost plus timeout.
+SimTime warmCallTime(int DropEveryNth, SimTime Timeout) {
+  FaultWorld W(DropEveryNth);
+  SimTime Took;
+  struct Proc {
+    static Task<void> run(FaultWorld &W, SimTime Timeout, SimTime &Took) {
+      Bytes Payload = serial::encodeValues(static_cast<int32_t>(1));
+      (void)co_await W.Client.call(1, 1050, "echo", "echo", Payload, Timeout);
+      SimTime Start = W.sim().now();
+      (void)co_await W.Client.call(1, 1050, "echo", "echo", Payload, Timeout);
+      Took = W.sim().now() - Start;
+    }
+  };
+  W.sim().spawn(Proc::run(W, Timeout, Took));
+  W.sim().run();
+  return Took;
+}
+
+struct TieRun {
+  bool AOk = false;
+  ErrorOr<Bytes> B{Bytes{}};
+  SimTime BIssued, BEnded;
+  size_t TimersWhileBPending = 0;
+  EndpointStats Stats;
+};
+
+/// Call A, then, once A is answered, call B with a deadline \p Slack after
+/// the instant B's reply is handled.  A's deadline is 1 ns before B's, so
+/// the timer armed for A (stale by then) fires first and arms B's deadline
+/// after B's reply is already queued at that instant.
+TieRun runDeadlineTie(SimTime SendCost, SimTime RoundTrip, SimTime Slack) {
+  FaultWorld W;
+  TieRun R;
+  struct Proc {
+    static Task<void> run(FaultWorld &W, SimTime SendCost, SimTime RoundTrip,
+                          SimTime Slack, TieRun &R) {
+      Bytes Payload = serial::encodeValues(static_cast<int32_t>(1));
+      (void)co_await W.Client.call(1, 1050, "echo", "echo", Payload);
+      SimTime AIssued = W.sim().now();
+      SimTime BIssued = AIssued + RoundTrip + ms(1);
+      SimTime BReplied = BIssued + RoundTrip;
+      SimTime ATimeout =
+          BReplied - SimTime::nanoseconds(1) - (AIssued + SendCost);
+      R.AOk = (co_await W.Client.call(1, 1050, "echo", "echo", Payload,
+                                      ATimeout))
+                  .hasValue();
+      co_await W.sim().delay(BIssued - W.sim().now());
+      SimTime HalfTrip =
+          SimTime::nanoseconds(RoundTrip.nanosecondsCount() / 2);
+      W.sim().spawn(probe(W, HalfTrip, R));
+      R.BIssued = W.sim().now();
+      R.B = co_await W.Client.call(1, 1050, "echo", "echo", Payload,
+                                   RoundTrip - SendCost + Slack);
+      R.BEnded = W.sim().now();
+    }
+    static Task<void> probe(FaultWorld &W, SimTime After, TieRun &R) {
+      co_await W.sim().delay(After);
+      R.TimersWhileBPending = W.Client.deadlineTimers();
+    }
+  };
+  W.sim().spawn(Proc::run(W, SendCost, RoundTrip, Slack, R));
+  W.sim().run();
+  R.Stats = W.Client.stats();
+  return R;
+}
+
+TEST(FaultTest, ReplyOnTheDeadlineNanosecondTimesOut) {
+  SimTime SendCost = warmCallTime(/*DropEveryNth=*/1, ms(1)) - ms(1);
+  SimTime RoundTrip = warmCallTime(/*DropEveryNth=*/0, SimTime());
+  ASSERT_GT(SendCost, SimTime());
+  ASSERT_GT(RoundTrip, SendCost);
+
+  // Deadline and reply share one nanosecond: the deadline was claimed
+  // when B was sent, before its reply existed, so it wins the tie even
+  // though its timer was armed only after the reply was queued.
+  TieRun Tie = runDeadlineTie(SendCost, RoundTrip, SimTime());
+  EXPECT_TRUE(Tie.AOk);
+  EXPECT_EQ(Tie.TimersWhileBPending, 1u)
+      << "B's deadline was armed when it was sent";
+  ASSERT_FALSE(Tie.B.hasValue());
+  EXPECT_EQ(Tie.B.error().code(), ErrorCode::TimedOut);
+  EXPECT_EQ(Tie.BEnded - Tie.BIssued, RoundTrip);
+  EXPECT_EQ(Tie.Stats.LateReplies, 1u);
+  EXPECT_EQ(Tie.Stats.MalformedDropped, 0u);
+
+  // One nanosecond more and the reply wins at the same instant: the tie
+  // above was exact.
+  TieRun After = runDeadlineTie(SendCost, RoundTrip, SimTime::nanoseconds(1));
+  EXPECT_TRUE(After.B.hasValue());
+  EXPECT_EQ(After.BEnded - After.BIssued, RoundTrip);
+  EXPECT_EQ(After.Stats.LateReplies, 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -343,6 +577,51 @@ TEST(FaultTest, DedupMakesRetriesAtMostOnce) {
   // The first reply's late arrival (it was dropped here, but in general)
   // must not have been misclassified.
   EXPECT_EQ(W.Client.stats().MalformedDropped, 0u);
+}
+
+/// A two-way echo call frame from node 0 carrying \p DedupId, as
+/// callReliable attempts are framed on the binary TCP stack.
+Bytes dedupCallFrame(uint64_t DedupId) {
+  serial::OutputArchive Body;
+  Body.write(static_cast<uint64_t>(1'000'000 + DedupId)); // CallId.
+  Body.write(static_cast<uint8_t>(0x04));                 // FlagHasDedup.
+  Body.write(DedupId);
+  Body.write(static_cast<int32_t>(0)); // Reply node.
+  Body.write(static_cast<int32_t>(1050));
+  Body.write(std::string("echo"));
+  Body.write(std::string("echo"));
+  Bytes Args = serial::encodeValues(static_cast<int32_t>(7));
+  Body.write(static_cast<uint32_t>(Args.size()));
+  Body.writeRaw(Args);
+  Bytes Envelope = serial::encodeEnvelope(serial::WireFormat::NetBinary,
+                                          "echo", Body.bytes());
+  Bytes Wire(1 + Envelope.size());
+  Wire[0] = 0xC1; // KindCall.
+  std::copy(Envelope.begin(), Envelope.end(), Wire.begin() + 1);
+  return Wire;
+}
+
+TEST(FaultTest, DedupWindowEvictsOldestFirst) {
+  // 300 logical calls overflow the 256-entry window: the first 44 are
+  // evicted in arrival order, the other 256 are still answered from it.
+  FaultWorld W;
+  auto Send = [&W](uint64_t First, uint64_t Last) {
+    for (uint64_t Id = First; Id <= Last; ++Id)
+      W.Net.send(0, 1, 1050, dedupCallFrame(Id));
+    W.sim().run();
+  };
+  Send(1, 300);
+  EXPECT_EQ(W.Echo->Calls, 300);
+  Send(45, 300);
+  EXPECT_EQ(W.Echo->Calls, 300) << "a retransmission inside the window ran";
+  EXPECT_EQ(W.Server.stats().DedupHits, 256u);
+  Send(1, 1);
+  EXPECT_EQ(W.Echo->Calls, 301) << "the oldest call was not evicted";
+  // Re-running id 1 took the slot of the then-oldest entry, id 45, only.
+  Send(46, 46);
+  EXPECT_EQ(W.Server.stats().DedupHits, 257u);
+  Send(45, 45);
+  EXPECT_EQ(W.Echo->Calls, 302);
 }
 
 //===----------------------------------------------------------------------===//

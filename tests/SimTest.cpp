@@ -115,6 +115,101 @@ TEST(SimulatorTest, CountsEvents) {
 }
 
 //===----------------------------------------------------------------------===//
+// Reserved sequence numbers
+//===----------------------------------------------------------------------===//
+//
+// Each scenario runs twice: once scheduling event 0 when its number is
+// claimed, once reserving the number then and scheduling the event later.
+// The pop orders must be identical.
+
+std::vector<int> reservedAmongLaterSameTimeEvents(bool Deferred) {
+  Simulator Sim;
+  std::vector<int> Order;
+  uint64_t Seq = 0;
+  auto Log = [&Order](int Id) { return [&Order, Id] { Order.push_back(Id); }; };
+  Sim.schedule(us(10), Log(-1)); // Same time, claimed before the reservation.
+  Sim.schedule(us(1), [&] {
+    if (Deferred)
+      Seq = Sim.reserveSeq();
+    else
+      Sim.schedule(us(9), Log(0));
+    for (int I = 1; I <= 3; ++I)
+      Sim.schedule(us(9), Log(I));
+  });
+  Sim.schedule(us(5), [&] {
+    if (Deferred)
+      Sim.scheduleAtReserved(us(10), Seq, Log(0));
+    Sim.schedule(us(5), Log(4));
+  });
+  Sim.run();
+  return Order;
+}
+
+TEST(ReservedSeqTest, PopsAmongEventsScheduledLaterAtTheSameTime) {
+  EXPECT_EQ(reservedAmongLaterSameTimeEvents(true),
+            reservedAmongLaterSameTimeEvents(false));
+  EXPECT_EQ(reservedAmongLaterSameTimeEvents(true),
+            (std::vector<int>{-1, 0, 1, 2, 3, 4}));
+}
+
+std::vector<int> reservedAtCurrentTime(bool Deferred) {
+  Simulator Sim;
+  std::vector<int> Order;
+  uint64_t Seq = 0;
+  auto Log = [&Order](int Id) { return [&Order, Id] { Order.push_back(Id); }; };
+  Sim.schedule(us(1), [&] {
+    if (Deferred)
+      Seq = Sim.reserveSeq();
+    else
+      Sim.schedule(us(9), Log(0));
+  });
+  Sim.schedule(us(10), [&] {
+    // Newer events at the current time sit in the immediate lane by the
+    // time the reserved event is scheduled at that same time.
+    Sim.schedule(SimTime(), Log(1));
+    Sim.schedule(SimTime(), Log(2));
+    if (Deferred)
+      Sim.scheduleAtReserved(Sim.now(), Seq, Log(0));
+    Sim.schedule(SimTime(), Log(3));
+  });
+  Sim.run();
+  return Order;
+}
+
+TEST(ReservedSeqTest, PopsAheadOfNewerEventsAtTheCurrentTime) {
+  EXPECT_EQ(reservedAtCurrentTime(true), reservedAtCurrentTime(false));
+  EXPECT_EQ(reservedAtCurrentTime(true), (std::vector<int>{0, 1, 2, 3}));
+}
+
+std::vector<int> withUnusedReservation(bool Reserve) {
+  Simulator Sim;
+  std::vector<int> Order;
+  auto Log = [&Order](int Id) { return [&Order, Id] { Order.push_back(Id); }; };
+  for (int I = 0; I < 6; ++I) {
+    if (Reserve && I == 3)
+      (void)Sim.reserveSeq();
+    Sim.schedule(us(I % 2), Log(I));
+  }
+  Sim.schedule(us(1), [&] {
+    Sim.schedule(SimTime(), Log(6));
+    if (Reserve)
+      (void)Sim.reserveSeq();
+    Sim.schedule(SimTime(), Log(7));
+    Sim.schedule(us(1), Log(8));
+  });
+  Sim.run();
+  EXPECT_EQ(Sim.pendingCount(), 0u);
+  Order.push_back(static_cast<int>(Sim.eventsProcessed()));
+  return Order;
+}
+
+TEST(ReservedSeqTest, UnusedReservationLeavesOrderUnchanged) {
+  EXPECT_EQ(withUnusedReservation(true), withUnusedReservation(false));
+  EXPECT_EQ(withUnusedReservation(true),
+            (std::vector<int>{0, 2, 4, 1, 3, 5, 6, 7, 8, 10}));
+}
+
+//===----------------------------------------------------------------------===//
 // Coroutine tasks
 //===----------------------------------------------------------------------===//
 
