@@ -222,6 +222,35 @@ TEST(FaultTest, LateRepliesPastAnyRecentWindowAreNotMalformed) {
   EXPECT_EQ(W.Client.stats().MalformedDropped, 0u);
 }
 
+TEST(FaultTest, InFlightCountOutlivesUnpublish) {
+  // Unpublishing a name mid-call must not drop its in-flight count (a
+  // migration drain reads it); the count ends when the call does.
+  FaultWorld W;
+  auto Slow = std::make_shared<SlowEchoHandler>(W.Machines.node(1), ms(2));
+  W.Server.publish("slow", Slow);
+  ErrorOr<Bytes> Out(Bytes{});
+  size_t AfterUnpublish = 0;
+  struct Proc {
+    static Task<void> call(FaultWorld &W, ErrorOr<Bytes> &Out) {
+      Bytes Payload = serial::encodeValues(static_cast<int32_t>(4));
+      Out = co_await W.Client.call(1, 1050, "slow", "echo", Payload);
+    }
+    static Task<void> unpublishMidCall(FaultWorld &W, size_t &Count) {
+      for (int I = 0; I < 1000 && W.Server.inFlight("slow") == 0; ++I)
+        co_await W.sim().delay(SimTime::microseconds(100));
+      EXPECT_TRUE(W.Server.unpublish("slow"));
+      Count = W.Server.inFlight("slow");
+    }
+  };
+  W.sim().spawn(Proc::call(W, Out));
+  W.sim().spawn(Proc::unpublishMidCall(W, AfterUnpublish));
+  W.sim().run();
+  EXPECT_EQ(AfterUnpublish, 1u);
+  EXPECT_TRUE(Out.hasValue());
+  EXPECT_EQ(Slow->Calls, 1);
+  EXPECT_EQ(W.Server.inFlight("slow"), 0u);
+}
+
 //===----------------------------------------------------------------------===//
 // Deadline timers
 //===----------------------------------------------------------------------===//
