@@ -14,6 +14,13 @@ using namespace parcs;
 using namespace parcs::apps::sieve;
 using scoopp::ParallelRef;
 
+PrimeFilterHandler::PrimeFilterHandler(scoopp::ScooppRuntime &Runtime,
+                                       vm::Node &Host,
+                                       std::shared_ptr<const SieveJob> Job)
+    : Runtime(Runtime), Host(Host), Job(std::move(Job)),
+      Batches(metrics::Registry::global().counter("sieve.batches")),
+      TestsRun(metrics::Registry::global().counter("sieve.tests")) {}
+
 sim::Task<ErrorOr<scoopp::ParallelRef>> PrimeFilterProxy::nextRef() {
   ErrorOr<remoting::Bytes> Raw = co_await invokeSync("nextRef", {});
   if (!Raw)
@@ -89,9 +96,8 @@ PrimeFilterHandler::processInOrder(std::vector<int32_t> Numbers) {
                                  static_cast<double>(BatchTests)));
   trace::complete(Host.id(), 0, "sieve.filter_batch", BatchStartNs,
                   Host.sim().now().nanosecondsCount() - BatchStartNs);
-  metrics::Registry &Reg = metrics::Registry::global();
-  Reg.counter("sieve.batches").add(1);
-  Reg.counter("sieve.tests").add(BatchTests);
+  Batches.add(1);
+  TestsRun.add(BatchTests);
   if (!Survivors.empty()) {
     Error E = co_await forward(std::move(Survivors));
     if (E)

@@ -34,6 +34,7 @@
 
 #include "core/Proxy.h"
 #include "core/Scoopp.h"
+#include "support/Metrics.h"
 
 #include <map>
 
@@ -52,8 +53,7 @@ struct SieveJob {
 class PrimeFilterHandler : public remoting::CallHandler {
 public:
   PrimeFilterHandler(scoopp::ScooppRuntime &Runtime, vm::Node &Host,
-                     std::shared_ptr<const SieveJob> Job)
-      : Runtime(Runtime), Host(Host), Job(std::move(Job)) {}
+                     std::shared_ptr<const SieveJob> Job);
 
   sim::Task<ErrorOr<remoting::Bytes>>
   handleCall(std::string_view Method, const remoting::Bytes &Args) override;
@@ -69,6 +69,9 @@ private:
   scoopp::ScooppRuntime &Runtime;
   vm::Node &Host;
   std::shared_ptr<const SieveJob> Job;
+  /// sieve.batches and sieve.tests, looked up once per filter.
+  metrics::Counter &Batches;
+  metrics::Counter &TestsRun;
   std::vector<int32_t> Primes;
   std::unique_ptr<scoopp::ProxyBase> Next;
   uint64_t Tests = 0;

@@ -81,30 +81,29 @@ sim::Task<ErrorOr<Bytes>> ImplAdapter::handleCall(std::string_view Method,
     // causal id of the proxy invocation that produced it, falling back to
     // the dispatch context for legacy ctx-free payloads.
     for (const BufferedCall &Call : *Calls) {
-      ErrorOr<Bytes> Result = co_await timedCall(
-          Real, Call.Args, Call.Ctx ? Call.Ctx : DispatchCtx);
+      sim::SimTime Start = Om.runtime().sim().now();
+      ErrorOr<Bytes> Result = co_await Inner->handleCall(Real, Call.Args);
+      noteExecuted(Start, Call.Ctx ? Call.Ctx : DispatchCtx);
       if (!Result)
         co_return Result.error();
     }
     co_return Bytes{};
   }
-  ErrorOr<Bytes> Result = co_await timedCall(Method, Args, DispatchCtx);
+  // A single call runs in this frame: the inner IO's handler is the only
+  // coroutine below it.
+  sim::SimTime Start = Om.runtime().sim().now();
+  ErrorOr<Bytes> Result = co_await Inner->handleCall(Method, Args);
+  noteExecuted(Start, DispatchCtx);
   co_return Result;
 }
 
-sim::Task<ErrorOr<Bytes>> ImplAdapter::timedCall(std::string_view Method,
-                                                 const Bytes &Args,
-                                                 uint64_t ParentCtx) {
-  sim::Simulator &Sim = Om.runtime().sim();
-  sim::SimTime Start = Sim.now();
-  ErrorOr<Bytes> Result = co_await Inner->handleCall(Method, Args);
-  Om.noteExecution(ClassName, Sim.now() - Start);
+void ImplAdapter::noteExecuted(sim::SimTime Start, uint64_t ParentCtx) {
+  sim::SimTime End = Om.runtime().sim().now();
+  Grain.note(End - Start);
   if (trace::enabled()) {
     uint64_t ExecCtx = trace::mintCausalId();
     trace::completeCtx(Om.nodeId(), 0, "scoopp.execute",
                        Start.nanosecondsCount(),
-                       (Sim.now() - Start).nanosecondsCount(), ExecCtx,
-                       ParentCtx);
+                       (End - Start).nanosecondsCount(), ExecCtx, ParentCtx);
   }
-  co_return Result;
 }

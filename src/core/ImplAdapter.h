@@ -14,7 +14,7 @@
 ///    array structure that is constructed on the PO side and fetched from
 ///    the array on the IO side");
 ///  - grain-size feedback: the simulated execution time of each call is
-///    reported to the node's ObjectManager.
+///    fed to the node's ObjectManager's estimate for the class.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,7 +58,8 @@ class ImplAdapter : public CallHandler {
 public:
   ImplAdapter(ObjectManager &Om, std::string ClassName,
               std::shared_ptr<CallHandler> Inner)
-      : Om(Om), ClassName(std::move(ClassName)), Inner(std::move(Inner)),
+      : Om(Om), ClassName(std::move(ClassName)),
+        Grain(Om.grainEstimator(this->ClassName)), Inner(std::move(Inner)),
         CallLock(Om.runtime().sim()) {
     Om.noteObjectHosted();
   }
@@ -81,15 +82,15 @@ public:
   }
 
 private:
-  /// Runs one real call on the inner IO, timing it for the OM and emitting
-  /// a scoopp.execute span parented at \p ParentCtx on traced runs.
-  /// \p Method and \p Args are views: the awaiting caller owns both for
-  /// the whole call.
-  sim::Task<ErrorOr<Bytes>> timedCall(std::string_view Method,
-                                      const Bytes &Args, uint64_t ParentCtx);
+  /// Bookkeeping after one real call on the inner IO that started at
+  /// \p Start: feeds the OM's grain estimate and, on traced runs, emits a
+  /// scoopp.execute span parented at \p ParentCtx.
+  void noteExecuted(sim::SimTime Start, uint64_t ParentCtx);
 
   ObjectManager &Om;
   std::string ClassName;
+  /// The OM's estimate for ClassName, looked up once.
+  GrainEstimator &Grain;
   std::shared_ptr<CallHandler> Inner;
   /// Parallel objects are *active objects*: one method runs at a time,
   /// even when the endpoint's dispatch pool would allow overlap.

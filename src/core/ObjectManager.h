@@ -61,10 +61,12 @@ public:
     assert(Hosted >= 0 && "released more objects than hosted");
   }
 
-  /// Grain-size feedback from ImplAdapter: \p Exec is the simulated
-  /// execution time of one method of \p ClassName.
-  void noteExecution(const std::string &ClassName, sim::SimTime Exec) {
-    Grains[ClassName].note(Exec);
+  /// Grain-size estimate of \p ClassName on this node.  Each ImplAdapter
+  /// takes it once, at construction, and feeds it the simulated execution
+  /// time of every method it runs; the reference stays valid for the OM's
+  /// lifetime.
+  GrainEstimator &grainEstimator(const std::string &ClassName) {
+    return Grains[ClassName];
   }
 
   /// Decides whether a new object of \p ClassName should be created

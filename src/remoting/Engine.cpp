@@ -408,6 +408,7 @@ void RpcEndpoint::fireDeadlineTimer() {
   // so the timer firing now is the back of the stack.
   uint64_t Seq = DeadlineTimers.back().Seq;
   DeadlineTimers.pop_back();
+  ++DeadlineTimersFired;
   // The heap top is never earlier than this timer; it is this timer's own
   // deadline unless that call was answered and pruned.
   if (!Deadlines.empty() && Deadlines.front().Seq == Seq) {

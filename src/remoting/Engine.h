@@ -271,6 +271,8 @@ public:
   /// however many calls carry deadlines, unless later calls are issued
   /// with earlier deadlines.
   size_t deadlineTimers() const { return DeadlineTimers.size(); }
+  /// Deadline timer events this endpoint has run so far.
+  uint64_t deadlineTimersFired() const { return DeadlineTimersFired; }
 
   /// Calls currently executing against \p Name (migration drains this to
   /// zero before touching state).
@@ -433,6 +435,7 @@ private:
   /// the back is always the next to fire and the heap top is never
   /// earlier than it.
   std::vector<Deadline> DeadlineTimers;
+  uint64_t DeadlineTimersFired = 0;
   /// Destinations we already hold a connection to.
   std::set<std::pair<int, int>> Connected;
   uint64_t NextCallId = 1;

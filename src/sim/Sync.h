@@ -127,19 +127,21 @@ public:
   auto acquire() {
     struct Awaiter {
       Semaphore &Sema;
-      bool await_ready() {
-        if (Sema.Count > 0) {
-          --Sema.Count;
-          return true;
-        }
-        return false;
-      }
+      bool await_ready() { return Sema.tryAcquire(); }
       void await_suspend(std::coroutine_handle<> Handle) {
         Sema.Waiters.push_back(Handle);
       }
       void await_resume() const noexcept {}
     };
     return Awaiter{*this};
+  }
+
+  /// Takes a permit without suspending; false when none is free.
+  bool tryAcquire() {
+    if (Count == 0)
+      return false;
+    --Count;
+    return true;
   }
 
   /// Increments the count or hands the permit to the oldest waiter.

@@ -14,68 +14,67 @@
 using namespace parcs;
 using namespace parcs::vm;
 
-sim::Task<void> Node::compute(sim::SimTime CpuTime) {
-  if (CpuTime <= sim::SimTime())
-    co_return;
-  if (!Alive)
-    co_await haltForever();
-  ++Runnable;
-  sim::SimTime Remaining = CpuTime;
-  while (Remaining > sim::SimTime()) {
-    co_await CoreSlots.acquire();
-    if (!Alive) {
-      // The node crashed while we queued for a core: stop here.  The slot
-      // goes back so restarted work is not starved by dead holders.
-      CoreSlots.release();
-      --Runnable;
-      co_await haltForever();
-    }
-    sim::SimTime Slice = Remaining < Quantum ? Remaining : Quantum;
-    co_await Sim.delay(Slice);
-    if (!Alive) {
-      // Crashed mid-slice: the partial slice's work is lost, not billed.
-      CoreSlots.release();
-      --Runnable;
-      co_await haltForever();
-    }
-    Busy += Slice;
-    Remaining -= Slice;
-    // Yield the core between slices so equal-priority threads round-robin.
-    CoreSlots.release();
+// PARCS_HOT_BEGIN(cpu-charge): every call path charges the CPU a few
+// times; a single free slice must cost one callback event and nothing else.
+
+std::coroutine_handle<> Node::Charge::await_suspend(
+    std::coroutine_handle<> Awaiting) {
+  if (!Owner.Alive)
+    return std::noop_coroutine(); // compute() on a down node parks.
+  if (CpuTime <= Owner.Quantum && Owner.CoreSlots.tryAcquire()) {
+    ++Owner.Runnable;
+    Caller = Awaiting;
+    auto Finish = [this] { finishSlice(); };
+    static_assert(sim::EventCallback::fitsInline<decltype(Finish)>(),
+                  "a CPU charge must not heap-allocate its event");
+    Owner.Sim.schedule(CpuTime, Finish);
+    return std::noop_coroutine();
   }
-  --Runnable;
+  Slow = Owner.chargeSlices(CpuTime, Checked);
+  return std::move(Slow).operator co_await().await_suspend(Awaiting);
 }
 
-sim::Task<bool> Node::computeChecked(sim::SimTime CpuTime) {
-  // Mirrors compute() (deliberately duplicated: a wrapper would add a
-  // coroutine frame per call on the hottest path) but reports a crash to
-  // the caller instead of parking.
-  if (CpuTime <= sim::SimTime())
-    co_return Alive;
-  if (!Alive)
-    co_return false;
+void Node::Charge::finishSlice() {
+  Node &N = Owner;
+  bool Up = N.Alive;
+  // Crashed mid-slice: the partial slice's work is lost, not billed.
+  if (Up)
+    N.Busy += CpuTime;
+  N.CoreSlots.release();
+  --N.Runnable;
+  if (!Up && !Checked)
+    return; // compute(): a crashed node's thread parks here.
+  Ok = Up;
+  Caller.resume();
+}
+
+// PARCS_HOT_END
+
+sim::Task<bool> Node::chargeSlices(sim::SimTime CpuTime, bool Checked) {
   ++Runnable;
   sim::SimTime Remaining = CpuTime;
-  while (Remaining > sim::SimTime()) {
+  bool Up = true;
+  while (Up && Remaining > sim::SimTime()) {
     co_await CoreSlots.acquire();
-    if (!Alive) {
-      CoreSlots.release();
-      --Runnable;
-      co_return false;
-    }
     sim::SimTime Slice = Remaining < Quantum ? Remaining : Quantum;
-    co_await Sim.delay(Slice);
-    if (!Alive) {
-      CoreSlots.release();
-      --Runnable;
-      co_return false;
+    // A crash while queued for the core skips the slice; one mid-slice
+    // loses it (the partial work is not billed).
+    if (Alive)
+      co_await Sim.delay(Slice);
+    Up = Alive;
+    if (Up) {
+      Busy += Slice;
+      Remaining -= Slice;
     }
-    Busy += Slice;
-    Remaining -= Slice;
+    // Yield the core between slices so equal-priority threads round-robin;
+    // after a crash it goes back so restarted work is not starved by dead
+    // holders.
     CoreSlots.release();
   }
   --Runnable;
-  co_return true;
+  if (!Up && !Checked)
+    co_await haltForever();
+  co_return Up;
 }
 
 void Node::crash() {

@@ -20,6 +20,7 @@
 #include "vm/Calibration.h"
 #include "vm/VmKind.h"
 
+#include <coroutine>
 #include <functional>
 #include <utility>
 #include <vector>
@@ -48,25 +49,23 @@ public:
   const VmCostModel &costModel() const { return Model; }
   int cores() const { return Cores; }
 
+  class Charge;
+
   /// Occupies one core for \p CpuTime, time-sliced; other runnable threads
   /// interleave at quantum granularity.  If the node crashes while this
   /// thread holds or waits for a core, the thread parks forever (its frame
   /// is reclaimed at simulator teardown) -- a crashed node's tasks stop.
-  sim::Task<void> compute(sim::SimTime CpuTime);
+  Charge compute(sim::SimTime CpuTime);
 
-  /// Like compute(), but instead of parking on a crash it returns false
+  /// Like compute(), but instead of parking on a crash it yields false
   /// without consuming further time.  For infrastructure loops (RPC
   /// dispatch) that must survive a crash/restart cycle and decide for
   /// themselves what to do with the in-flight work.
-  sim::Task<bool> computeChecked(sim::SimTime CpuTime);
+  Charge computeChecked(sim::SimTime CpuTime);
 
   /// Charges \p ReferenceTime of \p Kind work scaled by this node's VM
   /// multiplier (reference = Sun JVM 1.4.2).
-  sim::Task<void> computeWork(WorkKind Kind, sim::SimTime ReferenceTime) {
-    double Mult = workMultiplier(Model, Kind);
-    return compute(sim::SimTime::fromSecondsF(ReferenceTime.toSecondsF() *
-                                              Mult));
-  }
+  Charge computeWork(WorkKind Kind, sim::SimTime ReferenceTime);
 
   /// Starts a new simulated thread on this node, paying the thread-creation
   /// cost before \p Body runs.
@@ -132,7 +131,66 @@ private:
   uint64_t NextHookId = 1;
   /// Registration-ordered so restart is deterministic.
   std::vector<std::pair<uint64_t, std::function<void()>>> RestartHooks;
+
+  /// Every charge that is not one free slice: queues for cores and runs
+  /// the slices; on a crash yields false (\p Checked) or parks.
+  sim::Task<bool> chargeSlices(sim::SimTime CpuTime, bool Checked);
 };
+
+/// The awaitable of compute() and computeChecked().  A single-slice charge
+/// on a live node with a free core -- the common case on a call path --
+/// runs without a coroutine frame: it takes the core and schedules one
+/// callback in the slot a delay() resume would take, and that callback
+/// settles the slice and resumes the caller.  Every other charge runs
+/// Node::chargeSlices.  co_await yields false when the node crashed
+/// (which only a computeChecked() caller sees: a compute() caller parks).
+class [[nodiscard]] Node::Charge {
+public:
+  bool await_ready() noexcept {
+    if (CpuTime > sim::SimTime() && Owner.Alive)
+      return false;
+    // A zero charge completes at once; on a down node computeChecked
+    // yields false at once and compute parks.
+    Ok = Owner.Alive;
+    return CpuTime <= sim::SimTime() || Checked;
+  }
+  std::coroutine_handle<> await_suspend(std::coroutine_handle<> Awaiting);
+  bool await_resume() {
+    if (Slow.valid())
+      Ok = std::move(Slow).operator co_await().await_resume();
+    return Ok;
+  }
+
+private:
+  friend class Node;
+  Charge(Node &Owner, sim::SimTime CpuTime, bool Checked)
+      : Owner(Owner), CpuTime(CpuTime), Checked(Checked) {}
+  /// The fast path's callback: bills the slice unless the node crashed,
+  /// frees the core and resumes (or parks) the caller.
+  void finishSlice();
+
+  Node &Owner;
+  sim::SimTime CpuTime;
+  bool Checked;
+  bool Ok = true;
+  std::coroutine_handle<> Caller;
+  sim::Task<bool> Slow;
+};
+
+inline Node::Charge Node::compute(sim::SimTime CpuTime) {
+  return Charge(*this, CpuTime, /*Checked=*/false);
+}
+
+inline Node::Charge Node::computeChecked(sim::SimTime CpuTime) {
+  return Charge(*this, CpuTime, /*Checked=*/true);
+}
+
+inline Node::Charge Node::computeWork(WorkKind Kind,
+                                      sim::SimTime ReferenceTime) {
+  double Mult = workMultiplier(Model, Kind);
+  return compute(
+      sim::SimTime::fromSecondsF(ReferenceTime.toSecondsF() * Mult));
+}
 
 } // namespace parcs::vm
 

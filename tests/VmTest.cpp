@@ -170,6 +170,106 @@ TEST(NodeTest, StartThreadChargesCreationCost) {
 }
 
 //===----------------------------------------------------------------------===//
+// Crashes under compute()/computeChecked()
+//===----------------------------------------------------------------------===//
+
+/// How one charge ended: Resumed stays false while the thread is parked.
+struct ChargeEnd {
+  bool Resumed = false;
+  bool Ok = false;
+  SimTime At;
+};
+
+Task<void> charge(Node &N, SimTime Cpu, bool Checked, ChargeEnd &End) {
+  if (Checked) {
+    End.Ok = co_await N.computeChecked(Cpu);
+  } else {
+    co_await N.compute(Cpu);
+    End.Ok = true;
+  }
+  End.Resumed = true;
+  End.At = N.sim().now();
+}
+
+/// compute() parks for good on a crash; computeChecked() yields false at
+/// the point the charge stopped (\p At).
+void expectStopped(const ChargeEnd &End, bool Checked, SimTime At) {
+  EXPECT_EQ(End.Resumed, Checked);
+  if (Checked) {
+    EXPECT_FALSE(End.Ok);
+    EXPECT_EQ(End.At, At);
+  }
+}
+
+/// After a crash has stopped every charge on \p N: restart it and check a
+/// new thread gets a core at once.
+void expectRestartFreesCore(Simulator &Sim, Node &N) {
+  EXPECT_EQ(N.runnableThreads(), 0);
+  N.restart();
+  SimTime Start = Sim.now(), Done;
+  SimTime BusyBefore = N.busyTime();
+  Sim.spawn(burn(N, ms(3), Done));
+  Sim.run();
+  EXPECT_EQ(Done, Start + ms(3));
+  EXPECT_EQ(N.busyTime(), BusyBefore + ms(3));
+  EXPECT_EQ(N.runnableThreads(), 0);
+}
+
+TEST(NodeTest, CrashMidSliceStopsASingleSliceCharge) {
+  for (bool Checked : {false, true}) {
+    SCOPED_TRACE(Checked ? "computeChecked" : "compute");
+    Simulator Sim;
+    Node N(Sim, 0, VmKind::NativeCpp, /*Cores=*/1);
+    ChargeEnd End;
+    Sim.spawn(charge(N, ms(5), Checked, End)); // One slice: under a quantum.
+    Sim.schedule(ms(2), [&N] { N.crash(); });
+    Sim.run();
+    expectStopped(End, Checked, ms(5));
+    EXPECT_EQ(N.busyTime(), SimTime()) << "the lost slice was billed";
+    expectRestartFreesCore(Sim, N);
+  }
+}
+
+TEST(NodeTest, CrashStopsAMultiSliceChargeBetweenSlices) {
+  for (bool Checked : {false, true}) {
+    SCOPED_TRACE(Checked ? "computeChecked" : "compute");
+    Simulator Sim;
+    Node N(Sim, 0, VmKind::NativeCpp, /*Cores=*/1);
+    ChargeEnd End;
+    Sim.spawn(charge(N, ms(35), Checked, End)); // Slices end at 10/20/30/35.
+    Sim.schedule(ms(15), [&N] { N.crash(); });
+    Sim.run();
+    expectStopped(End, Checked, ms(20));
+    EXPECT_EQ(N.busyTime(), ms(10)) << "only the first slice completed";
+    expectRestartFreesCore(Sim, N);
+  }
+}
+
+TEST(NodeTest, CrashStopsAThreadQueuedForACore) {
+  for (bool Checked : {false, true}) {
+    SCOPED_TRACE(Checked ? "computeChecked" : "compute");
+    Simulator Sim;
+    Node N(Sim, 0, VmKind::NativeCpp, /*Cores=*/1);
+    ChargeEnd Holder, Queued;
+    Sim.spawn(charge(N, ms(5), Checked, Holder));
+    Sim.spawn(charge(N, ms(5), Checked, Queued));
+    int RunnableAtCrash = -1;
+    Sim.schedule(ms(2), [&N, &RunnableAtCrash] {
+      RunnableAtCrash = N.runnableThreads();
+      N.crash();
+    });
+    Sim.run();
+    EXPECT_EQ(RunnableAtCrash, 2);
+    // The holder's slice ends at 5 ms and hands the core to the queued
+    // thread, which finds the node down and gives it back unused.
+    expectStopped(Holder, Checked, ms(5));
+    expectStopped(Queued, Checked, ms(5));
+    EXPECT_EQ(N.busyTime(), SimTime());
+    expectRestartFreesCore(Sim, N);
+  }
+}
+
+//===----------------------------------------------------------------------===//
 // ThreadPool
 //===----------------------------------------------------------------------===//
 
