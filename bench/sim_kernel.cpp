@@ -30,6 +30,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -51,18 +52,23 @@ struct Rng {
   }
 };
 
-/// One kernel microbench run: its rate and the callbacks that fell off
-/// the inline buffer.
-struct KernelResult {
-  double PerSec = 0;
-  uint64_t SboMisses = 0;
-};
+/// Exits 1 if any of \p Sim's callbacks fell off the inline buffer: every
+/// simulated row must run allocation-free events.
+void requireNoSboMisses(const char *Row, const sim::Simulator &Sim) {
+  if (Sim.counters().SboMisses == 0)
+    return;
+  std::fprintf(stderr,
+               "%s: %llu callbacks fell off the inline buffer "
+               "(sbo_misses must be 0)\n",
+               Row, static_cast<unsigned long long>(Sim.counters().SboMisses));
+  std::exit(1);
+}
 
 /// Raw event throughput: a self-replenishing population of scheduled
 /// callbacks with a representative capture size (pointer + counters) and a
 /// mix of zero-delay and short-delay events, mimicking channel wake-ups and
 /// cost-model delays.
-KernelResult benchRawEvents(uint64_t Total) {
+double benchRawEvents(uint64_t Total) {
   sim::Simulator Sim;
   uint64_t Remaining = Total;
   Rng R;
@@ -90,16 +96,17 @@ KernelResult benchRawEvents(uint64_t Total) {
   Sim.run();
   double Secs = Timer.seconds();
   std::printf("  raw-events   %s\n", Sim.counterSnapshot().str().c_str());
-  // The node free list covers the steady-state population: no per-event
-  // allocations.
+  // The Pump capture fits the inline buffer and the node free list covers
+  // the steady-state population: no per-event allocations.
+  requireNoSboMisses("events", Sim);
   assert(Sim.counters().NodesAllocated <= 2 * Population &&
          "event nodes not recycled");
-  return {static_cast<double>(Total) / Secs, Sim.counters().SboMisses};
+  return static_cast<double>(Total) / Secs;
 }
 
 /// Coroutine resume throughput: tasks that do nothing but sleep a few
 /// nanoseconds of virtual time, i.e. the scheduleResume fast path.
-KernelResult benchScheduleResume(uint64_t Total) {
+double benchScheduleResume(uint64_t Total) {
   sim::Simulator Sim;
   constexpr int Tasks = 64;
   uint64_t PerTask = Total / Tasks;
@@ -118,10 +125,10 @@ KernelResult benchScheduleResume(uint64_t Total) {
   std::printf("  resumes      %s\n", Sim.counterSnapshot().str().c_str());
   // The acceptance bar for the resume fast path: raw coroutine handles in
   // recycled nodes, so a steady-state resume allocates nothing.
+  requireNoSboMisses("resumes", Sim);
   assert(Sim.counters().NodesAllocated <= 2 * Tasks &&
          "resume nodes not recycled");
-  return {static_cast<double>(PerTask * Tasks) / Secs,
-          Sim.counters().SboMisses};
+  return static_cast<double>(PerTask * Tasks) / Secs;
 }
 
 /// Echo service: returns its argument bytes without charging compute, so
@@ -140,7 +147,6 @@ struct RpcResult {
   double EventsPerCall = 0;
   /// Deadline timer events the calling endpoint ran.
   uint64_t DeadlineTimersFired = 0;
-  uint64_t SboMisses = 0;
   sim::SimTime Elapsed;
 };
 
@@ -189,17 +195,18 @@ RpcResult benchRpc(remoting::StackKind Stack, uint64_t Calls,
   Machines.sim().spawn(Driver::run(Client, Calls, Args));
   Machines.sim().run();
   double Secs = Timer.seconds();
-  std::printf("  rpc(%s%s%s) %s\n", remoting::stackProfile(Stack).Name,
-              WithTelemetry ? "+telemetry" : "",
-              Retry.enabled() ? "+reliable" : "",
+  std::string Row = std::string("rpc(") + remoting::stackProfile(Stack).Name +
+                    (WithTelemetry ? "+telemetry" : "") +
+                    (Retry.enabled() ? "+reliable" : "") + ")";
+  std::printf("  %s %s\n", Row.c_str(),
               Machines.sim().counterSnapshot().str().c_str());
+  requireNoSboMisses(Row.c_str(), Machines.sim());
   RpcResult Result;
   Result.CallsPerSec = static_cast<double>(Calls) / Secs;
   Result.EventsPerCall =
       static_cast<double>(Machines.sim().eventsProcessed()) /
       static_cast<double>(Calls);
   Result.DeadlineTimersFired = Client.deadlineTimersFired();
-  Result.SboMisses = Machines.sim().counters().SboMisses;
   Result.Elapsed = Machines.sim().now();
   return Result;
 }
@@ -271,17 +278,10 @@ int main(int argc, char **argv) {
   // single sample is biased low by neighbours' load alone.
   int Reps = Smoke ? 1 : 5;
   double EventsPerSec = 0, ResumesPerSec = 0;
-  uint64_t EventsSboMisses = 0, ResumesSboMisses = 0;
-  for (int R = 0; R < Reps; ++R) {
-    KernelResult Run = benchRawEvents(EventTotal);
-    EventsPerSec = std::max(EventsPerSec, Run.PerSec);
-    EventsSboMisses += Run.SboMisses;
-  }
-  for (int R = 0; R < Reps; ++R) {
-    KernelResult Run = benchScheduleResume(ResumeTotal);
-    ResumesPerSec = std::max(ResumesPerSec, Run.PerSec);
-    ResumesSboMisses += Run.SboMisses;
-  }
+  for (int R = 0; R < Reps; ++R)
+    EventsPerSec = std::max(EventsPerSec, benchRawEvents(EventTotal));
+  for (int R = 0; R < Reps; ++R)
+    ResumesPerSec = std::max(ResumesPerSec, benchScheduleResume(ResumeTotal));
   RpcResult Tcp = benchRpc(remoting::StackKind::MonoRemotingTcp117, RpcCalls);
   RpcResult Http =
       benchRpc(remoting::StackKind::MonoRemotingHttp117, RpcCalls);
@@ -327,22 +327,6 @@ int main(int argc, char **argv) {
   }
   RpcResult TcpTel = benchRpc(remoting::StackKind::MonoRemotingTcp117,
                               RpcCalls, /*WithTelemetry=*/true);
-  // Every simulated row's events must fit the callback's inline buffer.
-  for (const auto &[Name, Misses] :
-       {std::pair{"events", EventsSboMisses},
-        std::pair{"resumes", ResumesSboMisses},
-        std::pair{"rpc-tcp", Tcp.SboMisses},
-        std::pair{"rpc-http", Http.SboMisses},
-        std::pair{"rpc-tcp-reliable", TcpReliable.SboMisses},
-        std::pair{"rpc-tcp+tel", TcpTel.SboMisses}}) {
-    if (Misses != 0) {
-      std::fprintf(stderr,
-                   "%s: %llu callbacks fell off the inline buffer "
-                   "(sbo_misses must be 0)\n",
-                   Name, static_cast<unsigned long long>(Misses));
-      return 1;
-    }
-  }
   double RpcTelOverheadPct = (1.0 - TcpTel.CallsPerSec / Tcp.CallsPerSec) * 100.0;
 
   row({"metric", "ops/sec", "note"});

@@ -167,62 +167,31 @@ void ProxyBase::bind(std::string ClassName, ParallelRef ExistingRef) {
   Local = nullptr;
 }
 
-uint64_t ProxyBase::beginInvoke() {
+sim::Task<void> ProxyBase::invokeAsync(std::string Method, Bytes Args) {
+  assert(Ref.valid() && "invoking through an uncreated proxy");
   // Root of this invocation's causal chain: every downstream span
-  // (aggregation, wire, dispatch, execution) parents back to it.  0 when
-  // tracing is off, which makes all the plumbing after it vanish.
+  // (aggregation, wire, dispatch, execution) parents back to InvokeCtx.
+  // 0 when tracing is off, which makes all the plumbing below vanish.
   uint64_t InvokeCtx = trace::mintCausalId();
   if (InvokeCtx)
     trace::instantCtx(Home, 0, "scoopp.invoke",
                       node().sim().now().nanosecondsCount(), InvokeCtx, 0);
-  return InvokeCtx;
-}
+  if (Local) {
+    // Intra-grain: "its subsequent (asynchronous parallel) method
+    // invocations are actually executed synchronously and serially"
+    // (call b in Fig. 3).
+    co_await node().compute(calib::ProxyLocalCallCost);
+    ++Runtime.stats().LocalCalls;
+    if (InvokeCtx)
+      trace::handoff(InvokeCtx);
+    ErrorOr<Bytes> Result = co_await Local->handleCall(Method, Args);
+    if (!Result)
+      PARCS_LOG(Warn, "local async call '" << Class << "." << Method
+                                           << "' failed: "
+                                           << Result.error().str());
+    co_return;
+  }
 
-sim::Task<void> ProxyBase::invokeAsync(std::string Method, Bytes Args) {
-  assert(Ref.valid() && "invoking through an uncreated proxy");
-  if (Local)
-    return localAsync(std::move(Method), std::move(Args));
-  return remoteAsync(std::move(Method), std::move(Args));
-}
-
-sim::Task<ErrorOr<Bytes>> ProxyBase::invokeSync(std::string Method,
-                                                Bytes Args) {
-  assert(Ref.valid() && "invoking through an uncreated proxy");
-  if (Local)
-    return localSync(std::move(Method), std::move(Args));
-  return remoteSync(std::move(Method), std::move(Args));
-}
-
-sim::Task<void> ProxyBase::localAsync(std::string Method, Bytes Args) {
-  // Intra-grain: "its subsequent (asynchronous parallel) method
-  // invocations are actually executed synchronously and serially"
-  // (call b in Fig. 3).
-  uint64_t InvokeCtx = beginInvoke();
-  co_await node().compute(calib::ProxyLocalCallCost);
-  ++Runtime.stats().LocalCalls;
-  if (InvokeCtx)
-    trace::handoff(InvokeCtx);
-  ErrorOr<Bytes> Result = co_await Local->handleCall(Method, Args);
-  if (!Result)
-    PARCS_LOG(Warn, "local async call '" << Class << "." << Method
-                                         << "' failed: "
-                                         << Result.error().str());
-}
-
-sim::Task<ErrorOr<Bytes>> ProxyBase::localSync(std::string Method,
-                                               Bytes Args) {
-  // Only remote calls are ever buffered, so there is nothing to flush.
-  uint64_t InvokeCtx = beginInvoke();
-  co_await node().compute(calib::ProxyLocalCallCost);
-  ++Runtime.stats().LocalCalls;
-  if (InvokeCtx)
-    trace::handoff(InvokeCtx);
-  ErrorOr<Bytes> Result = co_await Local->handleCall(Method, Args);
-  co_return Result;
-}
-
-sim::Task<void> ProxyBase::remoteAsync(std::string Method, Bytes Args) {
-  uint64_t InvokeCtx = beginInvoke();
   co_await node().compute(calib::ProxyRemoteCallCost);
   ++Runtime.stats().RemoteAsyncCalls;
   int Factor = Runtime.om(Home).aggregationFactor(Class);
@@ -249,13 +218,25 @@ sim::Task<void> ProxyBase::remoteAsync(std::string Method, Bytes Args) {
   }
 }
 
-sim::Task<ErrorOr<Bytes>> ProxyBase::remoteSync(std::string Method,
+sim::Task<ErrorOr<Bytes>> ProxyBase::invokeSync(std::string Method,
                                                 Bytes Args) {
+  assert(Ref.valid() && "invoking through an uncreated proxy");
   // Program order: everything buffered must leave before a synchronous
   // call observes state.
   if (!PendingOrder.empty())
     co_await flush();
-  uint64_t InvokeCtx = beginInvoke();
+  uint64_t InvokeCtx = trace::mintCausalId();
+  if (InvokeCtx)
+    trace::instantCtx(Home, 0, "scoopp.invoke",
+                      node().sim().now().nanosecondsCount(), InvokeCtx, 0);
+  if (Local) {
+    co_await node().compute(calib::ProxyLocalCallCost);
+    ++Runtime.stats().LocalCalls;
+    if (InvokeCtx)
+      trace::handoff(InvokeCtx);
+    ErrorOr<Bytes> Result = co_await Local->handleCall(Method, Args);
+    co_return Result;
+  }
   co_await node().compute(calib::ProxyRemoteCallCost);
   ++Runtime.stats().RemoteSyncCalls;
   ErrorOr<Bytes> Result = co_await remoteHandle().invoke(
@@ -320,7 +301,9 @@ sim::Task<void> ProxyBase::shipPacked(std::string Method,
   assert(!Calls.empty() && "shipping an empty aggregate");
   ++Runtime.stats().PackedMessages;
   Runtime.stats().PackedCalls += Calls.size();
-  Runtime.packSizeHistogram().record(static_cast<int64_t>(Calls.size()));
+  metrics::Registry::global()
+      .histogram("scoopp.pack_size_calls")
+      .record(static_cast<int64_t>(Calls.size()));
   if (trace::enabled()) {
     int64_t NowNs = node().sim().now().nanosecondsCount();
     trace::instant(Home, 0, "scoopp.agg_flush", NowNs);
@@ -339,8 +322,9 @@ sim::Task<void> ProxyBase::shipPacked(std::string Method,
   // carries its own context inside the payload.
   uint64_t ShipCtx = Calls.back().Ctx;
   Bytes Payload = encodePackedCalls(Calls);
-  Runtime.packedBytesHistogram().record(
-      static_cast<int64_t>(Payload.size()));
+  metrics::Registry::global()
+      .histogram("scoopp.packed_msg_bytes")
+      .record(static_cast<int64_t>(Payload.size()));
   co_await remoteHandle().invokeOneWay(PackedMethodPrefix + Method,
                                        std::move(Payload), ShipCtx);
 }

@@ -109,16 +109,6 @@ private:
     co_return Value;
   }
 
-  /// Mints the invocation's causal id (0 on untraced runs) and marks the
-  /// scoopp.invoke instant.
-  uint64_t beginInvoke();
-  /// The invocation paths behind invokeAsync/invokeSync: intra-grain calls
-  /// on the local IO, or calls through the endpoint (possibly buffered).
-  sim::Task<void> localAsync(std::string Method, Bytes Args);
-  sim::Task<ErrorOr<Bytes>> localSync(std::string Method, Bytes Args);
-  sim::Task<void> remoteAsync(std::string Method, Bytes Args);
-  sim::Task<ErrorOr<Bytes>> remoteSync(std::string Method, Bytes Args);
-
   sim::Task<void> shipPacked(std::string Method,
                              std::vector<BufferedCall> Calls);
   remoting::RemoteHandle remoteHandle();

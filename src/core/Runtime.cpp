@@ -147,19 +147,6 @@ ScooppRuntime::~ScooppRuntime() {
   Reg.counter("scoopp.packed_calls").add(Stats.PackedCalls);
 }
 
-metrics::Histogram &ScooppRuntime::packSizeHistogram() {
-  if (!PackSize)
-    PackSize = &metrics::Registry::global().histogram("scoopp.pack_size_calls");
-  return *PackSize;
-}
-
-metrics::Histogram &ScooppRuntime::packedBytesHistogram() {
-  if (!PackedBytes)
-    PackedBytes =
-        &metrics::Registry::global().histogram("scoopp.packed_msg_bytes");
-  return *PackedBytes;
-}
-
 void ScooppRuntime::noteCallOutcome(int Node, bool Ok) {
   if (Node < 0 || Node >= static_cast<int>(Down.size()))
     return;

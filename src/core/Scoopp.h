@@ -231,13 +231,6 @@ public:
 
   ScooppStats &stats() { return Stats; }
   const ScooppStats &stats() const { return Stats; }
-
-  /// The aggregation histograms (scoopp.pack_size_calls and
-  /// scoopp.packed_msg_bytes).  Each is looked up on its first record, so
-  /// a run that never packs reports neither, and held from then on.
-  metrics::Histogram &packSizeHistogram();
-  metrics::Histogram &packedBytesHistogram();
-
   Rng &rng() { return Random; }
 
   //===--------------------------------------------------------------------===//
@@ -318,8 +311,6 @@ private:
   /// Migration route table: origin (node, name) -> current home.
   std::map<std::pair<int, std::string>, ParallelRef> Routes;
   ScooppStats Stats;
-  metrics::Histogram *PackSize = nullptr;
-  metrics::Histogram *PackedBytes = nullptr;
   Rng Random;
 };
 
