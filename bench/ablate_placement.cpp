@@ -128,10 +128,9 @@ int main(int argc, char **argv) {
     std::string_view Arg = argv[I];
     if (Arg == "--sweep-out" && I + 1 < argc) {
       ++I; // value consumed by sweepOutPath
-    } else if (Arg != "--smoke") { // always fast; --smoke is a no-op
+    } else {
       std::fprintf(stderr,
-                   "unknown option '%s' (supported: --smoke, "
-                   "--sweep-out <file>)\n",
+                   "unknown option '%s' (supported: --sweep-out <file>)\n",
                    argv[I]);
       return 2;
     }
@@ -173,7 +172,8 @@ int main(int argc, char **argv) {
     }
     row({std::to_string(Nodes), fmt(Ll, 1), fmt(P2, 1), fmt(Ll / P2, 2)}, 13);
   }
-  Sweep.write(SweepOutPath);
+  if (!Sweep.write(SweepOutPath))
+    return 1;
   std::printf("\nexpected shape: least-loaded cost grows linearly with the "
               "node count (one\ngetLoad RPC per peer per creation); "
               "power-of-two stays flat at <= 2 probes\n");

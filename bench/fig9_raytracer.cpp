@@ -97,7 +97,8 @@ int main(int Argc, char **Argv) {
          fmt(Rmi.Elapsed.toSecondsF(), 1),
          fmt(Parcs.Elapsed.toSecondsF() / Rmi.Elapsed.toSecondsF())});
   }
-  Sweep.write(sweepOutPath(Argc, Argv));
+  if (!Sweep.write(sweepOutPath(Argc, Argv)))
+    return 1;
   std::printf("\npaper anchors: Java ~100 s sequential; ParC# ~40%% above "
               "Java at one\nprocessor (Mono VM); both fall with processors; "
               "checksums verified\n");

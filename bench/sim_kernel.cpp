@@ -7,14 +7,17 @@
 /// \file
 /// Measures the raw speed of the substrate everything else in this repo sits
 /// on: the discrete-event kernel (events/sec, coroutine resumes/sec) and the
-/// remoting message path (RPC frames/sec through the full engine, TCP-binary
-/// and HTTP-SOAP stacks).  Every paper figure is generated by millions of
-/// these operations, so this bench is the trajectory tracker for kernel
-/// optimisation PRs: it writes BENCH_sim_kernel.json next to the binary's
-/// working directory for before/after comparison.
+/// remoting message path (RPC calls/sec through the full engine, TCP-binary
+/// and HTTP-SOAP stacks, plain, reliable and with the live telemetry plane
+/// on).  Each row prints one line: its name, its wall-clock rate and the
+/// simulator's counter snapshot.  The rates are for reading on one machine;
+/// perfbench is the benchmark of record.
 ///
-/// Run with --smoke for a fast correctness pass (the bench_smoke CTest
-/// target), in which case no JSON is written.
+/// Each row is also held to deterministic ceilings on its counts -- no
+/// callback off the inline buffer, peak queue depth, recycled event nodes,
+/// events per call, every echo call answered -- and the binary exits 1,
+/// naming the row, when one is broken.  Run with --smoke for tiny iteration
+/// counts (the bench_smoke CTest target); the ceilings hold at both sizes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,15 +26,13 @@
 #include "net/Network.h"
 #include "remoting/Engine.h"
 #include "serial/Archive.h"
-#include "support/Metrics.h"
-#include "support/TelemetrySink.h"
 #include "telemetry/Telemetry.h"
 #include "vm/Cluster.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -52,23 +53,78 @@ struct Rng {
   }
 };
 
-/// Exits 1 if any of \p Sim's callbacks fell off the inline buffer: every
-/// simulated row must run allocation-free events.
-void requireNoSboMisses(const char *Row, const sim::Simulator &Sim) {
-  if (Sim.counters().SboMisses == 0)
+/// The counts one row is held to.  They are deterministic, so they read
+/// the same on every machine and in every build type.
+struct Ceilings {
+  uint64_t PeakQueueDepth = 0;
+  /// Event-node free-list misses: the kernel rows must recycle their nodes.
+  uint64_t NodesAllocated = std::numeric_limits<uint64_t>::max();
+  /// Events per call (the RPC rows, which pass checkRow their call count).
+  double EventsPerCall = 0;
+};
+
+/// Exits 1, naming \p Row, when \p Value is above \p Ceiling.  Every check
+/// in this bench goes through here rather than assert(), so a build with
+/// assertions off still makes it.
+void requireAtMost(const char *Row, const char *What, double Value,
+                   double Ceiling) {
+  if (Value <= Ceiling)
     return;
-  std::fprintf(stderr,
-               "%s: %llu callbacks fell off the inline buffer "
-               "(sbo_misses must be 0)\n",
-               Row, static_cast<unsigned long long>(Sim.counters().SboMisses));
+  std::fprintf(stderr, "%s: %s = %.10g, above its ceiling of %.10g\n", Row,
+               What, Value, Ceiling);
   std::exit(1);
 }
+
+/// Holds \p Row's simulator to \p Max.  No row may let a callback fall off
+/// the inline buffer.  \p Calls is the number of calls an RPC row made.
+void checkRow(const char *Row, const sim::Simulator &Sim, const Ceilings &Max,
+              uint64_t Calls = 0) {
+  const sim::SchedulerCounters &C = Sim.counters();
+  requireAtMost(Row, "sbo_misses", double(C.SboMisses), 0);
+  requireAtMost(Row, "peak_queue_depth", double(C.PeakQueueDepth),
+                double(Max.PeakQueueDepth));
+  requireAtMost(Row, "nodes_allocated", double(C.NodesAllocated),
+                double(Max.NodesAllocated));
+  if (Calls > 0)
+    requireAtMost(Row, "events per call",
+                  double(Sim.eventsProcessed()) / double(Calls),
+                  Max.EventsPerCall);
+}
+
+/// One run of a row: its wall-clock rate and the simulator's counters.
+struct RowResult {
+  const char *Row = "";
+  double PerSec = 0;
+  std::string Counters;
+};
+
+/// Best of \p Reps runs by rate: on a shared machine a single sample is
+/// biased low by neighbours' load alone.  A row's counts do not vary.
+template <typename RunFn> RowResult bestOf(int Reps, RunFn Run) {
+  RowResult Best;
+  for (int R = 0; R < Reps; ++R) {
+    RowResult Next = Run();
+    if (Next.PerSec > Best.PerSec)
+      Best = std::move(Next);
+  }
+  return Best;
+}
+
+/// Prints a row's one line.
+void printRow(const RowResult &R, const char *Unit,
+              const std::string &Note = "") {
+  std::printf("  %-17s %10.0f %s%s  %s\n", R.Row, R.PerSec, Unit,
+              Note.c_str(), R.Counters.c_str());
+}
+
+/// The kernel rows keep this many events in flight.
+constexpr int Population = 64;
 
 /// Raw event throughput: a self-replenishing population of scheduled
 /// callbacks with a representative capture size (pointer + counters) and a
 /// mix of zero-delay and short-delay events, mimicking channel wake-ups and
 /// cost-model delays.
-double benchRawEvents(uint64_t Total) {
+RowResult benchRawEvents(uint64_t Total) {
   sim::Simulator Sim;
   uint64_t Remaining = Total;
   Rng R;
@@ -90,26 +146,23 @@ double benchRawEvents(uint64_t Total) {
       Sim.schedule(Delay, Pump{Sim, Remaining, R});
     }
   };
-  constexpr int Population = 64;
   for (int I = 0; I < Population; ++I)
     Sim.schedule(sim::SimTime::nanoseconds(I), Pump{Sim, Remaining, R});
   Sim.run();
   double Secs = Timer.seconds();
-  std::printf("  raw-events   %s\n", Sim.counterSnapshot().str().c_str());
   // The Pump capture fits the inline buffer and the node free list covers
   // the steady-state population: no per-event allocations.
-  requireNoSboMisses("events", Sim);
-  assert(Sim.counters().NodesAllocated <= 2 * Population &&
-         "event nodes not recycled");
-  return static_cast<double>(Total) / Secs;
+  checkRow("raw-events", Sim,
+           {.PeakQueueDepth = Population, .NodesAllocated = 2 * Population});
+  return {"raw-events", static_cast<double>(Total) / Secs,
+          Sim.counterSnapshot().str()};
 }
 
 /// Coroutine resume throughput: tasks that do nothing but sleep a few
 /// nanoseconds of virtual time, i.e. the scheduleResume fast path.
-double benchScheduleResume(uint64_t Total) {
+RowResult benchScheduleResume(uint64_t Total) {
   sim::Simulator Sim;
-  constexpr int Tasks = 64;
-  uint64_t PerTask = Total / Tasks;
+  uint64_t PerTask = Total / Population;
   struct Sleeper {
     static sim::Task<void> run(sim::Simulator &Sim, uint64_t Rounds) {
       for (uint64_t I = 0; I < Rounds; ++I)
@@ -118,17 +171,16 @@ double benchScheduleResume(uint64_t Total) {
     }
   };
   WallTimer Timer;
-  for (int I = 0; I < Tasks; ++I)
+  for (int I = 0; I < Population; ++I)
     Sim.spawn(Sleeper::run(Sim, PerTask));
   Sim.run();
   double Secs = Timer.seconds();
-  std::printf("  resumes      %s\n", Sim.counterSnapshot().str().c_str());
   // The acceptance bar for the resume fast path: raw coroutine handles in
   // recycled nodes, so a steady-state resume allocates nothing.
-  requireNoSboMisses("resumes", Sim);
-  assert(Sim.counters().NodesAllocated <= 2 * Tasks &&
-         "resume nodes not recycled");
-  return static_cast<double>(PerTask * Tasks) / Secs;
+  checkRow("resumes", Sim,
+           {.PeakQueueDepth = Population, .NodesAllocated = 2 * Population});
+  return {"resumes", static_cast<double>(PerTask * Population) / Secs,
+          Sim.counterSnapshot().str()};
 }
 
 /// Echo service: returns its argument bytes without charging compute, so
@@ -142,23 +194,14 @@ public:
   }
 };
 
-struct RpcResult {
-  double CallsPerSec = 0;
-  double EventsPerCall = 0;
-  /// Deadline timer events the calling endpoint ran.
-  uint64_t DeadlineTimersFired = 0;
-  sim::SimTime Elapsed;
-};
-
-/// Full-path RPC throughput: sequential echo calls between two nodes.
-/// With \p WithTelemetry a live telemetry plane rides the same network, so
-/// the engine's rpc.* series are windowed, snapshotted and shipped in-band
-/// while the bench runs -- pricing what "telemetry on" costs a real
-/// workload rather than a synthetic hook loop.  A non-empty \p Retry sends
-/// every call through callReliable, so each carries a deadline and a dedup
-/// id.
-RpcResult benchRpc(remoting::StackKind Stack, uint64_t Calls,
-                   bool WithTelemetry = false,
+/// Full-path RPC throughput: sequential echo calls between two nodes,
+/// checked against \p Max.  With \p WithTelemetry a live telemetry plane
+/// rides the same network, so the engine's rpc.* series are windowed,
+/// snapshotted and shipped in-band while the bench runs -- pricing what
+/// "telemetry on" costs a real workload.  A non-empty \p Retry sends every
+/// call through callReliable, so each carries a deadline and a dedup id.
+RowResult benchRpc(const char *Row, remoting::StackKind Stack, uint64_t Calls,
+                   const Ceilings &Max, bool WithTelemetry = false,
                    const remoting::RetryPolicy &Retry = {}) {
   vm::Cluster Machines(2, vm::VmKind::MonoVm117);
   net::Network Net(Machines.sim(), 2);
@@ -176,93 +219,50 @@ RpcResult benchRpc(remoting::StackKind Stack, uint64_t Calls,
   Client.setRetryPolicy(Retry);
 
   Bytes Args = serial::encodeValues(std::string(64, 'x'));
+  uint64_t Answered = 0;
   struct Driver {
     static sim::Task<void> run(remoting::RpcEndpoint &Ep, uint64_t Calls,
-                               Bytes Args) {
+                               Bytes Args, uint64_t &Answered) {
       bool Reliable = Ep.retryPolicy().enabled();
       for (uint64_t I = 0; I < Calls; ++I) {
         sim::Task<ErrorOr<Bytes>> Call =
             Reliable ? Ep.callReliable(1, 1050, "echo", "ping", Args)
                      : Ep.call(1, 1050, "echo", "ping", Args);
         ErrorOr<Bytes> Reply = co_await std::move(Call);
-        assert(Reply && "echo call failed");
-        (void)Reply;
+        if (Reply)
+          ++Answered;
       }
     }
   };
 
   WallTimer Timer;
-  Machines.sim().spawn(Driver::run(Client, Calls, Args));
+  Machines.sim().spawn(Driver::run(Client, Calls, Args, Answered));
   Machines.sim().run();
   double Secs = Timer.seconds();
-  std::string Row = std::string("rpc(") + remoting::stackProfile(Stack).Name +
-                    (WithTelemetry ? "+telemetry" : "") +
-                    (Retry.enabled() ? "+reliable" : "") + ")";
-  std::printf("  %s %s\n", Row.c_str(),
-              Machines.sim().counterSnapshot().str().c_str());
-  requireNoSboMisses(Row.c_str(), Machines.sim());
-  RpcResult Result;
-  Result.CallsPerSec = static_cast<double>(Calls) / Secs;
-  Result.EventsPerCall =
-      static_cast<double>(Machines.sim().eventsProcessed()) /
-      static_cast<double>(Calls);
-  Result.DeadlineTimersFired = Client.deadlineTimersFired();
-  Result.Elapsed = Machines.sim().now();
-  return Result;
-}
-
-//===----------------------------------------------------------------------===//
-// Telemetry hook cost
-//===----------------------------------------------------------------------===//
-
-/// The telemetry recording hook, as every instrumented call site pays it:
-/// with no sink installed this is one pointer load and branch per call.
-/// The memory clobber stops the compiler hoisting the sink load out of the
-/// loop, which would price one check for N calls.
-double benchTelemetryHook(uint64_t Total) {
-  WallTimer Timer;
-  for (uint64_t I = 0; I < Total; ++I) {
-    telemetry::record(0, "bench.hook", static_cast<int64_t>(I), 1);
-    asm volatile("" ::: "memory");
+  requireAtMost(Row, "unanswered echo calls", double(Calls - Answered), 0);
+  checkRow(Row, Machines.sim(), Max, Calls);
+  if (Retry.enabled()) {
+    // Deadline timers are armed per endpoint, not per call: about one
+    // fires per AttemptTimeout of virtual time, however many calls ran.
+    int64_t Windows = Machines.sim().now().nanosecondsCount() /
+                      Retry.AttemptTimeout.nanosecondsCount();
+    requireAtMost(Row, "deadline timers fired",
+                  double(Client.deadlineTimersFired()),
+                  double(2 * (1 + Windows)));
   }
-  return static_cast<double>(Total) / Timer.seconds();
+  return {Row, static_cast<double>(Calls) / Secs,
+          Machines.sim().counterSnapshot().str()};
 }
-
-/// Counts calls and otherwise discards them: prices the virtual dispatch a
-/// live sink adds on top of the disabled load-and-branch, without mixing
-/// in windowing or shipping costs (benchRpc with a plane covers those).
-class NullCountingSink : public telemetry::Sink {
-public:
-  uint64_t Counts = 0;
-  uint64_t Records = 0;
-  void count(int, const char *, int64_t, uint64_t N) override { Counts += N; }
-  void record(int, const char *, int64_t, int64_t) override { ++Records; }
-};
 
 } // namespace
 
-/// Seed baseline: the binary-heap kernel at commit f2d4936, best-of-N on
-/// the reference machine.  Kept in the JSON so a fresh run still carries
-/// the before/after comparison.
-struct Baseline {
-  double EventsPerSec = 13865254;
-  double ResumesPerSec = 14990362;
-  double TcpCallsPerSec = 553863;
-  double HttpCallsPerSec = 248007;
-};
-
 int main(int argc, char **argv) {
   bool Smoke = false;
-  const char *MetricsJsonPath = nullptr;
   for (int I = 1; I < argc; ++I) {
     if (std::strcmp(argv[I], "--smoke") == 0) {
       Smoke = true;
-    } else if (std::strcmp(argv[I], "--metrics-json") == 0 && I + 1 < argc) {
-      MetricsJsonPath = argv[++I];
     } else {
-      std::fprintf(stderr,
-                   "unknown option '%s' (supported: --smoke, "
-                   "--metrics-json <file>)\n",
+      std::fprintf(stderr, "unknown option '%s' (supported: --smoke)\n",
                    argv[I]);
       return 2;
     }
@@ -274,141 +274,38 @@ int main(int argc, char **argv) {
 
   banner("M2", "simulation kernel + message path throughput");
 
-  // Best-of-5 for the two kernel microbenches: on a shared machine a
-  // single sample is biased low by neighbours' load alone.
   int Reps = Smoke ? 1 : 5;
-  double EventsPerSec = 0, ResumesPerSec = 0;
-  for (int R = 0; R < Reps; ++R)
-    EventsPerSec = std::max(EventsPerSec, benchRawEvents(EventTotal));
-  for (int R = 0; R < Reps; ++R)
-    ResumesPerSec = std::max(ResumesPerSec, benchScheduleResume(ResumeTotal));
-  RpcResult Tcp = benchRpc(remoting::StackKind::MonoRemotingTcp117, RpcCalls);
-  RpcResult Http =
-      benchRpc(remoting::StackKind::MonoRemotingHttp117, RpcCalls);
+  printRow(bestOf(Reps, [&] { return benchRawEvents(EventTotal); }),
+           "events/s");
+  printRow(bestOf(Reps, [&] { return benchScheduleResume(ResumeTotal); }),
+           "resumes/s");
+
+  // Ceilings at today's counts.  A plane-off echo call runs 15 events
+  // (15.04 at --smoke, where start-up is spread over fewer calls) with at
+  // most 7 pending; the telemetry plane adds 1.7 events per call and one
+  // pending event.
+  Ceilings PlaneOff{.PeakQueueDepth = 7, .EventsPerCall = 15.1};
+  Ceilings PlaneOn{.PeakQueueDepth = 8, .EventsPerCall = 16.8};
+  RowResult Tcp = benchRpc("rpc-tcp", remoting::StackKind::MonoRemotingTcp117,
+                           RpcCalls, PlaneOff);
+  printRow(Tcp, "calls/s");
+  printRow(benchRpc("rpc-http", remoting::StackKind::MonoRemotingHttp117,
+                    RpcCalls, PlaneOff),
+           "calls/s");
   // The loadgen call path: every call carries a deadline and a dedup id.
   remoting::RetryPolicy Reliable;
   Reliable.MaxAttempts = 3;
   Reliable.AttemptTimeout = sim::SimTime::seconds(2);
-  RpcResult TcpReliable =
-      benchRpc(remoting::StackKind::MonoRemotingTcp117, RpcCalls,
-               /*WithTelemetry=*/false, Reliable);
-  // Deadline timers are armed per endpoint, not per call: about one fires
-  // per AttemptTimeout of virtual time, however many calls ran in it.
-  int64_t Windows = TcpReliable.Elapsed.nanosecondsCount() /
-                    Reliable.AttemptTimeout.nanosecondsCount();
-  uint64_t TimerBound = 2 * (1 + static_cast<uint64_t>(Windows));
-  if (TcpReliable.DeadlineTimersFired > TimerBound) {
-    std::fprintf(stderr,
-                 "rpc-tcp-reliable: %llu deadline timers for %llu calls "
-                 "(bound %llu): deadline timers grow with the call count\n",
-                 static_cast<unsigned long long>(
-                     TcpReliable.DeadlineTimersFired),
-                 static_cast<unsigned long long>(RpcCalls),
-                 static_cast<unsigned long long>(TimerBound));
-    return 1;
-  }
-
-  // Telemetry cost, three ways: the disabled hook (compiled in, no sink),
-  // the hook dispatching into a do-nothing sink, and the TCP RPC bench
-  // rerun with a live in-band plane windowing and shipping the engine's
-  // rpc.* series over the same network.
-  uint64_t HookTotal = Smoke ? 200000 : 40000000;
-  double HookOffPerSec = 0, HookOnPerSec = 0;
-  for (int R = 0; R < Reps; ++R)
-    HookOffPerSec = std::max(HookOffPerSec, benchTelemetryHook(HookTotal));
-  {
-    NullCountingSink NullSink;
-    telemetry::Sink *Prev = telemetry::setSink(&NullSink);
-    for (int R = 0; R < Reps; ++R)
-      HookOnPerSec = std::max(HookOnPerSec, benchTelemetryHook(HookTotal));
-    telemetry::setSink(Prev);
-    assert(NullSink.Records == HookTotal * uint64_t(Reps) &&
-           "hook-on bench lost samples");
-  }
-  RpcResult TcpTel = benchRpc(remoting::StackKind::MonoRemotingTcp117,
-                              RpcCalls, /*WithTelemetry=*/true);
-  double RpcTelOverheadPct = (1.0 - TcpTel.CallsPerSec / Tcp.CallsPerSec) * 100.0;
-
-  row({"metric", "ops/sec", "note"});
-  row({"events", fmt(EventsPerSec, 0), "mixed-delay callbacks"});
-  row({"resumes", fmt(ResumesPerSec, 0), "coroutine delay loop"});
-  row({"rpc-tcp", fmt(Tcp.CallsPerSec, 0),
-       fmt(Tcp.EventsPerCall, 1) + " ev/call"});
-  row({"rpc-http", fmt(Http.CallsPerSec, 0),
-       fmt(Http.EventsPerCall, 1) + " ev/call"});
-  row({"rpc-tcp-reliable", fmt(TcpReliable.CallsPerSec, 0),
-       fmt(TcpReliable.EventsPerCall, 1) + " ev/call"});
-  row({"tel-hook-off", fmt(HookOffPerSec, 0), "no sink: load+branch"});
-  row({"tel-hook-on", fmt(HookOnPerSec, 0), "null sink dispatch"});
-  row({"rpc-tcp+tel", fmt(TcpTel.CallsPerSec, 0),
-       fmt(RpcTelOverheadPct, 1) + "% vs rpc-tcp"});
-
-  if (MetricsJsonPath) {
-    metrics::ReportSpec Spec;
-    Spec.Path = MetricsJsonPath;
-    Spec.Json = true;
-    if (metrics::Registry::global().writeReport(Spec))
-      std::printf("wrote %s\n", MetricsJsonPath);
-    else
-      std::fprintf(stderr, "failed to write %s\n", MetricsJsonPath);
-  }
-
-  if (!Smoke) {
-    FILE *Json = std::fopen("BENCH_sim_kernel.json", "w");
-    if (Json) {
-      Baseline Before;
-      std::fprintf(
-          Json,
-          "{\n"
-          "  \"note\": \"wall-clock; events/resumes are best-of-5 in one "
-          "run, rpc is single-shot; compare on a quiet machine; 'before' "
-          "is the seed binary-heap kernel\",\n"
-          "  \"before\": {\n"
-          "    \"events_per_sec\": %.0f,\n"
-          "    \"resumes_per_sec\": %.0f,\n"
-          "    \"rpc_tcp_calls_per_sec\": %.0f,\n"
-          "    \"rpc_http_calls_per_sec\": %.0f\n"
-          "  },\n"
-          "  \"after\": {\n"
-          "    \"events_per_sec\": %.0f,\n"
-          "    \"resumes_per_sec\": %.0f,\n"
-          "    \"rpc_tcp_calls_per_sec\": %.0f,\n"
-          "    \"rpc_tcp_events_per_call\": %.1f,\n"
-          "    \"rpc_http_calls_per_sec\": %.0f,\n"
-          "    \"rpc_http_events_per_call\": %.1f\n"
-          "  },\n"
-          "  \"speedup\": {\n"
-          "    \"events\": %.2f,\n"
-          "    \"resumes\": %.2f,\n"
-          "    \"rpc_tcp\": %.2f,\n"
-          "    \"rpc_http\": %.2f\n"
-          "  },\n"
-          "  \"telemetry_overhead\": {\n"
-          "    \"note\": \"hook = telemetry::record call site; disabled is "
-          "the compiled-in-but-off cost every hot path pays, null-sink "
-          "isolates the virtual dispatch, rpc rows rerun the TCP echo "
-          "bench with a live in-band plane shipping the engine's rpc.* "
-          "series over the same network\",\n"
-          "    \"hook_disabled_calls_per_sec\": %.0f,\n"
-          "    \"hook_disabled_ns_per_call\": %.3f,\n"
-          "    \"hook_null_sink_calls_per_sec\": %.0f,\n"
-          "    \"rpc_tcp_calls_per_sec_plane_off\": %.0f,\n"
-          "    \"rpc_tcp_calls_per_sec_plane_on\": %.0f,\n"
-          "    \"rpc_tcp_plane_overhead_pct\": %.2f\n"
-          "  }\n"
-          "}\n",
-          Before.EventsPerSec, Before.ResumesPerSec, Before.TcpCallsPerSec,
-          Before.HttpCallsPerSec, EventsPerSec, ResumesPerSec,
-          Tcp.CallsPerSec, Tcp.EventsPerCall, Http.CallsPerSec,
-          Http.EventsPerCall, EventsPerSec / Before.EventsPerSec,
-          ResumesPerSec / Before.ResumesPerSec,
-          Tcp.CallsPerSec / Before.TcpCallsPerSec,
-          Http.CallsPerSec / Before.HttpCallsPerSec, HookOffPerSec,
-          1e9 / HookOffPerSec, HookOnPerSec, Tcp.CallsPerSec,
-          TcpTel.CallsPerSec, RpcTelOverheadPct);
-      std::fclose(Json);
-      std::printf("\nwrote BENCH_sim_kernel.json\n");
-    }
-  }
+  printRow(benchRpc("rpc-tcp-reliable",
+                    remoting::StackKind::MonoRemotingTcp117, RpcCalls,
+                    PlaneOff, /*WithTelemetry=*/false, Reliable),
+           "calls/s");
+  // The TCP calls again with the in-band telemetry plane windowing and
+  // shipping the engine's rpc.* series over the same network.
+  RowResult TcpTel =
+      benchRpc("rpc-tcp+tel", remoting::StackKind::MonoRemotingTcp117,
+               RpcCalls, PlaneOn, /*WithTelemetry=*/true);
+  double OverheadPct = (1.0 - TcpTel.PerSec / Tcp.PerSec) * 100.0;
+  printRow(TcpTel, "calls/s", " (" + fmt(OverheadPct, 1) + "% vs rpc-tcp)");
   return 0;
 }

@@ -156,23 +156,16 @@ ErrorOr<ModelSet> parseModelJson(std::string_view Json) {
   Value Root;
   if (!json::parse(Json, Root) || !Root.isObject())
     return Error(ErrorCode::MalformedMessage, "model file is not JSON");
-  const Value *Doc = &Root;
-  if (!Doc->field("models")) {
-    // Accept a wrapper document whose "model" member is the model JSON.
-    const Value *Nested = Root.field("model");
-    if (Nested && Nested->isObject() && Nested->field("models"))
-      Doc = Nested;
-    else
-      return Error(ErrorCode::MalformedMessage,
-                   "no \"models\" section (not a parcs-model file)");
-  }
+  const Value *Models = Root.field("models");
+  if (!Models)
+    return Error(ErrorCode::MalformedMessage,
+                 "no \"models\" section (not a parcs-model file)");
+  if (!Models->isObject())
+    return Error(ErrorCode::MalformedMessage, "\"models\" is not an object");
   ModelSet Set;
-  Set.Param = std::string(Doc->str("param"));
+  Set.Param = std::string(Root.str("param"));
   if (Set.Param.empty())
     return Error(ErrorCode::MalformedMessage, "model file names no param");
-  const Value *Models = Doc->field("models");
-  if (!Models || !Models->isObject())
-    return Error(ErrorCode::MalformedMessage, "\"models\" is not an object");
   for (const auto &[Metric, M] : Models->Obj) {
     FittedModel F;
     F.Param = Set.Param;

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// A ModelSet is every metric of a sweep fitted against one parameter --
-/// what `parcs-model fit` produces and what the regression gate consumes.
+/// what `parcs-model fit` produces and `parcs-model predict` consumes.
 /// It round-trips through a small JSON form, and renders as a byte-stable
 /// text report: fixed column layout, %.6g numbers, metrics in sorted
 /// order, so repeated fits of the same sweep diff empty.
@@ -44,9 +44,7 @@ std::string textReport(const ModelSet &Set);
 /// r2}, ...}}.  Byte-stable.
 std::string modelJson(const ModelSet &Set);
 
-/// Parses modelJson output.  Also accepts any JSON object with a "model"
-/// member of that shape (so `parcs-model check` can read a fitted
-/// envelope embedded in a larger report).
+/// Parses modelJson output.
 ErrorOr<ModelSet> parseModelJson(std::string_view Json);
 
 /// Reads \p Path and calls parseModelJson; falls back to fitting the file

@@ -6,28 +6,24 @@
 //
 // parcs-model: fits predictive scaling laws (PMNF, Extra-P style) from
 // bench sweeps and telemetry exports, extrapolates with confidence bands,
-// composes per-RPC-leg submodels, and gates perf regressions in CI.
+// and composes per-RPC-leg submodels.
 //
 //   parcs-model fit sweep.json [--param nodes] [--metric p99] [--json]
 //   parcs-model predict sweep.json --nodes 1024
-//   parcs-model check fresh.json --model model.json --deviation 20
 //   parcs-model compose legs.json [--end leg.total]
 //   parcs-model legs --param nodes 4=t4.json 8=t8.json --out legs.json
 //
-// `check` reads its defaults from PARCS_MODEL=<file>[,deviation=N%] when
-// --model is absent, and exits 1 when the fresh run breaches the fitted
-// envelope.  Every report is byte-stable: same inputs, same bytes.
+// Every report is byte-stable: same inputs, same bytes.
 //
 //===----------------------------------------------------------------------===//
 
-#include "model/Check.h"
 #include "model/Compose.h"
 #include "model/Ingest.h"
 #include "model/Legs.h"
+#include "model/Report.h"
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -48,11 +44,6 @@ int usage() {
       "  predict <sweep-or-model.json>... --<param> <value> [--metric M]\n"
       "      extrapolate every fitted metric to --<param> <value> with\n"
       "      confidence bands (e.g. --nodes 1024)\n"
-      "  check <fresh-sweep.json> [--model FILE] [--deviation N]\n"
-      "      gate a fresh run against a fitted envelope; the model file\n"
-      "      may be a model JSON, a BENCH json with a \"model\" section,\n"
-      "      or a baseline sweep (fitted on the fly).  Defaults come from\n"
-      "      PARCS_MODEL=<file>[,deviation=N%%].  Exits 1 on breach.\n"
       "  compose <sweep.json>... [--param P] [--end METRIC]\n"
       "      fit per-leg submodels (leg.*), compose them additively, and\n"
       "      validate against the direct end-to-end fit (default leg.total)\n"
@@ -213,47 +204,6 @@ int cmdPredict(const std::vector<std::string> &Args) {
   return 0;
 }
 
-int cmdCheck(const std::vector<std::string> &Args) {
-  std::string FreshPath;
-  CheckSpec Spec;
-  bool HaveModel = envCheckSpec(Spec);
-  for (size_t I = 0; I < Args.size(); ++I) {
-    if (Args[I] == "--model" && I + 1 < Args.size()) {
-      Spec.ModelPath = Args[++I];
-      HaveModel = true;
-    } else if (Args[I] == "--deviation" && I + 1 < Args.size()) {
-      char *End = nullptr;
-      Spec.DeviationPct = std::strtod(Args[I + 1].c_str(), &End);
-      if (!End || (*End != '\0' && std::strcmp(End, "%") != 0) ||
-          Spec.DeviationPct < 0)
-        return usage();
-      ++I;
-    } else if (!Args[I].empty() && Args[I][0] == '-') {
-      return usage();
-    } else if (FreshPath.empty()) {
-      FreshPath = Args[I];
-    } else {
-      return usage();
-    }
-  }
-  if (FreshPath.empty())
-    return usage();
-  if (!HaveModel || Spec.ModelPath.empty())
-    return fail("no fitted envelope: pass --model <file> or set "
-                "PARCS_MODEL=<file>[,deviation=N%]");
-
-  ErrorOr<ModelSet> Envelope = loadModelFile(Spec.ModelPath);
-  if (!Envelope)
-    return fail(Envelope.error().str());
-  ErrorOr<DataSet> Fresh = loadSweepFile(FreshPath);
-  if (!Fresh)
-    return fail(Fresh.error().str());
-
-  CheckResult R = check(*Envelope, *Fresh, Spec.DeviationPct);
-  std::fputs(checkReport(R, Spec.DeviationPct).c_str(), stdout);
-  return R.Ok ? 0 : 1;
-}
-
 int cmdCompose(const std::vector<std::string> &Args) {
   std::vector<std::string> Paths;
   std::string Param, End;
@@ -339,8 +289,6 @@ int main(int Argc, char **Argv) {
     return cmdFit(Args);
   if (Cmd == "predict")
     return cmdPredict(Args);
-  if (Cmd == "check")
-    return cmdCheck(Args);
   if (Cmd == "compose")
     return cmdCompose(Args);
   if (Cmd == "legs")
