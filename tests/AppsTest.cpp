@@ -65,6 +65,36 @@ TEST(SceneTest, DeeperReflectionCostsMore) {
             S.renderLine(24, 64, 48, /*MaxDepth=*/0).Ops);
 }
 
+// Whole-frame goldens: the pixels and the op count that drives virtual time.
+// Recorded with x86-64 SSE2 doubles (the default x86-64 target, no x87 and
+// no FMA contraction); identical at -O0, -O2 and -O3.  An intersection
+// speed-up must keep every one of them.
+TEST(SceneTest, GoldenFrames) {
+  struct Golden {
+    int GridSide, Width, Height, MaxDepth;
+    uint64_t TotalOps, Checksum;
+  };
+  const Golden Frames[] = {
+      {1, 64, 48, 3, 3321, 0x1db5c899c458fa38ULL},
+      {2, 40, 30, 3, 10652, 0x211d6752522e28aeULL},
+      {3, 64, 48, 0, 90095, 0x4978ccf0898de318ULL},
+      {3, 64, 48, 4, 106665, 0xce7435b31b7d86cdULL},
+      {4, 100, 100, 3, 1178516, 0x72180094f7017f0cULL},
+      {5, 64, 48, 3, 870066, 0x060caca93d1129c5ULL},
+      {5, 97, 31, 4, 585913, 0x12e4f7c5ecb78568ULL},
+      {4, 500, 500, 3, 29127548, 0xc30fe8afaebef719ULL},
+  };
+  for (const Golden &G : Frames) {
+    SCOPED_TRACE(testing::Message()
+                 << "GridSide " << G.GridSide << ", " << G.Width << "x"
+                 << G.Height << ", MaxDepth " << G.MaxDepth);
+    ray::RenderStats Stats = ray::Scene::javaGrande(G.GridSide)
+                                 .renderWhole(G.Width, G.Height, G.MaxDepth);
+    EXPECT_EQ(Stats.TotalOps, G.TotalOps);
+    EXPECT_EQ(Stats.Checksum, G.Checksum);
+  }
+}
+
 TEST(SceneTest, CalibrationHitsTarget) {
   ray::Scene S = ray::Scene::javaGrande(2);
   double NsPerOp = ray::calibrateNsPerOp(S, 40, 30, 10.0);
