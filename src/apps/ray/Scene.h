@@ -57,6 +57,10 @@ struct Sphere {
 /// count that drives the virtual-time cost model.
 struct LineResult {
   std::vector<uint8_t> Rgb; ///< Width * 3 bytes.
+  /// The count the cost model charges: one per ray-sphere intersection test
+  /// of the reference algorithm, which tests every sphere for every ray,
+  /// plus the shading operations.  It does not depend on how the host
+  /// finds the hits.
   uint64_t Ops = 0;
 };
 
@@ -74,14 +78,19 @@ public:
   static Scene javaGrande(int GridSide = 4);
 
   /// Renders scan line \p Y of a Width x Height frame.  Deterministic;
-  /// Ops counts intersection tests and shading operations.
+  /// Ops counts intersection tests and shading operations (see LineResult).
+  ///
+  /// Exactness contract: the host skips whole clusters of spheres that a
+  /// ray cannot hit, but the pixels and Ops are bit-identical to testing
+  /// every sphere in index order, the nearest hit winning and a tie in
+  /// distance going to the lower sphere index.
   LineResult renderLine(int Y, int Width, int Height, int MaxDepth = 3) const;
 
   /// Renders the whole frame and accumulates ops + a pixel checksum.
   RenderStats renderWhole(int Width, int Height, int MaxDepth = 3) const;
 
-  /// FNV-1a over a pixel row, combined into \p Seed (order-insensitive
-  /// composition across lines uses addition, so farms can sum partials).
+  /// FNV-1a over one line's pixel bytes.  Lines combine by addition, which
+  /// is order-insensitive, so farms can sum partial checksums.
   static uint64_t lineChecksum(const std::vector<uint8_t> &Rgb);
 
   size_t sphereCount() const { return Spheres.size(); }
@@ -92,10 +101,25 @@ private:
     const Sphere *Object = nullptr;
   };
 
+  /// A bounding sphere around a run of the cluster-ordered arrays below.
+  struct Cluster {
+    Vec3 Center;
+    double RadiusSquared = 0;
+    uint32_t Begin = 0; ///< First entry of the run.
+    uint32_t Pairs = 0; ///< Run length / 2: runs are padded to even length.
+  };
+
+  /// Groups the spheres into Clusters and fills the cluster-ordered arrays.
+  void buildClusters();
   Hit closestHit(Vec3 Origin, Vec3 Dir, uint64_t &Ops) const;
   Vec3 shade(Vec3 Origin, Vec3 Dir, int Depth, uint64_t &Ops) const;
 
   std::vector<Sphere> Spheres;
+  std::vector<Cluster> Clusters;
+  // Cluster-ordered copies of each sphere's centre and squared radius, and
+  // its index in Spheres.
+  std::vector<double> MemberX, MemberY, MemberZ, MemberR2;
+  std::vector<uint32_t> MemberSphere;
   Vec3 LightPos;
   Vec3 LightColor;
   Vec3 Ambient;
