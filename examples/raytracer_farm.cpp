@@ -8,8 +8,8 @@
 /// The paper's high-level application: the Java Grande ray tracer,
 /// farm-parallelised over ParC# parallel objects, compared against the
 /// Java RMI build.  Renders a real image (written to raytracer_out.ppm),
-/// verifies the farms produced the same pixels as a sequential render,
-/// and prints the virtual execution times.
+/// verifies the farms produced the same pixels as a sequential render
+/// (exit 1 if any farm differs), and prints the virtual execution times.
 ///
 /// Usage: raytracer_farm [width height processors]   (default 160x120, 4)
 ///
@@ -96,5 +96,7 @@ int main(int Argc, char **Argv) {
     std::printf("hint: PARCS_TRACE=ray.trace.json %s %d %d %d writes a "
                 "Chrome/Perfetto trace of the farms\n",
                 Argv[0], Width, Height, Processors);
-  return 0;
+  bool Match = Parcs.Checksum == Seq.Checksum &&
+               Agg.Checksum == Seq.Checksum && Rmi.Checksum == Seq.Checksum;
+  return Match ? 0 : 1;
 }
