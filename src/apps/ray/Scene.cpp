@@ -86,9 +86,9 @@ void Scene::buildClusters() {
     double Radius = 0.0;
     for (uint32_t I : Members) {
       const Sphere &Ball = Spheres[I];
-      Radius = std::max(Radius, std::sqrt((Ball.Center - G.Center)
-                                              .lengthSquared()) +
-                                    Ball.Radius);
+      double Reach =
+          std::sqrt((Ball.Center - G.Center).lengthSquared()) + Ball.Radius;
+      Radius = std::max(Radius, Reach);
     }
     // The margins the exactness argument above closestHit needs.
     Radius = Radius * (1.0 + 1e-9) + 1e-6;
