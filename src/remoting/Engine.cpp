@@ -12,7 +12,9 @@
 #include "support/TelemetrySink.h"
 #include "support/Trace.h"
 
+#include <algorithm>
 #include <charconv>
+#include <iterator>
 
 using namespace parcs;
 using namespace parcs::remoting;
@@ -129,9 +131,13 @@ RpcEndpoint::RpcEndpoint(vm::Node &Host, net::Network &Net,
     // itself lifts, and the executing-handler counts those dead coroutines
     // held are settled.  Moved tombstones survive: they are routing
     // knowledge, not in-flight state, and the destination copy is alive.
-    ParkedNames.clear();
-    ParkedByName.clear();
-    InFlightByName.clear();
+    for (auto It = Names.begin(); It != Names.end();) {
+      NameRecord &Rec = It->second;
+      Rec.Parked = false;
+      Rec.ParkedCalls.clear();
+      Rec.InFlight = 0;
+      It = Rec.idle() ? Names.erase(It) : std::next(It);
+    }
     // Queued pool items survived the crash and still decrement the
     // backlog as they run; the executing handlers' decrements died.
     AdmittedBacklog = Pool.queueDepth();
@@ -141,6 +147,9 @@ RpcEndpoint::RpcEndpoint(vm::Node &Host, net::Network &Net,
 }
 
 RpcEndpoint::~RpcEndpoint() {
+  // Calls still awaiting replies live in frames the simulator reaps later;
+  // they must not reach back into this endpoint then.
+  Pending.detachAll();
   Host.removeRestartHook(RestartHookId);
   metrics::Registry &Reg = metrics::Registry::global();
   Reg.counter(MetricsPrefix + ".calls_issued").add(Stats.CallsIssued);
@@ -168,29 +177,37 @@ RpcEndpoint::~RpcEndpoint() {
 void RpcEndpoint::publish(const std::string &Name,
                           std::shared_ptr<CallHandler> Object) {
   assert(Object && "publishing a null object");
-  Registration Reg;
-  Reg.Mode = WellKnownObjectMode::Singleton;
-  Reg.Instance = std::move(Object);
-  Published[Name] = std::move(Reg);
+  NameRecord &Rec = Names[Name];
+  Rec.Published = true;
+  Rec.Mode = WellKnownObjectMode::Singleton;
+  Rec.Factory = nullptr;
+  Rec.Instance = std::move(Object);
 }
 
 void RpcEndpoint::publishWellKnown(const std::string &Name,
                                    HandlerFactory Factory,
                                    WellKnownObjectMode Mode) {
   assert(Factory && "publishing a null factory");
-  Registration Reg;
-  Reg.Mode = Mode;
-  Reg.Factory = std::move(Factory);
-  Published[Name] = std::move(Reg);
+  NameRecord &Rec = Names[Name];
+  Rec.Published = true;
+  Rec.Mode = Mode;
+  Rec.Factory = std::move(Factory);
+  Rec.Instance = nullptr;
 }
 
 bool RpcEndpoint::unpublish(const std::string &Name) {
-  // An idle name's in-flight entry goes with it; a name still executing
-  // keeps its count until those calls finish.
-  auto InF = InFlightByName.find(Name);
-  if (InF != InFlightByName.end() && InF->second == 0)
-    InFlightByName.erase(InF);
-  return Published.erase(Name) != 0;
+  auto It = Names.find(Name);
+  if (It == Names.end() || !It->second.Published)
+    return false;
+  // A name still executing keeps its record (and count) until those calls
+  // finish.
+  NameRecord &Rec = It->second;
+  Rec.Published = false;
+  Rec.Factory = nullptr;
+  Rec.Instance = nullptr;
+  if (Rec.idle())
+    Names.erase(It);
+  return true;
 }
 
 sim::SimTime RpcEndpoint::sideCost(size_t WireBytes) const {
@@ -199,33 +216,33 @@ sim::SimTime RpcEndpoint::sideCost(size_t WireBytes) const {
                                     static_cast<double>(WireBytes));
 }
 
-// PARCS_HOT_BEGIN(wire-framing): once per RPC in each direction; framing
-// emits into reserved/reused buffers and unframing aliases the wire bytes.
+// PARCS_HOT_BEGIN(wire-framing): once per RPC in each direction; each
+// frame is one buffer, sized up front, that the body is written into, and
+// unframing aliases the wire bytes.
 
+template <typename WriteBody>
 Bytes RpcEndpoint::frame(MsgKind Kind, std::string_view EnvelopeName,
-                         const Bytes &Body, bool Response) const {
+                         size_t BodySize, WriteBody &&Write) const {
   bool Checksummed = wireChecksums();
+  size_t Content =
+      1 + serial::envelopeSize(Profile.Format, EnvelopeName.size(), BodySize);
   Bytes Wire;
-  if (!Profile.HttpFraming) {
-    // Kind byte + envelope emitted straight into the wire buffer.
-    Wire.reserve(Body.size() + 96 + (Checksummed ? 4 : 0));
-    Wire.push_back(static_cast<uint8_t>(Kind));
-    serial::encodeEnvelopeInto(Profile.Format, EnvelopeName, Body, Wire);
-  } else {
-    // HTTP framing: the header carries the content length, so stage the
-    // content in the endpoint's scratch buffer (capacity reused across
-    // calls), then emit header + content into one reserved wire buffer.
-    EnvScratch.clear();
-    EnvScratch.push_back(static_cast<uint8_t>(Kind));
-    serial::encodeEnvelopeInto(Profile.Format, EnvelopeName, Body, EnvScratch);
-    Wire.reserve(MaxHttpHeaderBytes + EnvScratch.size() +
-                 (Checksummed ? 4 : 0));
-    if (Response)
-      appendHttpResponseHeader(Wire, EnvScratch.size());
+  Wire.reserve((Profile.HttpFraming ? MaxHttpHeaderBytes : 0) + Content +
+               (Checksummed ? 4 : 0));
+  if (Profile.HttpFraming) {
+    // The HTTP header carries the content length, known up front.
+    if (Kind == KindReturn)
+      appendHttpResponseHeader(Wire, Content);
     else
-      appendHttpRequestHeader(Wire, EnvScratch.size(), EnvelopeName);
-    Wire.insert(Wire.end(), EnvScratch.begin(), EnvScratch.end());
+      appendHttpRequestHeader(Wire, Content, EnvelopeName);
   }
+  Wire.push_back(static_cast<uint8_t>(Kind));
+  serial::SpanWriter Body(
+      serial::openEnvelope(Profile.Format, EnvelopeName, BodySize, Wire),
+      BodySize);
+  Write(Body);
+  assert(Body.full() && "message body does not fill its declared size");
+  serial::closeEnvelope(Profile.Format, EnvelopeName, BodySize, Wire);
   if (Checksummed) {
     // Integrity trailer (only while faults can corrupt frames): CRC32 of
     // everything before it, little-endian.
@@ -236,6 +253,41 @@ Bytes RpcEndpoint::frame(MsgKind Kind, std::string_view EnvelopeName,
     Wire.push_back(static_cast<uint8_t>(Crc >> 24));
   }
   return Wire;
+}
+
+Bytes RpcEndpoint::frameCall(const CallHeader &H, std::string_view ObjectName,
+                             std::string_view Method,
+                             std::span<const uint8_t> Args) const {
+  size_t Size = 8 + 1 + ((H.Flags & FlagHasContext) ? 16 : 0) +
+                ((H.Flags & FlagHasDedup) ? 8 : 0) + 4 + 4 +
+                (4 + ObjectName.size()) + (4 + Method.size()) + 4 +
+                Args.size();
+  return frame(KindCall, Method, Size, [&](serial::SpanWriter &Body) {
+    Body.write(H.CallId);
+    Body.write(H.Flags);
+    if (H.Flags & FlagHasContext) {
+      Body.write(H.Ctx);
+      Body.write(H.Parent);
+    }
+    if (H.Flags & FlagHasDedup)
+      Body.write(H.DedupId);
+    Body.write(H.ReplyNode);
+    Body.write(H.ReplyPort);
+    Body.write(ObjectName);
+    Body.write(Method);
+    Body.write(static_cast<uint32_t>(Args.size()));
+    Body.writeRaw(Args);
+  });
+}
+
+Bytes RpcEndpoint::frameReply(uint64_t CallId, uint8_t Status,
+                              std::span<const uint8_t> Rest) const {
+  return frame(KindReturn, "ret", 8 + 1 + Rest.size(),
+               [&](serial::SpanWriter &Body) {
+                 Body.write(CallId);
+                 Body.write(Status);
+                 Body.writeRaw(Rest);
+               });
 }
 
 ErrorOr<std::span<const uint8_t>> RpcEndpoint::unframe(const Bytes &Wire) const {
@@ -277,34 +329,43 @@ ErrorOr<std::span<const uint8_t>> RpcEndpoint::unframe(const Bytes &Wire) const 
   return std::span<const uint8_t>(Wire.data() + BodyStart, Length);
 }
 
+bool RpcEndpoint::readCallHeader(serial::InputArchive &Body, CallHeader &H) {
+  return Body.read(H.CallId) && Body.read(H.Flags) &&
+         (!(H.Flags & FlagHasContext) ||
+          (Body.read(H.Ctx) && Body.read(H.Parent))) &&
+         (!(H.Flags & FlagHasDedup) || Body.read(H.DedupId)) &&
+         Body.read(H.ReplyNode) && Body.read(H.ReplyPort);
+}
+
 // PARCS_HOT_END
 
 ErrorOr<std::shared_ptr<CallHandler>>
-RpcEndpoint::resolveTarget(const std::string &Name) {
-  auto It = Published.find(Name);
-  if (It == Published.end())
+RpcEndpoint::resolveTarget(NameRecord *Rec, std::string_view Name) {
+  if (!Rec || !Rec->Published)
     return Error(ErrorCode::UnknownObject,
-                 "no object published as '" + Name + "'");
-  Registration &Reg = It->second;
-  if (Reg.Mode == WellKnownObjectMode::SingleCall) {
+                 "no object published as '" + std::string(Name) + "'");
+  if (Rec->Mode == WellKnownObjectMode::SingleCall) {
     // A fresh instance per call; no state is retained.
-    return Reg.Factory();
+    return Rec->Factory();
   }
-  if (!Reg.Instance) {
-    assert(Reg.Factory && "singleton registration without factory");
-    Reg.Instance = Reg.Factory();
+  if (!Rec->Instance) {
+    assert(Rec->Factory && "singleton registration without factory");
+    Rec->Instance = Rec->Factory();
   }
-  return Reg.Instance;
+  return Rec->Instance;
 }
 
-sim::Task<void> RpcEndpoint::ensureConnected(int DstNode, int DstPort) {
+bool RpcEndpoint::firstContact(int DstNode, int DstPort) {
   if (Profile.ConnectSetup.isZero() || DstNode == Host.id())
-    co_return;
-  // Mark connected before waiting so concurrent first calls don't each
-  // pay the handshake.
-  if (!Connected.insert({DstNode, DstPort}).second)
-    co_return;
-  co_await Host.sim().delay(Profile.ConnectSetup);
+    return false;
+  assert(DstNode >= 0 && "connecting to a negative node id");
+  if (static_cast<size_t>(DstNode) >= ConnectedPorts.size())
+    ConnectedPorts.resize(static_cast<size_t>(DstNode) + 1);
+  std::vector<int> &Ports = ConnectedPorts[static_cast<size_t>(DstNode)];
+  if (std::find(Ports.begin(), Ports.end(), DstPort) != Ports.end())
+    return false;
+  Ports.push_back(DstPort);
+  return true;
 }
 
 sim::Task<ErrorOr<Bytes>> RpcEndpoint::call(int DstNode, int DstPort,
@@ -313,63 +374,150 @@ sim::Task<ErrorOr<Bytes>> RpcEndpoint::call(int DstNode, int DstPort,
                                             sim::SimTime Timeout,
                                             uint64_t ParentCtx,
                                             uint64_t DedupId) {
-  co_await ensureConnected(DstNode, DstPort);
-  uint64_t CallId = NextCallId++;
+  if (firstContact(DstNode, DstPort))
+    co_await Host.sim().delay(Profile.ConnectSetup);
+  co_return co_await issue(DstNode, DstPort, ObjectName, Method, Args,
+                           Timeout, ParentCtx, DedupId);
+}
+
+// PARCS_HOT_BEGIN(rpc-call): the steady-state call after the connect
+// check; its only allocation is the request frame, and it awaits the
+// reply in its own frame.
+
+sim::Task<ErrorOr<Bytes>>
+RpcEndpoint::issue(int DstNode, int DstPort, std::string_view ObjectName,
+                   std::string_view Method, std::span<const uint8_t> Args,
+                   sim::SimTime Timeout, uint64_t ParentCtx,
+                   uint64_t DedupId) {
   // The round trip's causal identity: minted here, carried in the body's
   // optional context header, restored server-side.  0 (and absent from
   // the wire) when tracing is off.
-  uint64_t CallCtx = trace::mintCausalId();
-  serial::OutputArchive Body;
-  Body.write(CallId);
-  Body.write(static_cast<uint8_t>((CallCtx ? FlagHasContext : 0) |
-                                  (DedupId ? FlagHasDedup : 0)));
-  if (CallCtx)
-    serial::encodeCausalContext(Body, CallCtx, ParentCtx);
-  if (DedupId)
-    Body.write(DedupId);
-  Body.write(static_cast<int32_t>(Host.id()));
-  Body.write(static_cast<int32_t>(Port));
-  Body.write(ObjectName);
-  Body.write(Method);
-  Body.write(static_cast<uint32_t>(Args.size()));
-  Body.writeRaw(Args);
-
-  Bytes Wire = frame(KindCall, Method, Body.bytes(), /*Response=*/false);
+  CallHeader H;
+  H.CallId = NextCallId++;
+  H.Ctx = trace::mintCausalId();
+  H.Parent = ParentCtx;
+  H.DedupId = DedupId;
+  H.Flags = static_cast<uint8_t>((H.Ctx ? FlagHasContext : 0) |
+                                 (DedupId ? FlagHasDedup : 0));
+  H.ReplyNode = Host.id();
+  H.ReplyPort = Port;
+  Bytes Wire = frameCall(H, ObjectName, Method, Args);
   ++Stats.CallsIssued;
   Stats.WireBytesSent += Wire.size();
 
   int64_t IssuedNs = Host.sim().now().nanosecondsCount();
-  trace::asyncBeginCtx(Host.id(), "rpc.call", IssuedNs,
-                       callSpanId(Host.id(), Port, CallId), CallCtx,
+  uint64_t SpanId = callSpanId(Host.id(), Port, H.CallId);
+  trace::asyncBeginCtx(Host.id(), "rpc.call", IssuedNs, SpanId, H.Ctx,
                        ParentCtx);
 
-  sim::Promise<ErrorOr<Bytes>> Reply(Host.sim());
-  PendingCalls.emplace(CallId, PendingCall{Reply, CallCtx});
+  PendingCall Reply(*this, H.CallId, H.Ctx);
 
   // Client-side marshalling + channel sink cost, then hand to the NIC.
   co_await Host.compute(sideCost(Wire.size()));
   uint64_t SendCtx = 0;
-  if (CallCtx) {
+  if (H.Ctx) {
     SendCtx = trace::mintCausalId();
     trace::completeCtx(Host.id(), 0, "rpc.send", IssuedNs,
                        Host.sim().now().nanosecondsCount() - IssuedNs,
-                       SendCtx, CallCtx);
+                       SendCtx, H.Ctx);
   }
   Net.send(Host.id(), DstNode, DstPort, std::move(Wire), SendCtx);
 
-  // If the reply has not resolved the promise by the deadline, the call
-  // fails and is forgotten (a late reply is then counted and dropped).
+  // If no reply has completed the call by the deadline, the call fails and
+  // is forgotten (a late reply is then counted and dropped).
   if (Timeout > sim::SimTime())
-    addDeadline(Timeout, CallId);
+    addDeadline(Timeout, H.CallId);
 
-  ErrorOr<Bytes> Result = co_await Reply.future();
+  ErrorOr<Bytes> Result = co_await Reply;
   int64_t DoneNs = Host.sim().now().nanosecondsCount();
   CallLatency->record(DoneNs - IssuedNs);
   telemetry::count(Host.id(), "rpc.calls", DoneNs);
   telemetry::record(Host.id(), "rpc.call.latency", DoneNs, DoneNs - IssuedNs);
-  trace::asyncEndCtx(Host.id(), "rpc.call", DoneNs,
-                     callSpanId(Host.id(), Port, CallId), CallCtx, ParentCtx);
+  trace::asyncEndCtx(Host.id(), "rpc.call", DoneNs, SpanId, H.Ctx, ParentCtx);
   co_return Result;
+}
+
+RpcEndpoint::PendingCall::PendingCall(RpcEndpoint &Endpoint, uint64_t CallId,
+                                      uint64_t Ctx)
+    : Owner(&Endpoint), CallId(CallId), Ctx(Ctx) {
+  Endpoint.Pending.insert(this);
+}
+
+RpcEndpoint::PendingCall::~PendingCall() {
+  if (Owner)
+    Owner->Pending.take(CallId);
+}
+
+void RpcEndpoint::complete(PendingCall &Call, ErrorOr<Bytes> Result) {
+  Call.Owner = nullptr;
+  Call.Result.emplace(std::move(Result));
+  if (Call.Waiter)
+    Host.sim().scheduleResume(sim::SimTime(), Call.Waiter);
+}
+
+void RpcEndpoint::PendingTable::insert(PendingCall *Call) {
+  if (2 * (Count + 1) > Slots.size())
+    grow();
+  size_t Mask = Slots.size() - 1;
+  size_t I = Call->CallId & Mask;
+  while (Slots[I].Call)
+    I = (I + 1) & Mask;
+  Slots[I] = Slot{Call->CallId, Call};
+  ++Count;
+}
+
+size_t RpcEndpoint::PendingTable::slotOf(uint64_t CallId) const {
+  if (Slots.empty())
+    return 0;
+  size_t Mask = Slots.size() - 1;
+  for (size_t I = CallId & Mask; Slots[I].Call; I = (I + 1) & Mask)
+    if (Slots[I].CallId == CallId)
+      return I;
+  return Slots.size();
+}
+
+RpcEndpoint::PendingCall *
+RpcEndpoint::PendingTable::find(uint64_t CallId) const {
+  size_t I = slotOf(CallId);
+  return I == Slots.size() ? nullptr : Slots[I].Call;
+}
+
+RpcEndpoint::PendingCall *RpcEndpoint::PendingTable::take(uint64_t CallId) {
+  size_t Hole = slotOf(CallId);
+  if (Hole == Slots.size())
+    return nullptr;
+  size_t Mask = Slots.size() - 1;
+  PendingCall *Call = Slots[Hole].Call;
+  // Backward-shift deletion, as in the dedup index: pull back every later
+  // entry of the probe run whose home does not lie cyclically in
+  // (Hole, J], so each stays reachable from its home without a gap.
+  for (size_t J = (Hole + 1) & Mask; Slots[J].Call; J = (J + 1) & Mask) {
+    size_t Home = Slots[J].CallId & Mask;
+    if (((J - Home) & Mask) >= ((J - Hole) & Mask)) {
+      Slots[Hole] = Slots[J];
+      Hole = J;
+    }
+  }
+  Slots[Hole] = Slot{};
+  --Count;
+  return Call;
+}
+
+// PARCS_HOT_END
+
+void RpcEndpoint::PendingTable::grow() {
+  std::vector<Slot> Old = std::move(Slots);
+  Slots.assign(Old.empty() ? 16 : 2 * Old.size(), Slot{});
+  Count = 0;
+  for (const Slot &S : Old)
+    if (S.Call)
+      insert(S.Call);
+}
+
+void RpcEndpoint::PendingTable::detachAll() {
+  for (Slot &S : Slots)
+    if (S.Call)
+      S.Call->Owner = nullptr;
 }
 
 // PARCS_HOT_BEGIN(rpc-deadline): every call with a deadline pays one heap
@@ -397,7 +545,7 @@ void RpcEndpoint::armDeadlineTimer(const Deadline &D) {
 }
 
 void RpcEndpoint::pruneDeadlines() {
-  while (!Deadlines.empty() && !PendingCalls.count(Deadlines.front().CallId)) {
+  while (!Deadlines.empty() && !Pending.find(Deadlines.front().CallId)) {
     std::pop_heap(Deadlines.begin(), Deadlines.end(), laterDeadline);
     Deadlines.pop_back();
   }
@@ -411,15 +559,10 @@ void RpcEndpoint::fireDeadlineTimer() {
   ++DeadlineTimersFired;
   // The heap top is never earlier than this timer; it is this timer's own
   // deadline unless that call was answered and pruned.
-  if (!Deadlines.empty() && Deadlines.front().Seq == Seq) {
-    auto It = PendingCalls.find(Deadlines.front().CallId);
-    if (It != PendingCalls.end()) {
-      sim::Promise<ErrorOr<Bytes>> Timed = It->second.Reply;
-      PendingCalls.erase(It);
-      Timed.set(Error(ErrorCode::TimedOut,
-                      "no reply within the call deadline"));
-    }
-  }
+  if (!Deadlines.empty() && Deadlines.front().Seq == Seq)
+    if (PendingCall *Timed = Pending.take(Deadlines.front().CallId))
+      complete(*Timed, Error(ErrorCode::TimedOut,
+                             "no reply within the call deadline"));
   pruneDeadlines();
   if (Deadlines.empty())
     return;
@@ -435,23 +578,28 @@ sim::Task<ErrorOr<Bytes>> RpcEndpoint::callReliable(int DstNode, int DstPort,
                                                     std::string Method,
                                                     Bytes Args,
                                                     uint64_t ParentCtx) {
-  if (!Retry.enabled())
+  if (!Retry.enabled()) {
     // Degraded mode: exactly one plain call -- same frames, same events
     // as code that never heard of retries (AttemptTimeout is zero here
     // unless the caller configured a deadline without retries).
-    co_return co_await call(DstNode, DstPort, std::move(ObjectName),
-                            std::move(Method), std::move(Args),
-                            Retry.AttemptTimeout, ParentCtx);
+    if (firstContact(DstNode, DstPort))
+      co_await Host.sim().delay(Profile.ConnectSetup);
+    co_return co_await issue(DstNode, DstPort, ObjectName, Method, Args,
+                             Retry.AttemptTimeout, ParentCtx, 0);
+  }
 
   uint64_t DedupId = NextDedupId++;
+  if (firstContact(DstNode, DstPort))
+    co_await Host.sim().delay(Profile.ConnectSetup);
   sim::SimTime Backoff = Retry.BaseBackoff;
   sim::SimTime Deadline = Retry.AttemptTimeout;
   int Attempt = 1;
   int OverloadWaits = 0;
   for (;;) {
+    // Every attempt borrows this frame's name, method and arguments.
     ErrorOr<Bytes> Result =
-        co_await call(DstNode, DstPort, ObjectName, Method, Args,
-                      Deadline, ParentCtx, DedupId);
+        co_await issue(DstNode, DstPort, ObjectName, Method, Args, Deadline,
+                       ParentCtx, DedupId);
     if (Result)
       co_return Result;
     ErrorCode Code = Result.error().code();
@@ -524,34 +672,27 @@ sim::Task<void> RpcEndpoint::callOneWay(int DstNode, int DstPort,
                                         std::string ObjectName,
                                         std::string Method, Bytes Args,
                                         uint64_t ParentCtx) {
-  co_await ensureConnected(DstNode, DstPort);
-  uint64_t CallId = NextCallId++;
-  uint64_t CallCtx = trace::mintCausalId();
-  serial::OutputArchive Body;
-  Body.write(CallId);
-  Body.write(static_cast<uint8_t>(FlagOneWay |
-                                  (CallCtx ? FlagHasContext : 0)));
-  if (CallCtx)
-    serial::encodeCausalContext(Body, CallCtx, ParentCtx);
-  Body.write(static_cast<int32_t>(Host.id()));
-  Body.write(static_cast<int32_t>(Port));
-  Body.write(ObjectName);
-  Body.write(Method);
-  Body.write(static_cast<uint32_t>(Args.size()));
-  Body.writeRaw(Args);
-
-  Bytes Wire = frame(KindCall, Method, Body.bytes(), /*Response=*/false);
+  if (firstContact(DstNode, DstPort))
+    co_await Host.sim().delay(Profile.ConnectSetup);
+  CallHeader H;
+  H.CallId = NextCallId++;
+  H.Ctx = trace::mintCausalId();
+  H.Parent = ParentCtx;
+  H.Flags = static_cast<uint8_t>(FlagOneWay | (H.Ctx ? FlagHasContext : 0));
+  H.ReplyNode = Host.id();
+  H.ReplyPort = Port;
+  Bytes Wire = frameCall(H, ObjectName, Method, Args);
   ++Stats.OneWaySent;
   Stats.WireBytesSent += Wire.size();
   int64_t IssuedNs = Host.sim().now().nanosecondsCount();
-  trace::instantCtx(Host.id(), 0, "rpc.oneway", IssuedNs, CallCtx, ParentCtx);
+  trace::instantCtx(Host.id(), 0, "rpc.oneway", IssuedNs, H.Ctx, ParentCtx);
   co_await Host.compute(sideCost(Wire.size()));
   uint64_t SendCtx = 0;
-  if (CallCtx) {
+  if (H.Ctx) {
     SendCtx = trace::mintCausalId();
     trace::completeCtx(Host.id(), 0, "rpc.send", IssuedNs,
                        Host.sim().now().nanosecondsCount() - IssuedNs,
-                       SendCtx, CallCtx);
+                       SendCtx, H.Ctx);
   }
   Net.send(Host.id(), DstNode, DstPort, std::move(Wire), SendCtx);
 }
@@ -595,7 +736,7 @@ sim::Task<void> RpcEndpoint::dispatchLoop() {
       int64_t RecvNs = Host.sim().now().nanosecondsCount();
       if (!co_await Host.computeChecked(sideCost(Msg.Payload.size())))
         continue;
-      handleReturn(*Content, RecvNs, Msg.TraceCtx);
+      handleReturn(Msg.Payload, *Content, RecvNs, Msg.TraceCtx);
       continue;
     }
     if (Kind == KindCall) {
@@ -638,9 +779,12 @@ sim::Task<void> RpcEndpoint::dispatchLoop() {
   }
 }
 
-void RpcEndpoint::handleReturn(std::span<const uint8_t> Content,
+// PARCS_HOT_BEGIN(rpc-return): every reply is parsed in place and its
+// result takes over the received frame; the pending call is one probe.
+
+void RpcEndpoint::handleReturn(Bytes &Frame, std::span<const uint8_t> Content,
                                int64_t RecvNs, uint64_t WireCtx) {
-  ErrorOr<serial::Envelope> Env = serial::decodeEnvelope(
+  ErrorOr<serial::EnvelopeView> Env = serial::decodeEnvelopeView(
       Profile.Format, Content.data() + 1, Content.size() - 1);
   if (!Env) {
     ++Stats.MalformedDropped;
@@ -653,8 +797,8 @@ void RpcEndpoint::handleReturn(std::span<const uint8_t> Content,
     ++Stats.MalformedDropped;
     return;
   }
-  auto It = PendingCalls.find(CallId);
-  if (It == PendingCalls.end()) {
+  PendingCall *Call = Pending.take(CallId);
+  if (!Call) {
     // Call ids are minted here in increasing order, so an id below the
     // next one names a call this endpoint issued: its reply raced the
     // deadline and lost, which is expected under loss plus timeouts.
@@ -665,9 +809,6 @@ void RpcEndpoint::handleReturn(std::span<const uint8_t> Content,
       ++Stats.MalformedDropped;
     return;
   }
-  sim::Promise<ErrorOr<Bytes>> Reply = It->second.Reply;
-  uint64_t CallCtx = It->second.Ctx;
-  PendingCalls.erase(It);
   if (!Deadlines.empty() && Deadlines.front().CallId == CallId)
     pruneDeadlines();
   ++Stats.RepliesReceived;
@@ -679,62 +820,50 @@ void RpcEndpoint::handleReturn(std::span<const uint8_t> Content,
     uint64_t ReplyCtx = trace::mintCausalId();
     trace::completeCtx(Host.id(), 0, "rpc.reply_recv", RecvNs,
                        NowNs - RecvNs, ReplyCtx, WireCtx);
-    trace::instantCtx(Host.id(), 0, "rpc.link", NowNs, CallCtx, ReplyCtx);
+    trace::instantCtx(Host.id(), 0, "rpc.link", NowNs, Call->Ctx, ReplyCtx);
   }
   if (Status == StatusOk) {
-    Bytes Result;
-    if (!Body.readRemaining(Result)) {
-      Reply.set(Error(ErrorCode::MalformedMessage, "truncated result"));
-      return;
-    }
-    Reply.set(std::move(Result));
+    complete(*Call, Env->adopt(Frame, Body.remainingView()));
     return;
   }
+  // PARCS_HOT_END
   if (Status == StatusOverloaded) {
     // Admission refusal: surface the server's retry-after hint in the
     // message so callReliable() can honour it (and callers can log it).
     uint64_t RetryAfterNs = 0;
     Body.read(RetryAfterNs);
-    Reply.set(Error(ErrorCode::Overloaded,
-                    "server overloaded; retry-after=" +
-                        std::to_string(RetryAfterNs) + "ns"));
+    complete(*Call, Error(ErrorCode::Overloaded,
+                          "server overloaded; retry-after=" +
+                              std::to_string(RetryAfterNs) + "ns"));
     return;
   }
   uint8_t Code = 0;
   std::string Message;
   if (!Body.read(Code) || !Body.read(Message)) {
-    Reply.set(Error(ErrorCode::MalformedMessage, "truncated fault"));
+    complete(*Call, Error(ErrorCode::MalformedMessage, "truncated fault"));
     return;
   }
-  Reply.set(Error(static_cast<ErrorCode>(Code), Message));
+  complete(*Call, Error(static_cast<ErrorCode>(Code), Message));
 }
 
 sim::Task<void> RpcEndpoint::rejectOverloaded(net::Message Msg) {
   // Re-parse the minimal body prefix: just enough to know who to answer.
   ErrorOr<std::span<const uint8_t>> Content = unframe(Msg.Payload);
   assert(Content && !Content->empty() && "checked in dispatchLoop");
-  ErrorOr<serial::Envelope> Env = serial::decodeEnvelope(
+  ErrorOr<serial::EnvelopeView> Env = serial::decodeEnvelopeView(
       Profile.Format, Content->data() + 1, Content->size() - 1);
   if (!Env) {
     ++Stats.MalformedDropped;
     co_return;
   }
   serial::InputArchive Body(Env->Payload);
-  uint64_t CallId = 0;
-  uint8_t Flags = 0;
-  uint64_t WireCtx = 0, WireParent = 0;
-  uint64_t DedupId = 0;
-  int32_t ReplyNode = 0, ReplyPort = 0;
-  if (!Body.read(CallId) || !Body.read(Flags) ||
-      ((Flags & FlagHasContext) &&
-       !serial::decodeCausalContext(Body, WireCtx, WireParent)) ||
-      ((Flags & FlagHasDedup) && !Body.read(DedupId)) ||
-      !Body.read(ReplyNode) || !Body.read(ReplyPort)) {
+  CallHeader H;
+  if (!readCallHeader(Body, H)) {
     ++Stats.MalformedDropped;
     co_return;
   }
   int64_t NowNs = Host.sim().now().nanosecondsCount();
-  if (Flags & FlagOneWay) {
+  if (H.Flags & FlagOneWay) {
     // No caller is waiting for a reply, so there is nobody to hint: the
     // call is shed and the counter is its only residue.
     ++Stats.OverloadShed;
@@ -757,37 +886,22 @@ sim::Task<void> RpcEndpoint::rejectOverloaded(net::Message Msg) {
     HintNs = BaseNs;
   if (MaxNs > 0 && HintNs > MaxNs)
     HintNs = MaxNs;
-  serial::OutputArchive Out;
-  Out.write(CallId);
-  Out.write(static_cast<uint8_t>(StatusOverloaded));
-  Out.write(static_cast<uint64_t>(HintNs));
-  Bytes Wire = frame(KindReturn, "ret", Out.bytes(), /*Response=*/true);
+  uint8_t Hint[8];
+  serial::detail::storeLittleEndian(Hint, static_cast<uint64_t>(HintNs));
+  Bytes Wire = frameReply(H.CallId, StatusOverloaded, Hint);
   Stats.WireBytesSent += Wire.size();
   // computeChecked: a crash mid-rejection must not park the dispatch loop.
   if (!co_await Host.computeChecked(sideCost(Wire.size())))
     co_return;
-  Net.send(Host.id(), ReplyNode, ReplyPort, std::move(Wire), 0);
+  Net.send(Host.id(), H.ReplyNode, H.ReplyPort, std::move(Wire), 0);
 }
 
 // PARCS_HOT_BEGIN(migrate-replay): forwarding rebuilds one frame from
-// already-parsed fields into a reserved buffer and hands it to the NIC --
-// no re-parse, no suspension; cutover itself is plain map surgery.
+// already-parsed fields and hands it to the NIC -- no re-parse, no
+// suspension; cutover itself is surgery on one name record.
 
 void RpcEndpoint::forwardCall(const ParkedCall &P, const MovedRoute &Route) {
-  serial::OutputArchive Body;
-  Body.write(P.CallId);
-  Body.write(P.Flags);
-  if (P.Flags & FlagHasContext)
-    serial::encodeCausalContext(Body, P.WireCtx, P.WireParent);
-  if (P.Flags & FlagHasDedup)
-    Body.write(P.DedupId);
-  Body.write(P.ReplyNode);
-  Body.write(P.ReplyPort);
-  Body.write(Route.Name);
-  Body.write(P.Method);
-  Body.write(static_cast<uint32_t>(P.Args.size()));
-  Body.writeRaw(P.Args);
-  Bytes Wire = frame(KindCall, P.Method, Body.bytes(), /*Response=*/false);
+  Bytes Wire = frameCall(P.Header, Route.Name, P.Method, P.Args);
   ++Stats.CallsForwarded;
   Stats.WireBytesSent += Wire.size();
   trace::instant(Host.id(), 0, "om.migrate.forward",
@@ -799,13 +913,10 @@ void RpcEndpoint::completeMove(const std::string &Name,
                                const MovedRoute &Dst) {
   // Atomic cutover (no suspension between these lines): from here on no
   // call can slip between "parked" and "forwarded".
-  ParkedNames.erase(Name);
-  Moved[Name] = Dst;
-  auto It = ParkedByName.find(Name);
-  if (It == ParkedByName.end())
-    return;
-  std::vector<ParkedCall> Replay = std::move(It->second);
-  ParkedByName.erase(It);
+  NameRecord &Rec = Names[Name];
+  Rec.Parked = false;
+  Rec.Moved = Dst;
+  std::vector<ParkedCall> Replay = std::move(Rec.ParkedCalls);
   // Replay in arrival order; the original CallId / reply coordinates /
   // dedup id ride along, so replies go straight to the callers and the
   // destination's dedup window absorbs any retransmitted twins.
@@ -814,26 +925,28 @@ void RpcEndpoint::completeMove(const std::string &Name,
 }
 
 void RpcEndpoint::cancelPark(const std::string &Name) {
-  ParkedNames.erase(Name);
-  auto It = ParkedByName.find(Name);
-  if (It == ParkedByName.end())
+  auto It = Names.find(Name);
+  if (It == Names.end())
     return;
-  std::vector<ParkedCall> Replay = std::move(It->second);
-  ParkedByName.erase(It);
+  NameRecord &Rec = It->second;
+  Rec.Parked = false;
+  std::vector<ParkedCall> Replay = std::move(Rec.ParkedCalls);
   // Aborted migration: the source copy is still published, so re-deliver
   // the parked calls to ourselves over the loopback -- they re-enter the
   // normal dispatch path (admission included) as if the park never
   // happened, in arrival order.
   MovedRoute Self{Host.id(), Port, Name};
+  if (Rec.idle())
+    Names.erase(It);
   for (const ParkedCall &P : Replay)
     forwardCall(P, Self);
 }
 
 // PARCS_HOT_END
 
-// PARCS_HOT_BEGIN(rpc-deadline): every retried call probes the dedup
-// window once and inserts once; both reuse the ring and index sized on
-// first use.
+// PARCS_HOT_BEGIN(rpc-dedup): every retried call probes the dedup window
+// once before its handler and once after; both reuse the ring and index
+// sized on first use.
 
 size_t RpcEndpoint::DedupWindow::home(const Key &K) {
   // The caller's (node, port) folded into its logical id, then the
@@ -860,14 +973,21 @@ RpcEndpoint::DedupWindow::find(const Key &K) {
   }
 }
 
-void RpcEndpoint::DedupWindow::insert(const Key &K) {
-  assert(!find(K) && "dedup key inserted twice");
+RpcEndpoint::DedupWindow::Probe
+RpcEndpoint::DedupWindow::findOrInsert(const Key &K) {
   if (Ring.empty()) {
     // Sized once, on the endpoint's first retried call.
     Ring.resize(Cap);
     Index.assign(IndexSize, 0);
   }
-  if (Count == Cap) {
+  size_t I = home(K);
+  for (; Index[I] != 0; I = (I + 1) & (IndexSize - 1)) {
+    size_t Slot = Index[I] - 1;
+    if (Ring[Slot].Call == K)
+      return Probe{&Ring[Slot], Slot, false};
+  }
+  bool Evicted = Count == Cap;
+  if (Evicted) {
     // Full: the oldest entry goes, and the new one takes its slot.
     unindex(Ring[Head].Call);
     Head = (Head + 1) & (Cap - 1);
@@ -879,7 +999,19 @@ void RpcEndpoint::DedupWindow::insert(const Key &K) {
   E.Call = K;
   E.Done = false;
   E.ReplyTail.clear();
-  index(Slot);
+  if (Evicted)
+    // The eviction may have shifted K's probe run; walk it again.
+    index(Slot);
+  else
+    Index[I] = static_cast<uint16_t>(Slot + 1);
+  return Probe{&E, Slot, true};
+}
+
+RpcEndpoint::DedupWindow::Entry *
+RpcEndpoint::DedupWindow::refind(size_t Slot, const Key &K) {
+  if (((Slot - Head) & (Cap - 1)) < Count && Ring[Slot].Call == K)
+    return &Ring[Slot];
+  return find(K);
 }
 
 void RpcEndpoint::DedupWindow::index(size_t Slot) {
@@ -948,45 +1080,35 @@ sim::Task<void> RpcEndpoint::handleCallInner(net::Message Msg,
   // Server-side unmarshalling cost for the incoming wire bytes.
   co_await Host.compute(sideCost(Msg.Payload.size()));
 
+  // PARCS_HOT_BEGIN(rpc-serve): the call is parsed in place, its name
+  // found in one probe, and its arguments take over the received frame.
   ErrorOr<std::span<const uint8_t>> Content = unframe(Msg.Payload);
   assert(Content && !Content->empty() && "checked in dispatchLoop");
-  ErrorOr<serial::Envelope> Env = serial::decodeEnvelope(
+  ErrorOr<serial::EnvelopeView> Env = serial::decodeEnvelopeView(
       Profile.Format, Content->data() + 1, Content->size() - 1);
   if (!Env) {
     ++Stats.MalformedDropped;
     co_return;
   }
-
   serial::InputArchive Body(Env->Payload);
-  uint64_t CallId = 0;
-  uint8_t Flags = 0;
-  int32_t ReplyNode = 0, ReplyPort = 0;
-  std::string ObjectName, Method;
+  CallHeader H;
+  std::string_view NameView, MethodView;
   uint32_t ArgsSize = 0;
-  Bytes Args;
-  if (!Body.read(CallId) || !Body.read(Flags)) {
+  std::span<const uint8_t> ArgsView;
+  if (!readCallHeader(Body, H) || !Body.readView(NameView) ||
+      !Body.readView(MethodView) || !Body.read(ArgsSize) ||
+      !Body.readView(ArgsView, ArgsSize)) {
     ++Stats.MalformedDropped;
     co_return;
   }
-  // Restore the caller's causal identity from the wire header.
-  uint64_t WireCtx = 0, WireParent = 0;
-  if ((Flags & FlagHasContext) &&
-      !serial::decodeCausalContext(Body, WireCtx, WireParent)) {
-    ++Stats.MalformedDropped;
-    co_return;
-  }
-  // Logical-call id for at-most-once handling of retransmissions.
-  uint64_t DedupId = 0;
-  if ((Flags & FlagHasDedup) && !Body.read(DedupId)) {
-    ++Stats.MalformedDropped;
-    co_return;
-  }
-  if (!Body.read(ReplyNode) || !Body.read(ReplyPort) ||
-      !Body.read(ObjectName) || !Body.read(Method) || !Body.read(ArgsSize) ||
-      !Body.readRaw(Args, ArgsSize)) {
-    ++Stats.MalformedDropped;
-    co_return;
-  }
+  // The record is looked up while the name still sits in the frame;
+  // then the arguments take the frame over, which ends the views.
+  auto RecIt = Names.find(NameView);
+  NameRecord *Rec = RecIt == Names.end() ? nullptr : &RecIt->second;
+  std::string ObjectName(NameView);
+  std::string Method(MethodView);
+  Bytes Args = Env->adopt(Msg.Payload, ArgsView);
+  // PARCS_HOT_END
 
   // DAG legs on the serving node: time queued between the wire and this
   // handler (the dispatch pool's backlog), then the unmarshal work above.
@@ -1010,59 +1132,61 @@ sim::Task<void> RpcEndpoint::handleCallInner(net::Message Msg,
   // must not execute the method again.  In-progress duplicates are
   // dropped (the original execution's reply, or the client's next retry,
   // covers it); completed ones are answered from the cached reply tail
-  // under the retransmission's fresh CallId.
-  bool TwoWay = !(Flags & FlagOneWay);
-  DedupWindow::Key Key{ReplyNode, ReplyPort, DedupId};
-  if (TwoWay && DedupId != 0) {
-    if (DedupWindow::Entry *Dup = Dedup.find(Key)) {
+  // under the retransmission's fresh CallId.  A call the migration below
+  // intercepts only looks: a parked call must not squat an entry its own
+  // forwarded replay would then trip over.
+  bool TwoWay = !(H.Flags & FlagOneWay);
+  bool Intercepted = Rec && (Rec->Moved || Rec->Parked);
+  DedupWindow::Key Key{H.ReplyNode, H.ReplyPort, H.DedupId};
+  size_t DedupSlot = 0;
+  if (TwoWay && H.DedupId != 0) {
+    DedupWindow::Entry *Dup = nullptr;
+    if (Intercepted) {
+      Dup = Dedup.find(Key);
+    } else {
+      DedupWindow::Probe P = Dedup.findOrInsert(Key);
+      DedupSlot = P.Slot;
+      if (!P.Inserted)
+        Dup = P.Found;
+    }
+    if (Dup) {
       if (!Dup->Done) {
         ++Stats.DedupSuppressed;
         co_return;
       }
       ++Stats.DedupHits;
-      serial::OutputArchive Cached;
-      Cached.write(CallId);
-      Cached.writeRaw(Dup->ReplyTail);
-      Bytes CachedWire = frame(KindReturn, "ret", Cached.bytes(),
-                               /*Response=*/true);
+      std::span<const uint8_t> Tail = Dup->ReplyTail;
+      Bytes CachedWire = frameReply(H.CallId, Tail[0], Tail.subspan(1));
       Stats.WireBytesSent += CachedWire.size();
       co_await Host.compute(sideCost(CachedWire.size()));
-      Net.send(Host.id(), ReplyNode, ReplyPort, std::move(CachedWire), 0);
+      Net.send(Host.id(), H.ReplyNode, H.ReplyPort, std::move(CachedWire), 0);
       co_return;
     }
   }
 
-  // Migration interception -- strictly between the dedup *lookup* (a call
-  // this node already answered keeps being answered from the cached reply,
-  // never re-executed at the destination) and the in-progress *insert* (a
-  // parked call must not squat an entry its own forwarded replay would
-  // then trip over).
-  if (const MovedRoute *Route = movedRoute(ObjectName)) {
-    // Straggler for a name that migrated away: forward it under the new
-    // name; the destination replies straight to the original caller.
-    forwardCall(ParkedCall{CallId, Flags, WireCtx, WireParent, DedupId,
-                           ReplyNode, ReplyPort, std::move(Method),
-                           std::move(Args)},
-                *Route);
-    co_return;
-  }
-  if (ParkedNames.count(ObjectName) != 0) {
+  // Migration interception -- strictly after the dedup lookup: a call this
+  // node already answered keeps being answered from the cached reply,
+  // never re-executed at the destination.
+  if (Intercepted) {
+    if (Rec->Moved) {
+      // Straggler for a name that migrated away: forward it under the new
+      // name; the destination replies straight to the original caller.
+      forwardCall(ParkedCall{H, std::move(Method), std::move(Args)},
+                  *Rec->Moved);
+      co_return;
+    }
     // The object's mailbox is frozen mid-migration: hold the parsed call
     // for replay at cutover (or local re-delivery on abort).
     ++Stats.CallsParked;
     trace::instant(Host.id(), 0, "om.migrate.parked",
                    Host.sim().now().nanosecondsCount());
-    ParkedByName[ObjectName].push_back(
-        ParkedCall{CallId, Flags, WireCtx, WireParent, DedupId, ReplyNode,
-                   ReplyPort, std::move(Method), std::move(Args)});
+    Rec->ParkedCalls.push_back(
+        ParkedCall{H, std::move(Method), std::move(Args)});
     co_return;
   }
 
-  if (TwoWay && DedupId != 0)
-    Dedup.insert(Key);
-
   ErrorOr<Bytes> Result(Bytes{});
-  ErrorOr<std::shared_ptr<CallHandler>> Target = resolveTarget(ObjectName);
+  ErrorOr<std::shared_ptr<CallHandler>> Target = resolveTarget(Rec, ObjectName);
   if (!Target) {
     Result = Target.error();
   } else {
@@ -1074,18 +1198,21 @@ sim::Task<void> RpcEndpoint::handleCallInner(net::Message Msg,
       trace::handoff(ServeCtx);
     // Executing-call count per name: migration drains this to zero after
     // parking, so state capture never races a running method.  Re-found
-    // after the call: a restart clears the table while handlers that
-    // straddled it may still finish.
-    ++InFlightByName[ObjectName];
+    // after the call: a restart or an unpublish may have dropped the
+    // record while the handler ran.
+    ++Rec->InFlight;
     Result = co_await (*Target)->handleCall(Method, Args);
-    auto InF = InFlightByName.find(ObjectName);
-    if (InF != InFlightByName.end() && InF->second > 0)
-      --InF->second;
+    auto After = Names.find(ObjectName);
+    if (After != Names.end() && After->second.InFlight > 0) {
+      --After->second.InFlight;
+      if (After->second.idle())
+        Names.erase(After);
+    }
     if (ServeCtx)
       trace::handoff(0);
   }
 
-  if (Flags & FlagOneWay) {
+  if (!TwoWay) {
     if (!Result) {
       LogNodeScope Scope(Host.id());
       PARCS_LOG(Warn, "one-way call '" << ObjectName << "." << Method
@@ -1094,31 +1221,38 @@ sim::Task<void> RpcEndpoint::handleCallInner(net::Message Msg,
     }
     trace::completeCtx(Host.id(), 0, "rpc.serve", ServeStartNs,
                        Host.sim().now().nanosecondsCount() - ServeStartNs,
-                       ServeCtx, WireCtx);
+                       ServeCtx, H.Ctx);
     co_return;
   }
 
   int64_t ReplyStartNs = Host.sim().now().nanosecondsCount();
-  serial::OutputArchive Out;
-  Out.write(CallId);
+  // PARCS_HOT_BEGIN(rpc-serve)
+  uint8_t Status = StatusOk;
+  Bytes Fault;
+  std::span<const uint8_t> Rest;
   if (Result) {
-    Out.write(static_cast<uint8_t>(StatusOk));
-    Out.writeRaw(Result.get());
+    Rest = Result.get();
   } else {
-    Out.write(static_cast<uint8_t>(StatusFault));
-    Out.write(static_cast<uint8_t>(Result.error().code()));
-    Out.write(Result.error().message());
+    Status = StatusFault;
+    serial::OutputArchive Encoded;
+    Encoded.write(static_cast<uint8_t>(Result.error().code()));
+    Encoded.write(Result.error().message());
+    Fault = Encoded.take();
+    Rest = Fault;
   }
-  if (TwoWay && DedupId != 0) {
+  if (H.DedupId != 0) {
     // Cache everything after the 8-byte CallId: a retransmission gets the
-    // same status + payload under its own attempt's id.  Refind -- the
+    // same status + payload under its own attempt's id.  Refound -- the
     // entry may have been FIFO-evicted while the method ran.
-    if (DedupWindow::Entry *Dup = Dedup.find(Key)) {
+    if (DedupWindow::Entry *Dup = Dedup.refind(DedupSlot, Key)) {
       Dup->Done = true;
-      Dup->ReplyTail.assign(Out.bytes().begin() + 8, Out.bytes().end());
+      Dup->ReplyTail.reserve(1 + Rest.size());
+      Dup->ReplyTail.assign(1, Status);
+      Dup->ReplyTail.insert(Dup->ReplyTail.end(), Rest.begin(), Rest.end());
     }
   }
-  Bytes Wire = frame(KindReturn, "ret", Out.bytes(), /*Response=*/true);
+  Bytes Wire = frameReply(H.CallId, Status, Rest);
+  // PARCS_HOT_END
   Stats.WireBytesSent += Wire.size();
   co_await Host.compute(sideCost(Wire.size()));
   uint64_t ReplySendCtx = 0;
@@ -1128,8 +1262,9 @@ sim::Task<void> RpcEndpoint::handleCallInner(net::Message Msg,
                        Host.sim().now().nanosecondsCount() - ReplyStartNs,
                        ReplySendCtx, ServeCtx);
   }
-  Net.send(Host.id(), ReplyNode, ReplyPort, std::move(Wire), ReplySendCtx);
+  Net.send(Host.id(), H.ReplyNode, H.ReplyPort, std::move(Wire),
+           ReplySendCtx);
   trace::completeCtx(Host.id(), 0, "rpc.serve", ServeStartNs,
                      Host.sim().now().nanosecondsCount() - ServeStartNs,
-                     ServeCtx, WireCtx);
+                     ServeCtx, H.Ctx);
 }

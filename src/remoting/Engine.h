@@ -36,11 +36,12 @@
 #include "vm/Node.h"
 #include "vm/ThreadPool.h"
 
+#include <coroutine>
 #include <map>
-#include <set>
+#include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 namespace parcs::remoting {
@@ -180,22 +181,23 @@ public:
   /// that can short-circuit local calls (the SCOOPP proxy's intra-grain
   /// path).
   std::shared_ptr<CallHandler> findPublished(const std::string &Name) const {
-    auto It = Published.find(Name);
-    return It == Published.end() ? nullptr : It->second.Instance;
+    const NameRecord *Rec = findName(Name);
+    return Rec && Rec->Published ? Rec->Instance : nullptr;
   }
   bool isPublished(const std::string &Name) const {
-    return Published.count(Name) != 0;
+    const NameRecord *Rec = findName(Name);
+    return Rec && Rec->Published;
   }
 
-  /// Every published name, in sorted order (the registry is an ordered
+  /// Every published name, in sorted order (the name table is an ordered
   /// map).  Deterministic iteration for rebalancing policies that pick
   /// migration victims.
   std::vector<std::string> publishedNames() const {
-    std::vector<std::string> Names;
-    Names.reserve(Published.size());
-    for (const auto &[Name, Reg] : Published)
-      Names.push_back(Name);
-    return Names;
+    std::vector<std::string> List;
+    for (const auto &[Name, Rec] : Names)
+      if (Rec.Published)
+        List.push_back(Name);
+    return List;
   }
 
   /// Two-way call: returns the result bytes produced by the remote
@@ -262,9 +264,10 @@ public:
   /// entered into the dedup window) until completeMove or cancelPark.
   /// First step of a live migration -- the mailbox freezes while the
   /// object's state is captured.
-  void parkName(const std::string &Name) { ParkedNames.insert(Name); }
+  void parkName(const std::string &Name) { Names[Name].Parked = true; }
   bool isParked(const std::string &Name) const {
-    return ParkedNames.count(Name) != 0;
+    const NameRecord *Rec = findName(Name);
+    return Rec && Rec->Parked;
   }
   /// Deadline timer events this endpoint has in the simulator's queue.
   /// Only the earliest pending deadline needs one, so this stays at one
@@ -277,13 +280,13 @@ public:
   /// Calls currently executing against \p Name (migration drains this to
   /// zero before touching state).
   size_t inFlight(const std::string &Name) const {
-    auto It = InFlightByName.find(Name);
-    return It == InFlightByName.end() ? 0 : It->second;
+    const NameRecord *Rec = findName(Name);
+    return Rec ? Rec->InFlight : 0;
   }
   /// Calls parked against \p Name so far.
   size_t parkedCalls(const std::string &Name) const {
-    auto It = ParkedByName.find(Name);
-    return It == ParkedByName.end() ? 0 : It->second.size();
+    const NameRecord *Rec = findName(Name);
+    return Rec ? Rec->ParkedCalls.size() : 0;
   }
 
   /// Atomically (no suspension) finishes a migration: drops the park,
@@ -301,8 +304,8 @@ public:
 
   /// The moved tombstone for \p Name (null when it never migrated away).
   const MovedRoute *movedRoute(const std::string &Name) const {
-    auto It = Moved.find(Name);
-    return It == Moved.end() ? nullptr : &It->second;
+    const NameRecord *Rec = findName(Name);
+    return Rec && Rec->Moved ? &*Rec->Moved : nullptr;
   }
 
   /// One-way (asynchronous, no result) call: returns once the message has
@@ -315,7 +318,8 @@ public:
 private:
   enum MsgKind : uint8_t { KindCall = 0xC1, KindReturn = 0xC2 };
   /// FlagHasContext marks a body whose flags byte is followed by the
-  /// causal-context header (serial::encodeCausalContext) -- present only
+  /// causal-context header -- the call's causal id and its parent's, two
+  /// u64s (the traceparent analogue of W3C trace context) -- present only
   /// on traced runs, so untraced wire bytes are unchanged.  FlagHasDedup
   /// marks a body carrying a dedup id after the (optional) context --
   /// present only on callReliable() attempts, so plain calls are likewise
@@ -333,11 +337,54 @@ private:
     StatusOverloaded = 2,
   };
 
-  struct Registration {
+  /// The fixed fields of a call body, in wire order: CallId, flags, the
+  /// optional causal context and dedup id, and where to reply.  The object
+  /// name, method name and argument bytes follow them.
+  struct CallHeader {
+    uint64_t CallId = 0;
+    uint8_t Flags = 0;
+    uint64_t Ctx = 0, Parent = 0;
+    uint64_t DedupId = 0;
+    int32_t ReplyNode = 0, ReplyPort = 0;
+  };
+
+  /// A call held back by a park (or replayed to a moved object): the
+  /// parsed body fields needed to rebuild an equivalent frame.
+  struct ParkedCall {
+    CallHeader Header;
+    std::string Method;
+    Bytes Args;
+  };
+
+  /// Everything the endpoint keeps per object name, so a call finds it in
+  /// one probe: the registration, a migration's park and the calls it
+  /// holds, the moved tombstone, and the executing-call count.  A record
+  /// lives while any of these is set.
+  struct NameRecord {
+    bool Published = false;
     WellKnownObjectMode Mode = WellKnownObjectMode::Singleton;
     HandlerFactory Factory;
     std::shared_ptr<CallHandler> Instance;
+    /// Frozen by an in-progress migration.
+    bool Parked = false;
+    /// Calls held by the park, in arrival order, replayed at completeMove
+    /// or cancelPark.
+    std::vector<ParkedCall> ParkedCalls;
+    /// Tombstone of a name that migrated away: stragglers are forwarded.
+    std::optional<MovedRoute> Moved;
+    /// Calls currently executing (migration drains these).
+    size_t InFlight = 0;
+
+    bool idle() const {
+      return !Published && !Parked && ParkedCalls.empty() && !Moved &&
+             InFlight == 0;
+    }
   };
+
+  const NameRecord *findName(std::string_view Name) const {
+    auto It = Names.find(Name);
+    return It == Names.end() ? nullptr : &It->second;
+  }
 
   /// Cost of pushing/pulling \p WireBytes through this stack on one side.
   sim::SimTime sideCost(size_t WireBytes) const;
@@ -347,24 +394,96 @@ private:
   /// legacy wire bytes.
   bool wireChecksums() const { return Net.faultHook() != nullptr; }
 
-  /// First contact with a destination pays the stack's connection setup.
-  sim::Task<void> ensureConnected(int DstNode, int DstPort);
+  /// True on first contact with (\p DstNode, \p DstPort) over a stack that
+  /// pays a connection setup: marks the destination connected (before the
+  /// wait, so concurrent first calls don't each pay the handshake) and the
+  /// caller then awaits Profile.ConnectSetup.  Every later call is one
+  /// indexed check.
+  bool firstContact(int DstNode, int DstPort);
 
-  /// Builds the final wire buffer for a message body: kind byte, envelope
-  /// and (for HTTP stacks) the header, emitted into one reserved buffer.
-  Bytes frame(MsgKind Kind, std::string_view EnvelopeName, const Bytes &Body,
-              bool Response) const;
+  /// Builds the final wire buffer of a message whose body is \p BodySize
+  /// bytes: transport header (HTTP stacks), kind byte, envelope and CRC
+  /// trailer around the body, which \p WriteBody writes straight into its
+  /// place through a serial::SpanWriter.  One allocation, sized up front.
+  template <typename WriteBody>
+  Bytes frame(MsgKind Kind, std::string_view EnvelopeName, size_t BodySize,
+              WriteBody &&Write) const;
+  /// A call frame: \p H, then the names and the argument bytes.
+  Bytes frameCall(const CallHeader &H, std::string_view ObjectName,
+                  std::string_view Method,
+                  std::span<const uint8_t> Args) const;
+  /// A reply frame: \p CallId, then \p Status and its \p Rest (the result
+  /// bytes, the encoded fault, or the retry-after hint).
+  Bytes frameReply(uint64_t CallId, uint8_t Status,
+                   std::span<const uint8_t> Rest) const;
   /// Strips transport framing; returns a view of the (kind, envelope)
   /// content inside \p Wire -- headers are parsed in place, nothing is
   /// copied.  The view is valid as long as \p Wire is.
   ErrorOr<std::span<const uint8_t>> unframe(const Bytes &Wire) const;
+  /// Reads \p H's fields off the front of a call body.
+  static bool readCallHeader(serial::InputArchive &Body, CallHeader &H);
 
-  /// One two-way call awaiting its reply: the promise plus the causal id
-  /// minted at issue (so the reply links back into the DAG).
+  /// A two-way call awaiting its reply, and the awaitable its issuer
+  /// suspends on.  It lives in the issuing call's coroutine frame; the
+  /// pending table points at it while Owner is set.  The reply (or the
+  /// deadline) takes it out of the table, stores the result and wakes the
+  /// waiter through the event queue, in the slot a promise's wake-up
+  /// would take.  Destroying a record still in the table -- its frame
+  /// reaped while the reply is outstanding -- takes it out; the endpoint's
+  /// destructor clears Owner on every record it still holds, so a frame
+  /// reaped after its endpoint is gone touches nothing.
   struct PendingCall {
-    sim::Promise<ErrorOr<Bytes>> Reply;
-    uint64_t Ctx = 0;
+    PendingCall(RpcEndpoint &Endpoint, uint64_t CallId, uint64_t Ctx);
+    PendingCall(const PendingCall &) = delete;
+    PendingCall &operator=(const PendingCall &) = delete;
+    ~PendingCall();
+
+    bool await_ready() const noexcept { return Result.has_value(); }
+    void await_suspend(std::coroutine_handle<> Handle) noexcept {
+      Waiter = Handle;
+    }
+    ErrorOr<Bytes> await_resume() { return std::move(*Result); }
+
+    RpcEndpoint *Owner;
+    uint64_t CallId;
+    /// The causal id minted at issue (so the reply links back into the
+    /// DAG).
+    uint64_t Ctx;
+    std::coroutine_handle<> Waiter;
+    std::optional<ErrorOr<Bytes>> Result;
   };
+
+  /// Pending calls by CallId: open addressing over a power-of-two slot
+  /// table whose home slot is the id's low bits.  Ids are issued in
+  /// sequence, so live calls rarely share a home; a lookup compares the
+  /// whole id, so a stale id never reaches a slot's newer occupant.  Linear
+  /// probing at load <= 1/2 with backward-shift deletion; the table doubles
+  /// when it would pass that load and never shrinks.
+  class PendingTable {
+  public:
+    void insert(PendingCall *Call);
+    PendingCall *find(uint64_t CallId) const;
+    /// Removes the call with \p CallId and returns it (null when absent).
+    PendingCall *take(uint64_t CallId);
+    /// Clears Owner on every record held (endpoint teardown).
+    void detachAll();
+
+  private:
+    struct Slot {
+      uint64_t CallId = 0;
+      PendingCall *Call = nullptr;
+    };
+    /// Index of \p CallId's slot, or Slots.size() when it is absent.
+    size_t slotOf(uint64_t CallId) const;
+    void grow();
+
+    std::vector<Slot> Slots;
+    size_t Count = 0;
+  };
+
+  /// Hands \p Call its result and schedules its waiter, if suspended
+  /// (resolving before the issuer awaits needs no event).
+  void complete(PendingCall &Call, ErrorOr<Bytes> Result);
 
   /// A call deadline.  (AtNs, Seq) is the kernel slot a timer scheduled
   /// when the call was sent would have taken; Seq was reserved then, so
@@ -388,25 +507,25 @@ private:
   /// Pops deadlines of calls that are no longer pending off the heap top.
   void pruneDeadlines();
 
+  /// A two-way call after the connect check: the body of call() and of
+  /// each callReliable() attempt.  Borrows its names and arguments from
+  /// the awaiting frame, and is done with them before it first suspends.
+  sim::Task<ErrorOr<Bytes>> issue(int DstNode, int DstPort,
+                                  std::string_view ObjectName,
+                                  std::string_view Method,
+                                  std::span<const uint8_t> Args,
+                                  sim::SimTime Timeout, uint64_t ParentCtx,
+                                  uint64_t DedupId);
+
   sim::Task<void> dispatchLoop();
   /// \p RecvNs is when the dispatch loop pulled the message off the wire
   /// (the rpc.dispatch_queue span start; 0 on untraced runs).
   sim::Task<void> handleCall(net::Message Msg, int64_t RecvNs);
   sim::Task<void> handleCallInner(net::Message Msg, int64_t RecvNs);
-  void handleReturn(std::span<const uint8_t> Content, int64_t RecvNs,
-                    uint64_t WireCtx);
-
-  /// A call held back by a park (or replayed to a moved object): the
-  /// parsed body fields needed to rebuild an equivalent frame.
-  struct ParkedCall {
-    uint64_t CallId = 0;
-    uint8_t Flags = 0;
-    uint64_t WireCtx = 0, WireParent = 0;
-    uint64_t DedupId = 0;
-    int32_t ReplyNode = 0, ReplyPort = 0;
-    std::string Method;
-    Bytes Args;
-  };
+  /// Resolves the pending call a reply answers.  \p Content is the
+  /// unframed reply inside \p Frame, whose buffer the result takes over.
+  void handleReturn(Bytes &Frame, std::span<const uint8_t> Content,
+                    int64_t RecvNs, uint64_t WireCtx);
 
   /// Rebuilds \p P's frame under \p Route's object name and hands it to
   /// the NIC towards Route.Node (the loopback when that is this node).
@@ -417,15 +536,20 @@ private:
   /// one-way call).  Deterministic: the hint is pure backlog arithmetic.
   sim::Task<void> rejectOverloaded(net::Message Msg);
 
-  ErrorOr<std::shared_ptr<CallHandler>> resolveTarget(const std::string &Name);
+  /// The handler serving \p Rec (null or unpublished: UnknownObject),
+  /// instantiating a well-known object as its mode says.
+  ErrorOr<std::shared_ptr<CallHandler>> resolveTarget(NameRecord *Rec,
+                                                      std::string_view Name);
 
   vm::Node &Host;
   net::Network &Net;
   const StackProfile &Profile;
   int Port;
   vm::ThreadPool Pool;
-  std::map<std::string, Registration> Published;
-  std::unordered_map<uint64_t, PendingCall> PendingCalls;
+  /// Per-name state, ordered by name (transparent, so a call probes it
+  /// with the name as it sits in the frame).
+  std::map<std::string, NameRecord, std::less<>> Names;
+  PendingTable Pending;
   /// Deadlines of calls that may still be pending, as a (AtNs, Seq)
   /// min-heap.  Answered calls leave theirs behind until it reaches the
   /// top; none of them ever occupies the simulator's queue.
@@ -436,8 +560,8 @@ private:
   /// earlier than it.
   std::vector<Deadline> DeadlineTimers;
   uint64_t DeadlineTimersFired = 0;
-  /// Destinations we already hold a connection to.
-  std::set<std::pair<int, int>> Connected;
+  /// Ports this endpoint holds a connection to, indexed by node id.
+  std::vector<std::vector<int>> ConnectedPorts;
   uint64_t NextCallId = 1;
   /// Logical-call ids for callReliable(); a separate counter so retries
   /// of one logical call share an id while each attempt keeps a fresh
@@ -449,17 +573,6 @@ private:
   /// backlog the admission budget bounds.  Maintained even with admission
   /// disabled (one integer) so the policy can be enabled mid-run.
   size_t AdmittedBacklog = 0;
-  /// Names frozen by an in-progress migration.
-  std::set<std::string> ParkedNames;
-  /// FIFO of calls held per parked name, replayed at completeMove /
-  /// cancelPark.
-  std::map<std::string, std::vector<ParkedCall>> ParkedByName;
-  /// Tombstones for names that migrated away: stragglers are forwarded.
-  std::map<std::string, MovedRoute> Moved;
-  /// Calls currently executing, per target name (migration drains these).
-  /// A name's entry is kept at zero between calls, so steady state
-  /// allocates nothing here; unpublish drops an idle name's entry.
-  std::map<std::string, size_t> InFlightByName;
   /// Jitter stream for retry backoff (seeded; see setRetryPolicy).
   Rng RetryRng;
 
@@ -486,12 +599,21 @@ private:
     };
     static constexpr size_t Cap = 256;
 
-    /// The entry for \p K, or null.  Valid until the next insert or
+    /// The entry for \p K, or null.  Valid until the next insertion or
     /// dropInProgress.
     Entry *find(const Key &K);
-    /// Adds an in-progress entry for \p K (which must be absent), evicting
-    /// the oldest entry when the window is full.
-    void insert(const Key &K);
+    /// One probe: the entry for \p K and its ring slot, or -- when absent
+    /// -- an in-progress entry inserted for it (evicting the oldest entry
+    /// when the window is full); Inserted says which.
+    struct Probe {
+      Entry *Found;
+      size_t Slot;
+      bool Inserted;
+    };
+    Probe findOrInsert(const Key &K);
+    /// \p K's entry again after a suspension: ring slot \p Slot when it
+    /// still holds K, else wherever the index says (null once evicted).
+    Entry *refind(size_t Slot, const Key &K);
     /// Drops every in-progress entry; the rest keep their order.
     void dropInProgress();
 
@@ -520,9 +642,6 @@ private:
   /// Round-trip latency of two-way calls, sampled as calls complete
   /// (registry histograms have stable addresses, so caching is safe).
   metrics::Histogram *CallLatency = nullptr;
-  /// Staging buffer for HTTP-framed content (the header needs the content
-  /// length up front); capacity is reused across calls.
-  mutable Bytes EnvScratch;
 };
 
 } // namespace parcs::remoting

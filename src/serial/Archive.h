@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <cstring>
 #include <map>
+#include <span>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -35,6 +36,15 @@
 namespace parcs::serial {
 
 using Bytes = std::vector<uint8_t>;
+
+namespace detail {
+/// Stores \p Value's little-endian bytes at \p Out.
+template <typename T> void storeLittleEndian(uint8_t *Out, T Value) {
+  auto U = static_cast<std::make_unsigned_t<T>>(Value);
+  for (size_t I = 0; I < sizeof(T); ++I)
+    Out[I] = static_cast<uint8_t>(U >> (8 * I));
+}
+} // namespace detail
 
 /// Appends encoded values to a byte buffer.
 class OutputArchive {
@@ -56,10 +66,8 @@ public:
   template <typename T>
     requires(std::is_integral_v<T> && !std::is_same_v<T, bool>)
   void write(T Value) {
-    auto U = static_cast<std::make_unsigned_t<T>>(Value);
     uint8_t Raw[sizeof(T)];
-    for (size_t I = 0; I < sizeof(T); ++I)
-      Raw[I] = static_cast<uint8_t>(U >> (8 * I));
+    detail::storeLittleEndian(Raw, Value);
     writeRaw(Raw, sizeof(T));
   }
 
@@ -141,6 +149,46 @@ private:
   Bytes Buffer;
 };
 
+/// Writes OutputArchive's encoding into a region of known size: framing
+/// code that sizes a message up front writes its body straight into the
+/// wire buffer with it, instead of building the body in an archive of its
+/// own and copying it over.
+class SpanWriter {
+public:
+  SpanWriter(uint8_t *Data, size_t Size) : Pos(Data), End(Data + Size) {}
+
+  template <typename T>
+    requires(std::is_integral_v<T> && !std::is_same_v<T, bool>)
+  void write(T Value) {
+    assert(sizeof(T) <= static_cast<size_t>(End - Pos) && "region overrun");
+    detail::storeLittleEndian(Pos, Value);
+    Pos += sizeof(T);
+  }
+
+  /// Length-prefixed, as OutputArchive::write(std::string_view).
+  void write(std::string_view Value) {
+    write(static_cast<uint32_t>(Value.size()));
+    writeRaw(reinterpret_cast<const uint8_t *>(Value.data()), Value.size());
+  }
+
+  void writeRaw(const uint8_t *Data, size_t Size) {
+    assert(Size <= static_cast<size_t>(End - Pos) && "region overrun");
+    if (Size)
+      std::memcpy(Pos, Data, Size);
+    Pos += Size;
+  }
+  void writeRaw(std::span<const uint8_t> Data) {
+    writeRaw(Data.data(), Data.size());
+  }
+
+  /// True once exactly the whole region has been written.
+  bool full() const { return Pos == End; }
+
+private:
+  uint8_t *Pos;
+  uint8_t *End;
+};
+
 /// Reads encoded values back out of a byte buffer.  All reads are
 /// bounds-checked; after any failure the archive is sticky-failed and all
 /// further reads return defaults.
@@ -149,6 +197,8 @@ public:
   explicit InputArchive(const Bytes &Buffer)
       : Data(Buffer.data()), Size(Buffer.size()) {}
   InputArchive(const uint8_t *Data, size_t Size) : Data(Data), Size(Size) {}
+  explicit InputArchive(std::span<const uint8_t> Buffer)
+      : Data(Buffer.data()), Size(Buffer.size()) {}
 
   bool ok() const { return !Failed; }
   size_t remaining() const { return Size - Pos; }
@@ -277,6 +327,27 @@ public:
 
   /// Reads all remaining bytes.
   bool readRemaining(Bytes &Out) { return readRaw(Out, remaining()); }
+
+  /// Zero-copy reads: views into the archive's buffer, valid as long as
+  /// it is.  A length-prefixed string, \p Count raw bytes, and the rest.
+  bool readView(std::string_view &Out) {
+    uint32_t Len = 0;
+    if (!read(Len) || !require(Len))
+      return false;
+    Out = std::string_view(reinterpret_cast<const char *>(Data + Pos), Len);
+    Pos += Len;
+    return true;
+  }
+  bool readView(std::span<const uint8_t> &Out, size_t Count) {
+    if (!require(Count))
+      return false;
+    Out = std::span<const uint8_t>(Data + Pos, Count);
+    Pos += Count;
+    return true;
+  }
+  std::span<const uint8_t> remainingView() const {
+    return std::span<const uint8_t>(Data + Pos, Size - Pos);
+  }
 
   /// Convenience: read-or-default for use in expression contexts; check
   /// ok() afterwards.

@@ -27,6 +27,7 @@
 #include "serial/Archive.h"
 #include "support/Error.h"
 
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -48,37 +49,61 @@ struct Envelope {
   Bytes Payload;
 };
 
+/// An envelope decoded in place: Name and Payload point into the bytes it
+/// was decoded from -- except a NetSoap payload, which is base64 text on
+/// the wire and is decoded into Decoded, which the view owns.
+struct EnvelopeView {
+  std::string_view Name;
+  std::span<const uint8_t> Payload;
+  /// NetSoap only: the decoded payload bytes Payload points into.
+  Bytes Decoded;
+
+  /// Returns \p Part -- a range of Payload -- as a Bytes of its own without
+  /// copying it into fresh storage: takes over the buffer Part lives in
+  /// (Decoded, or else \p Frame, the buffer this view was decoded from),
+  /// moves Part to its front and trims it.  Ends the view.
+  Bytes adopt(Bytes &Frame, std::span<const uint8_t> Part);
+};
+
+/// Bytes of \p Format's envelope around a \p PayloadSize-byte payload
+/// named by a \p NameSize-byte name.
+size_t envelopeSize(WireFormat Format, size_t NameSize, size_t PayloadSize);
+
+/// Appends \p Format's envelope up to its payload to \p Out, makes room
+/// for the payload and returns where its \p PayloadSize bytes go.  The
+/// caller writes exactly that many bytes there, then calls closeEnvelope:
+/// framing code writes a message body straight into the wire buffer.
+uint8_t *openEnvelope(WireFormat Format, std::string_view Name,
+                      size_t PayloadSize, Bytes &Out);
+/// Finishes the envelope openEnvelope began (NetSoap base64-encodes the
+/// payload in place and closes its tags; the binary formats end with the
+/// payload).
+void closeEnvelope(WireFormat Format, std::string_view Name,
+                   size_t PayloadSize, Bytes &Out);
+
 /// Wraps \p Payload in \p Format's framing.  \p Name is the logical
 /// message/method name carried by the self-describing formats.
 Bytes encodeEnvelope(WireFormat Format, std::string_view Name,
                      const Bytes &Payload);
 
-/// Appends \p Payload's envelope to \p Out -- the allocation-free variant
-/// used on the RPC hot path: \p Out may already hold a prefix (the message
-/// kind byte) and keeps its capacity across calls.
+/// Appends \p Payload's envelope to \p Out, which may already hold a
+/// prefix (the message kind byte).
 void encodeEnvelopeInto(WireFormat Format, std::string_view Name,
                         const Bytes &Payload, Bytes &Out);
 
-/// Parses a buffer produced by encodeEnvelope.
-ErrorOr<Envelope> decodeEnvelope(WireFormat Format, const Bytes &Wire);
+/// Parses (\p Data, \p Size) -- the one decoder per format.  The view is
+/// valid as long as those bytes are.
+ErrorOr<EnvelopeView> decodeEnvelopeView(WireFormat Format,
+                                         const uint8_t *Data, size_t Size);
 
-/// Zero-copy variant: parses directly out of (\p Data, \p Size) -- a view
-/// into the wire buffer -- without materialising a Bytes first.
+/// Parses a buffer produced by encodeEnvelope into an envelope that owns
+/// copies of its name and payload.
+ErrorOr<Envelope> decodeEnvelope(WireFormat Format, const Bytes &Wire);
 ErrorOr<Envelope> decodeEnvelope(WireFormat Format, const uint8_t *Data,
                                  size_t Size);
 
-/// Optional causal-context header an RPC body carries right after its
-/// flags byte when tracing is on (the traceparent analogue of W3C trace
-/// context): the causal id of the call and the id of the operation that
-/// caused it.  Raw u64s so serial stays independent of the trace layer.
-void encodeCausalContext(OutputArchive &Out, uint64_t Ctx, uint64_t Parent);
-/// Reads the header back; false on a truncated buffer.
-bool decodeCausalContext(InputArchive &In, uint64_t &Ctx, uint64_t &Parent);
-
 /// Base64 used by the SOAP formatter (exposed for tests).
 std::string base64Encode(const Bytes &Data);
-/// Appends the encoding to \p Out (the SOAP envelope hot path).
-void base64EncodeInto(const Bytes &Data, Bytes &Out);
 ErrorOr<Bytes> base64Decode(std::string_view Text);
 
 } // namespace parcs::serial

@@ -20,11 +20,11 @@
 #ifndef PARCS_SIM_CHANNEL_H
 #define PARCS_SIM_CHANNEL_H
 
+#include "sim/Ring.h"
 #include "sim/Simulator.h"
 
 #include <cassert>
 #include <coroutine>
-#include <deque>
 #include <limits>
 
 namespace parcs::sim {
@@ -108,8 +108,7 @@ private:
   void pushAndWake(T Item) {
     Items.push_back(std::move(Item));
     if (!RecvWaiters.empty()) {
-      std::coroutine_handle<> Next = RecvWaiters.front();
-      RecvWaiters.pop_front();
+      std::coroutine_handle<> Next = RecvWaiters.pop_front();
       ++ReservedItems;
       Sim.scheduleResume(SimTime(), Next);
     }
@@ -117,11 +116,9 @@ private:
 
   T popAndWake() {
     assert(!Items.empty() && "receive from empty channel");
-    T Item = std::move(Items.front());
-    Items.pop_front();
+    T Item = Items.pop_front();
     if (!SendWaiters.empty()) {
-      std::coroutine_handle<> Next = SendWaiters.front();
-      SendWaiters.pop_front();
+      std::coroutine_handle<> Next = SendWaiters.pop_front();
       ++ReservedSlots;
       Sim.scheduleResume(SimTime(), Next);
     }
@@ -130,9 +127,9 @@ private:
 
   Simulator &Sim;
   size_t Capacity;
-  std::deque<T> Items;
-  std::deque<std::coroutine_handle<>> RecvWaiters;
-  std::deque<std::coroutine_handle<>> SendWaiters;
+  Ring<T> Items;
+  Ring<std::coroutine_handle<>> RecvWaiters;
+  Ring<std::coroutine_handle<>> SendWaiters;
   /// Items promised to receivers that have been woken but not yet resumed.
   size_t ReservedItems = 0;
   /// Slots promised to senders that have been woken but not yet resumed.

@@ -49,18 +49,9 @@ size_t SimKernel::firstOccupiedBucket(size_t From) const {
   return (Word << 6) + size_t(std::countr_zero(Bits));
 }
 
-void SimKernel::EventFifo::grow() {
-  std::vector<EventNode *> Bigger(Slots.size() * 2);
-  for (size_t I = 0; I < Count; ++I)
-    Bigger[I] = Slots[(Head + I) & Mask];
-  Slots = std::move(Bigger);
-  Mask = Slots.size() - 1;
-  Head = 0;
-}
-
 void SimKernel::freeAllNodes() {
   while (!Immediate.empty())
-    delete Immediate.pop();
+    delete Immediate.pop_front();
   for (std::vector<EventNode *> &Bucket : Buckets)
     for (EventNode *Node : Bucket)
       delete Node;
@@ -110,7 +101,7 @@ SimKernel::insertLater(EventNode *Node) {
 void SimKernel::insert(EventNode *Node) {
   notePending();
   if (Node->AtNs == NowNs) {
-    Immediate.push(Node);
+    Immediate.push_back(Node);
     return;
   }
   insertLater(Node);
@@ -184,7 +175,7 @@ SimKernel::EventNode *SimKernel::popEarliest() {
   };
   switch (Src) {
   case FromImmediate:
-    Immediate.pop();
+    Immediate.pop_front();
     break;
   case FromBucket:
     std::pop_heap(Buckets[Idx].begin(), Buckets[Idx].end(), Later);

@@ -28,6 +28,7 @@
 #ifndef PARCS_SIM_SIMKERNEL_H
 #define PARCS_SIM_SIMKERNEL_H
 
+#include "sim/Ring.h"
 #include "sim/SimTime.h"
 #include "support/InlineFunction.h"
 
@@ -172,34 +173,6 @@ private:
   void advanceWindow();
   void freeAllNodes();
 
-  /// Power-of-two ring buffer of event nodes (the immediate lane).
-  class EventFifo {
-  public:
-    EventFifo() : Slots(64), Mask(63) {}
-    bool empty() const { return Count == 0; }
-    size_t size() const { return Count; }
-    EventNode *front() const { return Slots[Head]; }
-    void push(EventNode *Node) {
-      if (Count == Slots.size())
-        grow();
-      Slots[(Head + Count) & Mask] = Node;
-      ++Count;
-    }
-    EventNode *pop() {
-      EventNode *Node = Slots[Head];
-      Head = (Head + 1) & Mask;
-      --Count;
-      return Node;
-    }
-
-  private:
-    void grow();
-    std::vector<EventNode *> Slots;
-    size_t Mask;
-    size_t Head = 0;
-    size_t Count = 0;
-  };
-
   int64_t NowNs = 0;
   uint64_t NextSeq = 0;
 
@@ -207,7 +180,7 @@ private:
   /// NowNs is non-decreasing and Seq is increasing, push order here IS
   /// (time, seq) order, so the head is always this lane's minimum.  Nodes
   /// carrying an earlier-claimed Seq bypass it (insertOrdered).
-  EventFifo Immediate;
+  Ring<EventNode *> Immediate{64};
   /// Near-future buckets; each is a (time, seq) min-heap of node pointers.
   std::vector<std::vector<EventNode *>> Buckets;
   /// One bit per bucket (set = non-empty), so finding the next occupied

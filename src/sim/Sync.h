@@ -15,11 +15,11 @@
 #ifndef PARCS_SIM_SYNC_H
 #define PARCS_SIM_SYNC_H
 
+#include "sim/Ring.h"
 #include "sim/Simulator.h"
 
 #include <cassert>
 #include <coroutine>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -147,8 +147,7 @@ public:
   /// Increments the count or hands the permit to the oldest waiter.
   void release() {
     if (!Waiters.empty()) {
-      std::coroutine_handle<> Next = Waiters.front();
-      Waiters.pop_front();
+      std::coroutine_handle<> Next = Waiters.pop_front();
       // The permit transfers directly to the waiter; Count stays 0.
       Sim.scheduleResume(SimTime(), Next);
       return;
@@ -162,7 +161,7 @@ public:
 private:
   Simulator &Sim;
   int64_t Count;
-  std::deque<std::coroutine_handle<>> Waiters;
+  Ring<std::coroutine_handle<>> Waiters;
 };
 
 /// Mutual exclusion built on a binary semaphore.
@@ -252,7 +251,7 @@ private:
 
   Simulator &Sim;
   int64_t Count = 0;
-  std::deque<std::coroutine_handle<>> Waiters;
+  std::vector<std::coroutine_handle<>> Waiters;
 };
 
 } // namespace parcs::sim

@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 using namespace parcs;
@@ -54,6 +55,24 @@ public:
   vm::Node &Host;
   SimTime Cost;
   int Calls = 0;
+};
+
+/// Echo that answers at the virtual time its int64 argument names, in
+/// microseconds (at once when that is past), without holding a core.
+class UntilEchoHandler : public CallHandler {
+public:
+  explicit UntilEchoHandler(Simulator &Sim) : Sim(Sim) {}
+  sim::Task<ErrorOr<Bytes>> handleCall(std::string_view,
+                                       const Bytes &Args) override {
+    int64_t AtUs = 0;
+    if (!serial::decodeValues(Args, AtUs))
+      co_return Error(ErrorCode::InvalidArgument, "want an int64 time");
+    SimTime At = SimTime::microseconds(AtUs);
+    if (At > Sim.now())
+      co_await Sim.delay(At - Sim.now());
+    co_return Bytes(Args);
+  }
+  Simulator &Sim;
 };
 
 struct FaultWorld {
@@ -249,6 +268,150 @@ TEST(FaultTest, InFlightCountOutlivesUnpublish) {
   EXPECT_TRUE(Out.hasValue());
   EXPECT_EQ(Slow->Calls, 1);
   EXPECT_EQ(W.Server.inFlight("slow"), 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Pending-call table
+//===----------------------------------------------------------------------===//
+
+TEST(FaultTest, ThousandCallsAnsweredInReverseEachGetTheirOwnReply) {
+  // 1,000 calls from one endpoint are pending at once -- the pending table
+  // grows well past its first size, and call ids wrap around its slots --
+  // and the server answers them in reverse issue order.
+  constexpr int Calls = 1000;
+  vm::Cluster Machines(2, vm::VmKind::MonoVm117);
+  net::Network Net(Machines.sim(), 2);
+  const StackProfile &Stack = stackProfile(StackKind::MonoRemotingTcp117);
+  RpcEndpoint Client(Machines.node(0), Net, Stack, 1050);
+  RpcEndpoint Server(Machines.node(1), Net, Stack, 1050,
+                     /*DispatchWorkers=*/Calls);
+  Server.publish("until", std::make_shared<UntilEchoHandler>(Machines.sim()));
+  // Call I is answered at 1 s + (Calls - I) ms: long after every call has
+  // arrived, last issued first.
+  auto AnswerAtUs = [](int I) { return 1'000'000 + int64_t(Calls - I) * 1000; };
+  std::vector<int64_t> Replies(Calls, -1);
+  std::vector<int> Order;
+  struct Proc {
+    static Task<void> run(RpcEndpoint &Client, int I, int64_t AtUs,
+                          std::vector<int64_t> &Replies,
+                          std::vector<int> &Order) {
+      ErrorOr<Bytes> Out = co_await Client.call(1, 1050, "until", "echo",
+                                                serial::encodeValues(AtUs));
+      int64_t Back = -1;
+      if (Out && serial::decodeValues(*Out, Back))
+        Replies[I] = Back;
+      Order.push_back(I);
+    }
+  };
+  for (int I = 0; I < Calls; ++I)
+    Machines.sim().spawn(Proc::run(Client, I, AnswerAtUs(I), Replies, Order));
+  Machines.sim().run();
+  for (int I = 0; I < Calls; ++I)
+    ASSERT_EQ(Replies[I], AnswerAtUs(I)) << "call " << I;
+  std::vector<int> Reversed;
+  for (int I = Calls - 1; I >= 0; --I)
+    Reversed.push_back(I);
+  EXPECT_EQ(Order, Reversed);
+  EXPECT_EQ(Client.stats().RepliesReceived, uint64_t(Calls));
+  EXPECT_EQ(Client.stats().LateReplies, 0u);
+  EXPECT_EQ(Client.stats().MalformedDropped, 0u);
+}
+
+TEST(FaultTest, LateReplyNeverReachesItsSlotsNewerCall) {
+  // Call 1 times out.  Call 4097 shares its home slot in any pending table
+  // of up to 4,096 slots, and is pending when call 1's reply finally
+  // arrives: that reply counts as late, and call 4097 stays pending until
+  // its own reply.
+  FaultWorld W;
+  W.Server.publish("until", std::make_shared<UntilEchoHandler>(W.sim()));
+  ErrorOr<Bytes> First(Bytes{}), Newer(Bytes{});
+  uint64_t LateBeforeNewer = 0;
+  SimTime NewerDoneAt;
+  struct Proc {
+    static Task<void> run(FaultWorld &W, ErrorOr<Bytes> &First,
+                          ErrorOr<Bytes> &Newer, uint64_t &LateBeforeNewer,
+                          SimTime &NewerDoneAt) {
+      // Answered at 5 s, long after its 10 ms deadline.
+      First = co_await W.Client.call(1, 1050, "until", "echo",
+                                     serial::encodeValues(int64_t(5'000'000)),
+                                     ms(10));
+      Bytes Payload = serial::encodeValues(static_cast<int32_t>(7));
+      for (int I = 2; I <= 4096; ++I)
+        (void)co_await W.Client.call(1, 1050, "echo", "echo", Payload);
+      LateBeforeNewer = W.Client.stats().LateReplies;
+      // Answered at 10 s.
+      Newer = co_await W.Client.call(1, 1050, "until", "echo",
+                                     serial::encodeValues(int64_t(10'000'000)));
+      NewerDoneAt = W.sim().now();
+    }
+  };
+  W.sim().spawn(Proc::run(W, First, Newer, LateBeforeNewer, NewerDoneAt));
+  W.sim().run();
+  ASSERT_FALSE(First.hasValue());
+  EXPECT_EQ(First.error().code(), ErrorCode::TimedOut);
+  EXPECT_EQ(LateBeforeNewer, 0u) << "call 1's reply came before call 4097";
+  ASSERT_TRUE(Newer.hasValue());
+  int64_t Back = 0;
+  ASSERT_TRUE(serial::decodeValues(*Newer, Back));
+  EXPECT_EQ(Back, 10'000'000);
+  EXPECT_GE(NewerDoneAt, SimTime::seconds(10));
+  EXPECT_EQ(W.Client.stats().LateReplies, 1u);
+  EXPECT_EQ(W.Client.stats().MalformedDropped, 0u);
+  EXPECT_EQ(W.Client.stats().RepliesReceived, 4096u);
+}
+
+TEST(FaultTest, ReapedCallFrameLeavesNoPendingRecord) {
+  // A call frame destroyed while its reply is outstanding takes its record
+  // out of the pending table, so the call's deadline later fires into an
+  // empty slot.  (A record left behind would be written to and resumed
+  // after its frame is gone -- a use-after-free under the asan-ubsan
+  // preset.)  Nothing reads port 1060, so no reply ever comes and the
+  // deadline timer is the only event left after the reap.
+  FaultWorld W;
+  W.Net.bind(1, 1060);
+  bool Returned = false;
+  struct Proc {
+    static Task<void> run(FaultWorld &W, bool &Returned) {
+      Bytes Payload = serial::encodeValues(static_cast<int32_t>(1));
+      (void)co_await W.Client.call(1, 1060, "echo", "echo", Payload, ms(20));
+      Returned = true;
+    }
+  };
+  W.sim().spawn(Proc::run(W, Returned));
+  W.sim().runUntil(ms(10));
+  EXPECT_EQ(W.Client.deadlineTimers(), 1u);
+  W.sim().reapDetached();
+  W.sim().run();
+  EXPECT_FALSE(Returned);
+  EXPECT_EQ(W.Client.deadlineTimersFired(), 1u);
+  EXPECT_EQ(W.Client.stats().RepliesReceived, 0u);
+}
+
+TEST(FaultTest, CallFrameReapedAfterItsEndpointTouchesNothing) {
+  // runLoadGen's teardown order: the endpoints are destroyed first, then
+  // the simulator reaps the frames still waiting on their replies.  The
+  // reaped call must not reach back into its destroyed endpoint.
+  vm::Cluster Machines(2, vm::VmKind::MonoVm117);
+  net::Network Net(Machines.sim(), 2);
+  auto Client = std::make_unique<RpcEndpoint>(
+      Machines.node(0), Net, stackProfile(StackKind::MonoRemotingTcp117),
+      1050);
+  Net.bind(1, 1060);
+  bool Returned = false;
+  struct Proc {
+    static Task<void> run(RpcEndpoint &Client, bool &Returned) {
+      Bytes Payload = serial::encodeValues(static_cast<int32_t>(1));
+      // Nothing reads port 1060: the call waits forever.
+      (void)co_await Client.call(1, 1060, "echo", "echo", Payload);
+      Returned = true;
+    }
+  };
+  Machines.sim().spawn(Proc::run(*Client, Returned));
+  Machines.sim().run();
+  EXPECT_EQ(Client->stats().CallsIssued, 1u);
+  Client.reset();
+  Machines.sim().reapDetached();
+  EXPECT_FALSE(Returned);
 }
 
 //===----------------------------------------------------------------------===//

@@ -456,6 +456,13 @@ TEST_P(EnvelopeSizeTest, RoundTripsAtEverySize) {
   ASSERT_TRUE(Back.hasValue()) << Back.error().str();
   EXPECT_EQ(Back->Payload, Payload);
   EXPECT_GE(Wire.size(), Payload.size());
+  // Sized up front exactly, and the in-place view hands the payload over
+  // in the buffer it arrived in (SOAP's in the one it decoded into).
+  EXPECT_EQ(Wire.size(), envelopeSize(Format, 5, Payload.size()));
+  auto View = decodeEnvelopeView(Format, Wire.data(), Wire.size());
+  ASSERT_TRUE(View.hasValue()) << View.error().str();
+  EXPECT_EQ(View->Name, Format == WireFormat::MpiPack ? "" : "sweep");
+  EXPECT_EQ(View->adopt(Wire, View->Payload), Payload);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -464,7 +471,7 @@ INSTANTIATE_TEST_SUITE_P(
                                          WireFormat::NetBinary,
                                          WireFormat::JavaStream,
                                          WireFormat::NetSoap),
-                       ::testing::Values(0u, 1u, 3u, 1000u, 65536u)));
+                       ::testing::Values(0u, 1u, 2u, 3u, 1000u, 65536u)));
 
 TEST(EnvelopeTest, OverheadOrderingMatchesStacks) {
   // Framing overhead per call: MPI < NetBinary < JavaStream << NetSoap.
