@@ -49,7 +49,8 @@ sim::Task<Error> PrimeFilterHandler::forward(std::vector<int32_t> Survivors) {
                    Host.sim().now().nanosecondsCount());
   }
   int32_t Seq = ForwardSeq++;
-  co_await static_cast<PrimeFilterProxy &>(*Next).process(Seq, Survivors);
+  co_await static_cast<PrimeFilterProxy &>(*Next).process(Seq,
+                                                         std::move(Survivors));
   co_return Error();
 }
 
@@ -68,7 +69,8 @@ PrimeFilterHandler::processInOrder(std::vector<int32_t> Numbers) {
     co_return Error();
   }
   int64_t BatchStartNs = Host.sim().now().nanosecondsCount();
-  std::vector<int32_t> Survivors;
+  // Survivors are compacted to the front of the batch, in order.
+  size_t Survivors = 0;
   uint64_t BatchTests = 0;
   for (int32_t N : Numbers) {
     bool Composite = false;
@@ -87,8 +89,9 @@ PrimeFilterHandler::processInOrder(std::vector<int32_t> Numbers) {
       Primes.push_back(N);
       continue;
     }
-    Survivors.push_back(N);
+    Numbers[Survivors++] = N;
   }
+  Numbers.resize(Survivors);
   Tests += BatchTests;
   co_await Host.computeWork(
       vm::WorkKind::Integer,
@@ -98,10 +101,35 @@ PrimeFilterHandler::processInOrder(std::vector<int32_t> Numbers) {
                   Host.sim().now().nanosecondsCount() - BatchStartNs);
   Batches.add(1);
   TestsRun.add(BatchTests);
-  if (!Survivors.empty()) {
-    Error E = co_await forward(std::move(Survivors));
+  if (!Numbers.empty()) {
+    Error E = co_await forward(std::move(Numbers));
     if (E)
       co_return E;
+  }
+  co_return Error();
+}
+
+sim::Task<Error> PrimeFilterHandler::process(int32_t Seq,
+                                             std::vector<int32_t> Numbers) {
+  if (Seq != ExpectedSeq) {
+    // Arrived early: hold it in the reorder buffer.
+    Stash[Seq] = std::move(Numbers);
+    co_return Error();
+  }
+  Error E = co_await processInOrder(std::move(Numbers));
+  if (E)
+    co_return E;
+  ++ExpectedSeq;
+  // Drain any stashed successors now in order.
+  auto It = Stash.find(ExpectedSeq);
+  while (It != Stash.end()) {
+    std::vector<int32_t> Stashed = std::move(It->second);
+    Stash.erase(It);
+    Error E2 = co_await processInOrder(std::move(Stashed));
+    if (E2)
+      co_return E2;
+    ++ExpectedSeq;
+    It = Stash.find(ExpectedSeq);
   }
   co_return Error();
 }
@@ -114,26 +142,9 @@ PrimeFilterHandler::handleCall(std::string_view Method,
     std::vector<int32_t> Numbers;
     if (!serial::decodeValues(Args, Seq, Numbers))
       co_return Error(ErrorCode::MalformedMessage, "process args");
-    if (Seq != ExpectedSeq) {
-      // Arrived early: hold it in the reorder buffer.
-      Stash[Seq] = std::move(Numbers);
-      co_return remoting::Bytes{};
-    }
-    Error E = co_await processInOrder(std::move(Numbers));
+    Error E = co_await process(Seq, std::move(Numbers));
     if (E)
       co_return E;
-    ++ExpectedSeq;
-    // Drain any stashed successors now in order.
-    auto It = Stash.find(ExpectedSeq);
-    while (It != Stash.end()) {
-      std::vector<int32_t> Stashed = std::move(It->second);
-      Stash.erase(It);
-      Error E2 = co_await processInOrder(std::move(Stashed));
-      if (E2)
-        co_return E2;
-      ++ExpectedSeq;
-      It = Stash.find(ExpectedSeq);
-    }
     co_return remoting::Bytes{};
   }
   if (Method == "primes")
@@ -182,12 +193,13 @@ parcs::apps::sieve::runSievePipeline(scoopp::ScooppRuntime &Runtime,
   for (int32_t N = 2; N <= Job->MaxN; ++N) {
     Batch.push_back(N);
     if (static_cast<int>(Batch.size()) == Job->BatchSize) {
-      co_await First.process(Seq++, Batch);
+      co_await First.process(Seq++, std::move(Batch));
       Batch.clear();
+      Batch.reserve(static_cast<size_t>(Job->BatchSize));
     }
   }
   if (!Batch.empty())
-    co_await First.process(Seq++, Batch);
+    co_await First.process(Seq++, std::move(Batch));
   co_await First.process(Seq++, {});
   co_await First.flush();
 

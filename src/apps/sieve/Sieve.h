@@ -58,10 +58,15 @@ public:
   sim::Task<ErrorOr<remoting::Bytes>>
   handleCall(std::string_view Method, const remoting::Bytes &Args) override;
 
+  /// Filters batch \p Seq (empty = end of stream), holding it in the
+  /// reorder buffer until every earlier batch has run.
+  sim::Task<Error> process(int32_t Seq, std::vector<int32_t> Numbers);
+
   static constexpr const char *ClassName = "PrimeFilter";
 
 private:
-  /// Runs one in-order batch (empty = end of stream).
+  /// Runs one in-order batch (empty = end of stream); the survivors stay
+  /// in \p Numbers, which moves on to the next filter.
   sim::Task<Error> processInOrder(std::vector<int32_t> Numbers);
   /// Forwards a batch downstream, creating the next filter on first use.
   sim::Task<Error> forward(std::vector<int32_t> Survivors);
@@ -89,8 +94,14 @@ public:
   sim::Task<Error> create() {
     return ProxyBase::create(PrimeFilterHandler::ClassName);
   }
-  /// Asynchronous: filter one sequenced batch (empty batch = EOS).
-  sim::Task<void> process(int32_t Seq, const std::vector<int32_t> &Numbers) {
+  /// Asynchronous: filter one sequenced batch (empty batch = EOS).  An
+  /// agglomerated filter takes the batch itself, with no marshalling.
+  sim::Task<void> process(int32_t Seq, std::vector<int32_t> Numbers) {
+    if (Direct)
+      return invokeLocal<void>(
+          "process", [Io = Direct, Seq, Numbers = std::move(Numbers)]() mutable {
+            return Io->process(Seq, std::move(Numbers));
+          });
     return invokeAsync("process", serial::encodeValues(Seq, Numbers));
   }
   /// Synchronous: primes stored in this filter.
@@ -107,6 +118,14 @@ public:
   }
   /// Synchronous: reference to the next filter (invalid ref if none).
   sim::Task<ErrorOr<scoopp::ParallelRef>> nextRef();
+
+private:
+  void adoptLocal(remoting::CallHandler *Io) override {
+    Direct = dynamic_cast<PrimeFilterHandler *>(Io);
+  }
+
+  /// The agglomerated filter, when there is one.
+  PrimeFilterHandler *Direct = nullptr;
 };
 
 /// Registers the PrimeFilter class backed by \p Job.

@@ -52,49 +52,36 @@ parcs::scoopp::decodePackedCalls(const Bytes &Payload) {
   return Calls;
 }
 
-namespace {
-
-/// Releases a mutex on scope exit (coroutine-safe: runs on frame unwind).
-struct MutexGuard {
-  explicit MutexGuard(sim::Mutex &Lock) : Lock(Lock) {}
-  ~MutexGuard() { Lock.unlock(); }
-  sim::Mutex &Lock;
-};
-
-} // namespace
-
 sim::Task<ErrorOr<Bytes>> ImplAdapter::handleCall(std::string_view Method,
                                                   const Bytes &Args) {
-  // Claim the dispatcher's handed-off context before any suspension: Task
-  // is lazy, so this runs synchronously inside the caller's co_await while
-  // the slot is still ours.
-  uint64_t DispatchCtx = trace::takeHandoff();
-  co_await CallLock.lock();
-  MutexGuard Guard(CallLock);
-  if (startsWith(Method, PackedMethodPrefix)) {
-    std::string Real(Method.substr(std::string_view(PackedMethodPrefix).size()));
-    ErrorOr<std::vector<BufferedCall>> Calls = decodePackedCalls(Args);
-    if (!Calls)
-      co_return Calls.error();
-    // Fig. 7's processN: fetch each invocation from the array structure
-    // and run the original method.  Each buffered call executes under the
-    // causal id of the proxy invocation that produced it, falling back to
-    // the dispatch context for legacy ctx-free payloads.
-    for (const BufferedCall &Call : *Calls) {
-      sim::SimTime Start = Om.runtime().sim().now();
-      ErrorOr<Bytes> Result = co_await Inner->handleCall(Real, Call.Args);
-      noteExecuted(Start, Call.Ctx ? Call.Ctx : DispatchCtx);
-      if (!Result)
-        co_return Result.error();
-    }
-    co_return Bytes{};
+  if (startsWith(Method, PackedMethodPrefix))
+    return serve<ErrorOr<Bytes>>([this, Method, &Args](uint64_t DispatchCtx) {
+      return runPacked(
+          Method.substr(std::string_view(PackedMethodPrefix).size()), Args,
+          DispatchCtx);
+    });
+  return execute(
+      [this, Method, &Args] { return Inner->handleCall(Method, Args); });
+}
+
+sim::Task<ErrorOr<Bytes>> ImplAdapter::runPacked(std::string_view Method,
+                                                 const Bytes &Payload,
+                                                 uint64_t DispatchCtx) {
+  ErrorOr<std::vector<BufferedCall>> Calls = decodePackedCalls(Payload);
+  if (!Calls)
+    co_return Calls.error();
+  // Fig. 7's processN: fetch each invocation from the array structure and
+  // run the original method.  Each buffered call executes under the causal
+  // id of the proxy invocation that produced it, falling back to the
+  // dispatch context for legacy ctx-free payloads.
+  for (const BufferedCall &Call : *Calls) {
+    ErrorOr<Bytes> Result =
+        co_await timed(Call.Ctx ? Call.Ctx : DispatchCtx,
+                       Inner->handleCall(Method, Call.Args));
+    if (!Result)
+      co_return Result.error();
   }
-  // A single call runs in this frame: the inner IO's handler is the only
-  // coroutine below it.
-  sim::SimTime Start = Om.runtime().sim().now();
-  ErrorOr<Bytes> Result = co_await Inner->handleCall(Method, Args);
-  noteExecuted(Start, DispatchCtx);
-  co_return Result;
+  co_return Bytes{};
 }
 
 void ImplAdapter::noteExecuted(sim::SimTime Start, uint64_t ParentCtx) {

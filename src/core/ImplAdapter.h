@@ -14,7 +14,13 @@
 ///    array structure that is constructed on the PO side and fetched from
 ///    the array on the IO side");
 ///  - grain-size feedback: the simulated execution time of each call is
-///    fed to the node's ObjectManager's estimate for the class.
+///    fed to the node's ObjectManager's estimate for the class;
+///  - active-object exclusion: one request runs on the IO at a time.
+///
+/// execute() is the one way a method reaches the IO: remote dispatch
+/// (handleCall) runs the IO's byte-level handler through it, and an
+/// agglomerated object's proxy runs the IO's typed method through it
+/// (ProxyBase::invokeLocal), with no marshalling in between.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,6 +30,9 @@
 #include "core/ObjectManager.h"
 #include "core/Scoopp.h"
 #include "sim/Sync.h"
+#include "support/Trace.h"
+
+#include <coroutine>
 
 namespace parcs::scoopp {
 
@@ -81,7 +90,77 @@ public:
     return Inner->restoreState(In);
   }
 
+  // PARCS_HOT_BEGIN(intra-grain-call): every call on a parallel object,
+  // remote or agglomerated, single or packed, runs through serve() and
+  // Timed; they allocate nothing beyond the pooled frames of the
+  // coroutines they await.
+
+  /// Runs \p Run, a call on inner() returning a sim::Task, as one request:
+  /// under CallLock, so the object serves one request at a time, timed
+  /// into the class's grain estimate and, on traced runs, recorded as a
+  /// scoopp.execute span parented at the causal id the caller handed off
+  /// (trace::handoff).  The task completes with Run's result.
+  template <typename Body> auto execute(Body Run) {
+    using T = typename decltype(Run())::value_type;
+    return serve<T>([this, Run = std::move(Run)](uint64_t ParentCtx) mutable {
+      return timed(ParentCtx, Run());
+    });
+  }
+
 private:
+  /// Releases the lock on scope exit (coroutine-safe: runs on frame
+  /// unwind).
+  struct MutexGuard {
+    explicit MutexGuard(sim::Mutex &Lock) : Lock(Lock) {}
+    ~MutexGuard() { Lock.unlock(); }
+    sim::Mutex &Lock;
+  };
+
+  /// Holds CallLock across one request -- a single call or a packed
+  /// batch -- and completes with what awaiting Run(DispatchCtx) yields.
+  /// The dispatcher's handed-off context is claimed before any
+  /// suspension: Task is lazy, so this runs synchronously inside the
+  /// caller's co_await while the slot is still ours.
+  template <typename T, typename Body> sim::Task<T> serve(Body Run) {
+    uint64_t DispatchCtx = trace::takeHandoff();
+    co_await CallLock.lock();
+    MutexGuard Guard(CallLock);
+    co_return co_await Run(DispatchCtx);
+  }
+
+  /// One method execution, awaited in place so it costs no coroutine
+  /// frame of its own: runs Call to completion, then notes the simulated
+  /// time since Start.
+  template <typename T> struct Timed {
+    ImplAdapter &Self;
+    uint64_t ParentCtx;
+    sim::SimTime Start;
+    sim::Task<T> Call;
+
+    bool await_ready() const noexcept { return false; }
+    std::coroutine_handle<>
+    await_suspend(std::coroutine_handle<> Parent) noexcept {
+      return std::move(Call).operator co_await().await_suspend(Parent);
+    }
+    T await_resume() {
+      T Result = std::move(Call).operator co_await().await_resume();
+      Self.noteExecuted(Start, ParentCtx);
+      return Result;
+    }
+  };
+
+  /// \p Call as one method execution starting now.
+  template <typename T> Timed<T> timed(uint64_t ParentCtx, sim::Task<T> Call) {
+    return {*this, ParentCtx, Om.runtime().sim().now(), std::move(Call)};
+  }
+
+  // PARCS_HOT_END
+
+  /// The packed-call request ("processN" in Fig. 7) for \p Method.
+  sim::Task<ErrorOr<Bytes>> runPacked(std::string_view Method,
+                                      const Bytes &Payload,
+                                      uint64_t DispatchCtx);
+
   /// Bookkeeping after one real call on the inner IO that started at
   /// \p Start: feeds the OM's grain estimate and, on traced runs, emits a
   /// scoopp.execute span parented at \p ParentCtx.

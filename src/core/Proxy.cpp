@@ -54,16 +54,29 @@ void ProxyBase::recordCreateDecision(bool Agglomerated) {
                  static_cast<int64_t>(S.RemoteCreations));
 }
 
-remoting::RemoteHandle ProxyBase::remoteHandle() {
+uint64_t ProxyBase::beginInvoke() {
+  uint64_t InvokeCtx = trace::mintCausalId();
+  if (InvokeCtx)
+    trace::instantCtx(Home, 0, "scoopp.invoke",
+                      node().sim().now().nanosecondsCount(), InvokeCtx, 0);
+  return InvokeCtx;
+}
+
+void ProxyBase::noteLocalAsyncFailure(std::string_view Method,
+                                      const Error &Failure) {
+  PARCS_LOG(Warn, "local async call '" << Class << "." << Method
+                                       << "' failed: " << Failure.str());
+}
+
+const ParallelRef &ProxyBase::route() {
   // Live migration moves objects underneath their proxies; the runtime's
   // route table records each move, and the proxy absorbs the relocation
   // here so subsequent calls go straight to the new home (stragglers that
   // raced a cutover are still forwarded by the source's tombstone).
-  ParallelRef Now = Runtime.resolveRoute(Ref);
-  if (!(Now == Ref))
-    Ref = std::move(Now);
-  return remoting::RemoteHandle(Runtime.endpoint(Home), Ref.Node,
-                                Runtime.config().Port, Ref.Name);
+  const ParallelRef &Now = Runtime.resolveRoute(Ref);
+  if (Now != Ref)
+    Ref = Now;
+  return Ref;
 }
 
 sim::Task<Error> ProxyBase::create(std::string ClassName) {
@@ -83,6 +96,7 @@ sim::Task<Error> ProxyBase::create(std::string ClassName) {
       co_return Made.error();
     Ref = ParallelRef{Home, Made->first};
     Local = Made->second;
+    adoptLocal(&Local->inner());
     ++Runtime.stats().LocalCreations;
     recordCreateDecision(/*Agglomerated=*/true);
     co_return Error();
@@ -169,35 +183,24 @@ void ProxyBase::bind(std::string ClassName, ParallelRef ExistingRef) {
 
 sim::Task<void> ProxyBase::invokeAsync(std::string Method, Bytes Args) {
   assert(Ref.valid() && "invoking through an uncreated proxy");
+  if (Local) {
+    co_await invokeLocal<void>(Method, [&Io = Local->inner(), &Method, &Args] {
+      return Io.handleCall(Method, Args);
+    });
+    co_return;
+  }
   // Root of this invocation's causal chain: every downstream span
   // (aggregation, wire, dispatch, execution) parents back to InvokeCtx.
   // 0 when tracing is off, which makes all the plumbing below vanish.
-  uint64_t InvokeCtx = trace::mintCausalId();
-  if (InvokeCtx)
-    trace::instantCtx(Home, 0, "scoopp.invoke",
-                      node().sim().now().nanosecondsCount(), InvokeCtx, 0);
-  if (Local) {
-    // Intra-grain: "its subsequent (asynchronous parallel) method
-    // invocations are actually executed synchronously and serially"
-    // (call b in Fig. 3).
-    co_await node().compute(calib::ProxyLocalCallCost);
-    ++Runtime.stats().LocalCalls;
-    if (InvokeCtx)
-      trace::handoff(InvokeCtx);
-    ErrorOr<Bytes> Result = co_await Local->handleCall(Method, Args);
-    if (!Result)
-      PARCS_LOG(Warn, "local async call '" << Class << "." << Method
-                                           << "' failed: "
-                                           << Result.error().str());
-    co_return;
-  }
-
+  uint64_t InvokeCtx = beginInvoke();
   co_await node().compute(calib::ProxyRemoteCallCost);
   ++Runtime.stats().RemoteAsyncCalls;
   int Factor = Runtime.om(Home).aggregationFactor(Class);
   if (Factor <= 1) {
-    co_await remoteHandle().invokeOneWay(std::move(Method), std::move(Args),
-                                         InvokeCtx);
+    const ParallelRef &To = route();
+    co_await Runtime.endpoint(Home).callOneWay(
+        To.Node, Runtime.config().Port, To.Name, std::move(Method),
+        std::move(Args), InvokeCtx);
     co_return;
   }
   // Method call aggregation: "(delay and) combine a series of
@@ -221,27 +224,29 @@ sim::Task<void> ProxyBase::invokeAsync(std::string Method, Bytes Args) {
 sim::Task<ErrorOr<Bytes>> ProxyBase::invokeSync(std::string Method,
                                                 Bytes Args) {
   assert(Ref.valid() && "invoking through an uncreated proxy");
+  if (Local) {
+    // Nothing is ever buffered for a local object: aggregation applies to
+    // remote calls only.
+    assert(PendingOrder.empty() && "aggregated calls on a local object");
+    co_return co_await invokeLocal<ErrorOr<Bytes>>(
+        Method, [&Io = Local->inner(), &Method, &Args] {
+          return Io.handleCall(Method, Args);
+        });
+  }
   // Program order: everything buffered must leave before a synchronous
   // call observes state.
   if (!PendingOrder.empty())
     co_await flush();
-  uint64_t InvokeCtx = trace::mintCausalId();
-  if (InvokeCtx)
-    trace::instantCtx(Home, 0, "scoopp.invoke",
-                      node().sim().now().nanosecondsCount(), InvokeCtx, 0);
-  if (Local) {
-    co_await node().compute(calib::ProxyLocalCallCost);
-    ++Runtime.stats().LocalCalls;
-    if (InvokeCtx)
-      trace::handoff(InvokeCtx);
-    ErrorOr<Bytes> Result = co_await Local->handleCall(Method, Args);
-    co_return Result;
-  }
+  uint64_t InvokeCtx = beginInvoke();
   co_await node().compute(calib::ProxyRemoteCallCost);
   ++Runtime.stats().RemoteSyncCalls;
-  ErrorOr<Bytes> Result = co_await remoteHandle().invoke(
-      std::move(Method), std::move(Args), InvokeCtx);
-  // Feed the health tracker: a transport error (even after the handle's
+  // callReliable applies the endpoint's retry policy; with the default
+  // (disabled) policy it is exactly one plain call, same wire bytes.
+  const ParallelRef &To = route();
+  ErrorOr<Bytes> Result = co_await Runtime.endpoint(Home).callReliable(
+      To.Node, Runtime.config().Port, To.Name, std::move(Method),
+      std::move(Args), InvokeCtx);
+  // Feed the health tracker: a transport error (even after the endpoint's
   // retries) counts against the hosting node; anything else proves it up.
   if (Result)
     Runtime.noteCallOutcome(Ref.Node, true);
@@ -272,6 +277,8 @@ sim::Task<Error> ProxyBase::destroy() {
   ParallelRef Victim = Ref;
   Ref = ParallelRef();
   bool WasLocal = Local != nullptr;
+  if (WasLocal)
+    adoptLocal(nullptr);
   Local = nullptr;
   if (WasLocal || Victim.Node == Home) {
     // Local IO: the PO destroys it directly.
@@ -310,11 +317,12 @@ sim::Task<void> ProxyBase::shipPacked(std::string Method,
     trace::counter(Home, "scoopp.packed_calls", NowNs,
                    static_cast<int64_t>(Runtime.stats().PackedCalls));
   }
+  const ParallelRef &To = route();
   if (Calls.size() == 1) {
     // No point wrapping a single call.
-    co_await remoteHandle().invokeOneWay(std::move(Method),
-                                         std::move(Calls.front().Args),
-                                         Calls.front().Ctx);
+    co_await Runtime.endpoint(Home).callOneWay(
+        To.Node, Runtime.config().Port, To.Name, std::move(Method),
+        std::move(Calls.front().Args), Calls.front().Ctx);
     co_return;
   }
   // The aggregate message itself is parented at the last buffered call
@@ -325,6 +333,7 @@ sim::Task<void> ProxyBase::shipPacked(std::string Method,
   metrics::Registry::global()
       .histogram("scoopp.packed_msg_bytes")
       .record(static_cast<int64_t>(Payload.size()));
-  co_await remoteHandle().invokeOneWay(PackedMethodPrefix + Method,
-                                       std::move(Payload), ShipCtx);
+  co_await Runtime.endpoint(Home).callOneWay(
+      To.Node, Runtime.config().Port, To.Name, PackedMethodPrefix + Method,
+      std::move(Payload), ShipCtx);
 }

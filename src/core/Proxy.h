@@ -22,6 +22,12 @@
 /// invocation that, under method-call aggregation, is buffered and later
 /// shipped as one packed message.
 ///
+/// invokeLocal() is the intra-grain call of an agglomerated object: a
+/// plain synchronous call of the IO's typed method, with no marshalling.
+/// Typed proxies use it for the methods they can call directly; the
+/// byte-level invokeAsync()/invokeSync() use it when their object is
+/// local.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PARCS_CORE_PROXY_H
@@ -29,11 +35,25 @@
 
 #include "core/ImplAdapter.h"
 #include "core/Scoopp.h"
+#include "vm/Calibration.h"
 
 #include <map>
+#include <type_traits>
 #include <vector>
 
 namespace parcs::scoopp {
+
+namespace detail {
+/// The failure an intra-grain call's result carries, or null: typed IO
+/// methods return a plain value, an Error or an ErrorOr.
+inline const Error *failureOf(const Error &Result) {
+  return Result ? &Result : nullptr;
+}
+template <typename T> const Error *failureOf(const ErrorOr<T> &Result) {
+  return Result ? nullptr : &Result.error();
+}
+template <typename T> const Error *failureOf(const T &) { return nullptr; }
+} // namespace detail
 
 /// Base of all generated proxy (PO) classes.
 class ProxyBase {
@@ -94,6 +114,42 @@ public:
   /// Buffered (not yet shipped) aggregated calls.
   size_t pendingCalls() const;
 
+protected:
+  /// Called with the inner IO when create() agglomerates the object, and
+  /// with null when destroy() releases it.  A typed proxy checks the IO's
+  /// class here, once, so that its direct calls need no per-call check.
+  virtual void adoptLocal(CallHandler *Io) { (void)Io; }
+
+  // PARCS_HOT_BEGIN(intra-grain-call): an agglomerated object's calls.
+
+  /// The intra-grain call ("its subsequent (asynchronous parallel) method
+  /// invocations are actually executed synchronously and serially", call b
+  /// in Fig. 3): charges ProxyLocalCallCost, counts the call and hands its
+  /// causal id to the local IO, which runs \p Run -- a call on the IO that
+  /// returns a sim::Task -- under its lock (ImplAdapter::execute).  A
+  /// synchronous call (\p Ret an ErrorOr) returns Run's result; an
+  /// asynchronous one (\p Ret void) logs a failure under \p Method's name,
+  /// as invokeAsync does.  Requires isLocal().
+  template <typename Ret, typename Body>
+  sim::Task<Ret> invokeLocal(std::string_view Method, Body Run) {
+    assert(Local && "intra-grain call without a local IO");
+    uint64_t InvokeCtx = beginInvoke();
+    co_await node().compute(calib::ProxyLocalCallCost);
+    ++Runtime.stats().LocalCalls;
+    if (InvokeCtx)
+      trace::handoff(InvokeCtx);
+    auto Result = co_await Local->execute(std::move(Run));
+    if constexpr (std::is_void_v<Ret>) {
+      if (const Error *Failure = detail::failureOf(Result))
+        noteLocalAsyncFailure(Method, *Failure);
+      co_return;
+    } else {
+      co_return std::move(Result);
+    }
+  }
+
+  // PARCS_HOT_END
+
 private:
   template <typename Ret>
   static sim::Task<ErrorOr<Ret>>
@@ -109,9 +165,15 @@ private:
     co_return Value;
   }
 
+  /// Mints the invocation's causal id (0 on untraced runs), the root of
+  /// every span the call causes, and marks it with a scoopp.invoke instant.
+  uint64_t beginInvoke();
+  void noteLocalAsyncFailure(std::string_view Method, const Error &Failure);
   sim::Task<void> shipPacked(std::string Method,
                              std::vector<BufferedCall> Calls);
-  remoting::RemoteHandle remoteHandle();
+  /// The object's current home: absorbs a migration into Ref, then
+  /// returns it.
+  const ParallelRef &route();
   /// Trace/metrics record of one agglomerate-vs-parallel grain decision.
   void recordCreateDecision(bool Agglomerated);
 
@@ -119,8 +181,8 @@ private:
   int Home;
   std::string Class;
   ParallelRef Ref;
-  /// Non-null when the IO is local (direct dispatch path).
-  std::shared_ptr<CallHandler> Local;
+  /// Non-null when the IO is agglomerated (the intra-grain path).
+  std::shared_ptr<ImplAdapter> Local;
   /// Aggregation buffers, one per method, in insertion order per method.
   /// Each buffered call keeps the causal id minted at its invokeAsync, so
   /// aggregation never collapses causality.

@@ -211,11 +211,11 @@ void ScooppRuntime::noteMigrated(const ParallelRef &From,
   for (auto &[Origin, Current] : Routes)
     if (Current == From)
       Current = To;
-  Routes[{From.Node, From.Name}] = To;
+  Routes[From] = To;
 }
 
-ParallelRef ScooppRuntime::resolveRoute(const ParallelRef &Ref) const {
-  auto It = Routes.find({Ref.Node, Ref.Name});
+const ParallelRef &ScooppRuntime::resolveRoute(const ParallelRef &Ref) const {
+  auto It = Routes.find(Ref);
   return It == Routes.end() ? Ref : It->second;
 }
 
@@ -229,7 +229,7 @@ ObjectManager &ScooppRuntime::om(int Node) {
   return *Oms[static_cast<size_t>(Node)];
 }
 
-ErrorOr<std::pair<std::string, std::shared_ptr<CallHandler>>>
+ErrorOr<std::pair<std::string, std::shared_ptr<ImplAdapter>>>
 ScooppRuntime::instantiateImpl(int Node, const std::string &ClassName) {
   const ParallelClassInfo *Info = Registry.lookup(ClassName);
   if (!Info)
@@ -242,6 +242,5 @@ ScooppRuntime::instantiateImpl(int Node, const std::string &ClassName) {
   std::string Name = "io:" + ClassName + ":" + std::to_string(Id);
   endpoint(Node).publish(Name, Adapter);
   PARCS_LOG(Debug, "scoopp: created " << Name << " on node " << Node);
-  return std::make_pair(std::move(Name),
-                        std::static_pointer_cast<CallHandler>(Adapter));
+  return std::make_pair(std::move(Name), std::move(Adapter));
 }

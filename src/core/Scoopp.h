@@ -52,6 +52,7 @@ using remoting::Bytes;
 using remoting::CallHandler;
 using remoting::RpcEndpoint;
 
+class ImplAdapter;
 class ObjectManager;
 class ScooppRuntime;
 
@@ -182,9 +183,9 @@ struct ParallelRef {
     return decode(In, Out) && In.atEnd();
   }
 
-  friend bool operator==(const ParallelRef &A, const ParallelRef &B) {
-    return A.Node == B.Node && A.Name == B.Name;
-  }
+  bool operator==(const ParallelRef &) const = default;
+  /// By node, then name (the route table's key order).
+  auto operator<=>(const ParallelRef &) const = default;
 };
 
 //===----------------------------------------------------------------------===//
@@ -224,9 +225,9 @@ public:
 
   /// Instantiates an IO of \p ClassName on \p Node: builds the user impl,
   /// wraps it in ImplAdapter, publishes it under a fresh unique name and
-  /// returns (published name, handler).  Used by the per-node factories
+  /// returns (published name, adapter).  Used by the per-node factories
   /// and by the proxy's agglomerated-creation path.
-  ErrorOr<std::pair<std::string, std::shared_ptr<CallHandler>>>
+  ErrorOr<std::pair<std::string, std::shared_ptr<ImplAdapter>>>
   instantiateImpl(int Node, const std::string &ClassName);
 
   ScooppStats &stats() { return Stats; }
@@ -282,10 +283,10 @@ public:
   /// collapsed so every lookup stays one hop.
   void noteMigrated(const ParallelRef &From, const ParallelRef &To);
 
-  /// Follows the route table: the current home of \p Ref (identity when
-  /// it never migrated).  Proxies refresh their cached refs through this,
-  /// which is how callers never observe a move.
-  ParallelRef resolveRoute(const ParallelRef &Ref) const;
+  /// Follows the route table: the current home of \p Ref (\p Ref itself
+  /// when it never migrated).  Proxies refresh their cached refs through
+  /// this, which is how callers never observe a move.
+  const ParallelRef &resolveRoute(const ParallelRef &Ref) const;
 
   /// Name under which each node's factory is published ("factory.soap" in
   /// the paper's Fig. 5/6).
@@ -308,8 +309,8 @@ private:
   /// Backpressure: sim time of the last Overloaded refusal per node
   /// (-1 = never / cleared by a success).
   std::vector<int64_t> SaturatedAtNs;
-  /// Migration route table: origin (node, name) -> current home.
-  std::map<std::pair<int, std::string>, ParallelRef> Routes;
+  /// Migration route table: origin -> current home.
+  std::map<ParallelRef, ParallelRef> Routes;
   ScooppStats Stats;
   Rng Random;
 };

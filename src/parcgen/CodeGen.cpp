@@ -68,6 +68,14 @@ std::string paramList(const MethodDecl &Method, bool Proxy) {
   return Out;
 }
 
+/// True when any parameter is a passive object graph.
+bool hasPassiveParam(const MethodDecl &Method) {
+  for (const ParamDecl &Param : Method.Params)
+    if (Param.Type.isPassive())
+      return true;
+  return false;
+}
+
 /// Argument expressions for the proxy's encodeValues call: passive
 /// parameters travel as encoded graphs.
 std::string proxyArgExprs(const MethodDecl &Method) {
@@ -182,11 +190,6 @@ void emitPassiveBodies(std::ostringstream &Os, const ClassDecl &Class) {
 
 void emitSkeleton(std::ostringstream &Os, const ClassDecl &Class) {
   std::string Skel = Class.Name + "Skeleton";
-  bool AnyPassive = false;
-  for (const MethodDecl &Method : Class.Methods)
-    for (const ParamDecl &Param : Method.Params)
-      AnyPassive |= Param.Type.isPassive();
-  (void)AnyPassive;
 
   Os << "/// Abstract implementation-object (IO) base for parallel class\n";
   Os << "/// " << Class.Name << ".  Derive, implement the methods, and\n";
@@ -202,10 +205,7 @@ void emitSkeleton(std::ostringstream &Os, const ClassDecl &Class) {
     Os << "  /// " << (Method.Kind == MethodKind::Async ? "Asynchronous"
                                                         : "Synchronous")
        << " method '" << Method.Name << "'.";
-    bool HasPassive = false;
-    for (const ParamDecl &Param : Method.Params)
-      HasPassive |= Param.Type.isPassive();
-    if (HasPassive)
+    if (hasPassiveParam(Method))
       Os << "  Passive parameters are\n  /// decoded copies owned by the "
             "call (valid until the method returns).";
     Os << "\n";
@@ -300,8 +300,31 @@ void emitSkeleton(std::ostringstream &Os, const ClassDecl &Class) {
 // Proxy (PO side)
 //===----------------------------------------------------------------------===//
 
+/// The direct branch of a proxy method: when the object is agglomerated,
+/// call the skeleton's method itself, the arguments copied once into the
+/// call and moved from there.  \p Ret is invokeLocal's result type.
+void emitDirectBranch(std::ostringstream &Os, const MethodDecl &Method,
+                      const std::string &Ret) {
+  Os << "    if (Local_)\n";
+  Os << "      return invokeLocal<" << Ret << ">(\"" << Method.Name
+     << "\", [Io_ = Local_";
+  for (const ParamDecl &Param : Method.Params)
+    Os << ", " << Param.Name;
+  Os << "]() mutable {\n";
+  Os << "        return Io_->" << Method.Name << "(";
+  for (size_t I = 0; I < Method.Params.size(); ++I)
+    Os << (I ? ", " : "") << "std::move(" << Method.Params[I].Name << ")";
+  Os << ");\n";
+  Os << "      });\n";
+}
+
 void emitProxy(std::ostringstream &Os, const ClassDecl &Class) {
   std::string Proxy = Class.Name + "Proxy";
+  // Methods with passive parameters always marshal: pass-by-value of an
+  // object graph is its encode/decode copy.
+  bool AnyDirect = false;
+  for (const MethodDecl &Method : Class.Methods)
+    AnyDirect |= !hasPassiveParam(Method);
   Os << "/// Proxy object (PO) for parallel class " << Class.Name << ".\n";
   Os << "class " << Proxy << " : public parcs::scoopp::ProxyBase {\n";
   Os << "public:\n";
@@ -315,10 +338,13 @@ void emitProxy(std::ostringstream &Os, const ClassDecl &Class) {
   Os << "  }\n";
   for (const MethodDecl &Method : Class.Methods) {
     Os << "\n";
+    bool Direct = !hasPassiveParam(Method);
     if (Method.Kind == MethodKind::Async) {
       Os << "  /// Asynchronous (aggregation-aware) invocation.\n";
       Os << "  parcs::sim::Task<void> " << Method.Name << "("
          << paramList(Method, /*Proxy=*/true) << ") {\n";
+      if (Direct)
+        emitDirectBranch(Os, Method, "void");
       Os << "    return invokeAsync(\"" << Method.Name
          << "\", parcs::serial::encodeValues(" << proxyArgExprs(Method)
          << "));\n";
@@ -329,11 +355,22 @@ void emitProxy(std::ostringstream &Os, const ClassDecl &Class) {
     Os << "  parcs::sim::Task<parcs::ErrorOr<"
        << Method.ReturnType.cppType() << ">> " << Method.Name << "("
        << paramList(Method, /*Proxy=*/true) << ") {\n";
+    if (Direct)
+      emitDirectBranch(Os, Method,
+                       "parcs::ErrorOr<" + Method.ReturnType.cppType() + ">");
     Os << "    return invokeSyncTyped<" << Method.ReturnType.cppType()
        << ">(\"" << Method.Name << "\""
        << (Method.Params.empty() ? "" : ", ") << proxyArgExprs(Method)
        << ");\n";
     Os << "  }\n";
+  }
+  if (AnyDirect) {
+    Os << "\nprivate:\n";
+    Os << "  void adoptLocal(parcs::remoting::CallHandler *Io) override {\n";
+    Os << "    Local_ = dynamic_cast<" << Class.Name << "Skeleton *>(Io);\n";
+    Os << "  }\n\n";
+    Os << "  /// The agglomerated IO, when there is one.\n";
+    Os << "  " << Class.Name << "Skeleton *Local_ = nullptr;\n";
   }
   Os << "};\n\n";
 }

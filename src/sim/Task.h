@@ -196,6 +196,8 @@ struct PromiseBase : DetachedLink {
 /// A lazy coroutine returning T (default void).  Move-only.
 template <typename T = void> class [[nodiscard]] Task {
 public:
+  using value_type = T;
+
   struct promise_type : detail::PromiseBase {
     std::optional<T> Result;
 
@@ -263,6 +265,8 @@ private:
 /// Specialisation for tasks that produce no value.
 template <> class [[nodiscard]] Task<void> {
 public:
+  using value_type = void;
+
   struct promise_type : detail::PromiseBase {
     Task get_return_object() {
       return Task(std::coroutine_handle<promise_type>::from_promise(*this));

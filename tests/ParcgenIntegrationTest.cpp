@@ -70,19 +70,31 @@ public:
     co_return Unit();
   }
 
+  /// Counts the calls that arrive marshalled.
+  sim::Task<ErrorOr<remoting::Bytes>>
+  handleCall(std::string_view Method, const remoting::Bytes &Args) override {
+    ++Marshalled;
+    return AccumulatorSkeleton::handleCall(Method, Args);
+  }
+  inline static int Marshalled = 0;
+
   int32_t Sum = 0;
   scoopp::ParallelRef SelfRef;
   scoopp::ParallelRef LastPeer;
 };
 
 struct GenWorld {
-  GenWorld()
+  explicit GenWorld(scoopp::ScooppConfig Config = scoopp::ScooppConfig())
       : Machines(3, vm::VmKind::MonoVm117), Net(Machines.sim(), 3),
-        Runtime(Machines, Net, [] {
-          scoopp::ParallelClassRegistry Registry;
-          parcstest::gen::registerAccumulatorClass<AccumulatorImpl>(Registry);
-          return Registry;
-        }()) {}
+        Runtime(
+            Machines, Net,
+            [] {
+              scoopp::ParallelClassRegistry Registry;
+              parcstest::gen::registerAccumulatorClass<AccumulatorImpl>(
+                  Registry);
+              return Registry;
+            }(),
+            Config) {}
 
   Simulator &sim() { return Machines.sim(); }
 
@@ -184,6 +196,63 @@ TEST(ParcgenIntegrationTest, GeneratedAsyncCallsAggregate) {
   scoopp::ScooppConfig Config; // Unused here; default world.
   W.sim().spawn(Proc::run(W));
   W.sim().run();
+}
+
+/// Drives one Accumulator through every method without passive
+/// parameters and records each result as text.
+struct Script {
+  bool Local = false;
+  std::vector<std::string> Results;
+
+  static Task<void> run(GenWorld &W, Script &Out) {
+    AccumulatorProxy P(W.Runtime, 0);
+    Error E = co_await P.create();
+    EXPECT_FALSE(E) << E.str();
+    Out.Local = P.isLocal();
+    co_await P.add(5);
+    std::vector<int32_t> More = {1, 2, 3};
+    co_await P.addMany(More);
+    co_await P.note(P.ref());
+    co_await P.flush();
+    auto Total = co_await P.total();
+    Out.Results.push_back(Total ? std::to_string(*Total) : Total.error().str());
+    auto Text = co_await P.describe("sum=", true);
+    Out.Results.push_back(Text ? *Text : Text.error().str());
+    auto Scaled = co_await P.scale(0.25);
+    Out.Results.push_back(Scaled ? std::to_string(*Scaled)
+                                 : Scaled.error().str());
+    auto Big = co_await P.big(1LL << 40);
+    Out.Results.push_back(Big ? std::to_string(*Big) : Big.error().str());
+    auto Self = co_await P.self();
+    Out.Results.push_back(Self ? std::to_string(Self->valid())
+                               : Self.error().str());
+  }
+};
+
+TEST(ParcgenIntegrationTest, AgglomeratedProxyCallsSkeletonDirectly) {
+  AccumulatorImpl::Marshalled = 0;
+  GenWorld Remote;
+  Script Far;
+  Remote.sim().spawn(Script::run(Remote, Far));
+  Remote.sim().run();
+  EXPECT_FALSE(Far.Local);
+  EXPECT_EQ(AccumulatorImpl::Marshalled, 8);
+
+  AccumulatorImpl::Marshalled = 0;
+  scoopp::ScooppConfig Config;
+  Config.Grain.AgglomerateObjects = true;
+  GenWorld Agglomerated(Config);
+  Script Near;
+  Agglomerated.sim().spawn(Script::run(Agglomerated, Near));
+  Agglomerated.sim().run();
+  EXPECT_TRUE(Near.Local);
+  EXPECT_EQ(AccumulatorImpl::Marshalled, 0) << "a local call marshalled";
+  EXPECT_EQ(Agglomerated.Runtime.stats().LocalCalls, 8u);
+
+  EXPECT_EQ(Near.Results, Far.Results);
+  EXPECT_EQ(Near.Results,
+            (std::vector<std::string>{"11", "SUM=11", std::to_string(2.75),
+                                      std::to_string(1LL << 41), "0"}));
 }
 
 TEST(ParcgenIntegrationTest, GeneratedDispatchRejectsUnknownMethod) {

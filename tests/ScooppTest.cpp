@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace parcs;
 using namespace parcs::scoopp;
 using namespace parcs::sim;
@@ -78,12 +80,119 @@ public:
   }
 };
 
+/// A counter with typed methods: an agglomerated object's proxy calls them
+/// directly, and the byte-level handler decodes into them.
+class TypedCounterImpl : public CallHandler {
+public:
+  explicit TypedCounterImpl(vm::Node &Host) : Host(Host) {}
+
+  sim::Task<Error> add(int32_t Value) {
+    co_await Host.compute(us(2));
+    Sum += Value;
+    co_return Error();
+  }
+  sim::Task<int32_t> total() {
+    co_await Host.compute(us(1));
+    co_return Sum;
+  }
+  /// Occupies the object for \p Micros, recording how many calls overlap.
+  sim::Task<Unit> hold(int64_t Micros) {
+    MaxActive = std::max(MaxActive, ++Active);
+    co_await Host.compute(us(Micros));
+    --Active;
+    co_return Unit();
+  }
+  /// Sums \p Values, then overwrites its own copy of them.
+  sim::Task<int32_t> sumAndClobber(std::vector<int32_t> Values) {
+    int32_t Total = 0;
+    for (int32_t &Value : Values) {
+      Total += Value;
+      Value = -1;
+    }
+    Values.push_back(0);
+    co_return Total;
+  }
+
+  sim::Task<ErrorOr<Bytes>> handleCall(std::string_view Method,
+                                       const Bytes &Args) override {
+    ++Marshalled;
+    if (Method == "add") {
+      int32_t Value = 0;
+      if (!serial::decodeValues(Args, Value))
+        co_return Error(ErrorCode::MalformedMessage, "add args");
+      Error E = co_await add(Value);
+      if (E)
+        co_return E;
+      co_return Bytes{};
+    }
+    if (Method == "total")
+      co_return serial::encodeValues(co_await total());
+    co_return Error(ErrorCode::UnknownMethod, std::string(Method));
+  }
+
+  int32_t Sum = 0;
+  int Active = 0;
+  int MaxActive = 0;
+  /// Calls that arrived through the byte-level handler.
+  int Marshalled = 0;
+
+private:
+  vm::Node &Host;
+};
+
+/// A typed proxy for TypedCounterImpl, as parcgen would emit it, plus a
+/// switch that forces the marshalled path on a local object.
+class TypedCounterProxy : public ProxyBase {
+public:
+  static constexpr const char *ClassName = "TypedCounter";
+  using ProxyBase::ProxyBase;
+
+  sim::Task<Error> create() { return ProxyBase::create(ClassName); }
+  sim::Task<void> add(int32_t Value, bool Marshal = false) {
+    if (Direct && !Marshal)
+      return invokeLocal<void>(
+          "add", [Io = Direct, Value] { return Io->add(Value); });
+    return invokeAsync("add", serial::encodeValues(Value));
+  }
+  sim::Task<ErrorOr<int32_t>> total(bool Marshal = false) {
+    if (Direct && !Marshal)
+      return invokeLocal<ErrorOr<int32_t>>(
+          "total", [Io = Direct] { return Io->total(); });
+    return invokeSyncTyped<int32_t>("total");
+  }
+  sim::Task<ErrorOr<Unit>> hold(int64_t Micros) {
+    return invokeLocal<ErrorOr<Unit>>(
+        "hold", [Io = Direct, Micros] { return Io->hold(Micros); });
+  }
+  sim::Task<ErrorOr<int32_t>>
+  sumAndClobber(const std::vector<int32_t> &Values) {
+    return invokeLocal<ErrorOr<int32_t>>(
+        "sumAndClobber", [Io = Direct, Values]() mutable {
+          return Io->sumAndClobber(std::move(Values));
+        });
+  }
+
+  /// The agglomerated IO (null unless the object is local).
+  TypedCounterImpl *impl() { return Direct; }
+
+private:
+  void adoptLocal(CallHandler *Io) override {
+    Direct = dynamic_cast<TypedCounterImpl *>(Io);
+  }
+  TypedCounterImpl *Direct = nullptr;
+};
+
 ParallelClassRegistry makeRegistry() {
   ParallelClassRegistry Registry;
   Registry.registerClass(
       {"Counter",
        [](ScooppRuntime &, vm::Node &Host) -> std::shared_ptr<CallHandler> {
          return std::make_shared<CounterImpl>(Host);
+       }});
+  Registry.registerClass(
+      {TypedCounterProxy::ClassName,
+       [](ScooppRuntime &, vm::Node &Host) -> std::shared_ptr<CallHandler> {
+         return std::make_shared<TypedCounterImpl>(Host);
        }});
   return Registry;
 }
@@ -721,6 +830,119 @@ TEST(ScooppConcurrencyTest, ManyNodesHammerOneObjectWithoutLostUpdates) {
   W.sim().run();
   ASSERT_TRUE(Total.hasValue());
   EXPECT_EQ(*Total, 4 * PerDriver * (PerDriver + 1) / 2);
+}
+
+//===----------------------------------------------------------------------===//
+// Direct intra-grain calls
+//===----------------------------------------------------------------------===//
+
+ScooppConfig agglomerating() {
+  ScooppConfig Config;
+  Config.Grain.AgglomerateObjects = true;
+  return Config;
+}
+
+/// What one run of twenty adds and a total on an agglomerated counter
+/// leaves behind.
+struct CounterRun {
+  int64_t EndNs = -1;
+  uint64_t Events = 0;
+  uint64_t LocalCalls = 0;
+  int64_t GrainNs = -1;
+  int32_t Total = -1;
+  int Marshalled = -1;
+};
+
+CounterRun runTypedCounter(bool Marshal) {
+  ScooppWorld W(agglomerating());
+  CounterRun Out;
+  struct Proc {
+    static Task<void> run(ScooppWorld &W, bool Marshal, CounterRun &Out) {
+      TypedCounterProxy P(W.Runtime, 0);
+      (void)co_await P.create();
+      EXPECT_TRUE(P.isLocal());
+      for (int32_t I = 1; I <= 20; ++I)
+        co_await P.add(I, Marshal);
+      ErrorOr<int32_t> Total = co_await P.total(Marshal);
+      if (Total)
+        Out.Total = *Total;
+      Out.Marshalled = P.impl()->Marshalled;
+    }
+  };
+  W.sim().spawn(Proc::run(W, Marshal, Out));
+  W.sim().run();
+  Out.EndNs = W.sim().now().nanosecondsCount();
+  Out.Events = W.sim().eventsProcessed();
+  Out.LocalCalls = W.Runtime.stats().LocalCalls;
+  Out.GrainNs = W.Runtime.om(0)
+                    .grainEstimator(TypedCounterProxy::ClassName)
+                    .average()
+                    .nanosecondsCount();
+  return Out;
+}
+
+TEST(ScooppDirectCallTest, DirectAndMarshalledCallsAgree) {
+  CounterRun Direct = runTypedCounter(/*Marshal=*/false);
+  CounterRun Marshalled = runTypedCounter(/*Marshal=*/true);
+  EXPECT_EQ(Direct.Marshalled, 0) << "the direct path marshalled";
+  EXPECT_EQ(Marshalled.Marshalled, 21);
+  EXPECT_EQ(Direct.Total, 210);
+  EXPECT_EQ(Marshalled.Total, 210);
+  EXPECT_EQ(Direct.LocalCalls, 21u);
+  EXPECT_EQ(Direct.EndNs, Marshalled.EndNs);
+  EXPECT_EQ(Direct.Events, Marshalled.Events);
+  EXPECT_EQ(Direct.LocalCalls, Marshalled.LocalCalls);
+  EXPECT_GT(Direct.GrainNs, 0);
+  EXPECT_EQ(Direct.GrainNs, Marshalled.GrainNs);
+}
+
+TEST(ScooppDirectCallTest, OverlappingDirectCallsRunOneAtATime) {
+  ScooppWorld W(agglomerating());
+  int MaxActive = -1;
+  int Finished = 0;
+  struct Proc {
+    static Task<void> caller(TypedCounterProxy &P, sim::WaitGroup &Done,
+                             int &Finished) {
+      ErrorOr<Unit> Held = co_await P.hold(10);
+      EXPECT_TRUE(Held.hasValue());
+      ++Finished;
+      Done.done();
+    }
+    static Task<void> run(ScooppWorld &W, int &MaxActive, int &Finished) {
+      TypedCounterProxy P(W.Runtime, 0);
+      (void)co_await P.create();
+      sim::WaitGroup Done(W.sim());
+      Done.add(2);
+      W.sim().spawn(caller(P, Done, Finished));
+      W.sim().spawn(caller(P, Done, Finished));
+      co_await Done.wait();
+      MaxActive = P.impl()->MaxActive;
+    }
+  };
+  W.sim().spawn(Proc::run(W, MaxActive, Finished));
+  W.sim().run();
+  EXPECT_EQ(Finished, 2);
+  EXPECT_EQ(MaxActive, 1) << "two direct calls ran on the object at once";
+}
+
+TEST(ScooppDirectCallTest, CalleeMutationLeavesCallerArgumentUnchanged) {
+  ScooppWorld W(agglomerating());
+  std::vector<int32_t> Mine = {1, 2, 3};
+  ErrorOr<int32_t> Sum = Error(ErrorCode::RemoteFault, "not run");
+  struct Proc {
+    static Task<void> run(ScooppWorld &W, std::vector<int32_t> &Mine,
+                          ErrorOr<int32_t> &Sum) {
+      TypedCounterProxy P(W.Runtime, 0);
+      (void)co_await P.create();
+      Sum = co_await P.sumAndClobber(Mine);
+      EXPECT_EQ(P.impl()->Marshalled, 0);
+    }
+  };
+  W.sim().spawn(Proc::run(W, Mine, Sum));
+  W.sim().run();
+  ASSERT_TRUE(Sum.hasValue());
+  EXPECT_EQ(*Sum, 6);
+  EXPECT_EQ(Mine, (std::vector<int32_t>{1, 2, 3}));
 }
 
 //===----------------------------------------------------------------------===//
