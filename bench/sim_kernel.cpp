@@ -280,12 +280,12 @@ int main(int argc, char **argv) {
   printRow(bestOf(Reps, [&] { return benchScheduleResume(ResumeTotal); }),
            "resumes/s");
 
-  // Ceilings at today's counts.  A plane-off echo call runs 15 events
-  // (15.04 at --smoke, where start-up is spread over fewer calls) with at
+  // Ceilings at today's counts.  A plane-off echo call runs 11 events
+  // (11.04 at --smoke, where start-up is spread over fewer calls) with at
   // most 7 pending; the telemetry plane adds 1.7 events per call and one
   // pending event.
-  Ceilings PlaneOff{.PeakQueueDepth = 7, .EventsPerCall = 15.1};
-  Ceilings PlaneOn{.PeakQueueDepth = 8, .EventsPerCall = 16.8};
+  Ceilings PlaneOff{.PeakQueueDepth = 7, .EventsPerCall = 11.1};
+  Ceilings PlaneOn{.PeakQueueDepth = 8, .EventsPerCall = 12.8};
   RowResult Tcp = benchRpc("rpc-tcp", remoting::StackKind::MonoRemotingTcp117,
                            RpcCalls, PlaneOff);
   printRow(Tcp, "calls/s");

@@ -182,10 +182,15 @@ void ScooppRuntime::noteOverloaded(int Node) {
   if (Node < 0 || Node >= static_cast<int>(SaturatedAtNs.size()))
     return;
   // The deterministic load-shed residue the experiments read.
-  metrics::Registry::global().counter("om.calls_shed").add(1);
+  if (!CallsShed)
+    CallsShed = &metrics::Registry::global().counter("om.calls_shed");
+  CallsShed->add(1);
   int64_t NowNs = sim().now().nanosecondsCount();
   if (!nodeSaturated(Node)) {
-    metrics::Registry::global().counter("om.node_saturated").add(1);
+    if (!NodesSaturated)
+      NodesSaturated =
+          &metrics::Registry::global().counter("om.node_saturated");
+    NodesSaturated->add(1);
     trace::instant(Node, 0, "om.node_saturated", NowNs);
     PARCS_LOG(Info, "scoopp: node " << Node
                                     << " saturated (admission refusals)");

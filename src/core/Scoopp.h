@@ -309,6 +309,10 @@ private:
   /// Backpressure: sim time of the last Overloaded refusal per node
   /// (-1 = never / cleared by a success).
   std::vector<int64_t> SaturatedAtNs;
+  /// The om.calls_shed and om.node_saturated counters, looked up at the
+  /// first refusal (so a run without one reports neither).
+  metrics::Counter *CallsShed = nullptr;
+  metrics::Counter *NodesSaturated = nullptr;
   /// Migration route table: origin -> current home.
   std::map<ParallelRef, ParallelRef> Routes;
   ScooppStats Stats;

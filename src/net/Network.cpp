@@ -31,13 +31,11 @@ Network::Network(sim::Simulator &Sim, int NodeCount, NetConfig Config)
   assert(NodeCount > 0 && "network needs at least one node");
   assert(Config.LinkBitsPerSecond > 0 && "link rate must be positive");
   assert(Config.MaxSegmentBytes > 0 && "MSS must be positive");
-  Nics.reserve(static_cast<size_t>(NodeCount));
-  for (int I = 0; I < NodeCount; ++I)
-    Nics.push_back(std::make_unique<Nic>(Sim));
+  Nics.resize(static_cast<size_t>(NodeCount));
 }
 
 sim::Channel<Message> *Network::findPort(int NodeId, int Port) const {
-  for (const auto &[Bound, Chan] : Nics[static_cast<size_t>(NodeId)]->Ports)
+  for (const auto &[Bound, Chan] : Nics[static_cast<size_t>(NodeId)].Ports)
     if (Bound == Port)
       return Chan.get();
   return nullptr;
@@ -47,7 +45,7 @@ sim::Channel<Message> &Network::bind(int NodeId, int Port) {
   assert(NodeId >= 0 && NodeId < nodeCount() && "bind: bad node id");
   if (sim::Channel<Message> *Chan = findPort(NodeId, Port))
     return *Chan;
-  auto &Ports = Nics[static_cast<size_t>(NodeId)]->Ports;
+  auto &Ports = Nics[static_cast<size_t>(NodeId)].Ports;
   Ports.emplace_back(Port, std::make_unique<sim::Channel<Message>>(Sim));
   return *Ports.back().second;
 }
@@ -76,6 +74,10 @@ sim::SimTime Network::firstPacketTime(size_t PayloadBytes) const {
                     static_cast<size_t>(Config.FrameOverheadBytes));
 }
 
+// PARCS_HOT_BEGIN(net-message): every message is sent, reserved and
+// delivered here in one event, with no coroutine frame; the per-NIC queues
+// reuse their slots.
+
 void Network::send(int Src, int Dst, int Port, std::vector<uint8_t> Payload,
                    uint64_t TraceCtx) {
   assert(Src >= 0 && Src < nodeCount() && "send: bad source node");
@@ -94,7 +96,7 @@ void Network::send(int Src, int Dst, int Port, std::vector<uint8_t> Payload,
   Msg.Port = Port;
   Msg.Id = NextMessageId++;
   // Loopback skips the fabric, so the sender's context passes through
-  // unchanged; transfer() replaces it with the net.wire node's id.
+  // unchanged; arrive() replaces it with the net.wire node's id.
   Msg.TraceCtx = TraceCtx;
   Msg.Payload = std::move(Payload);
   if (Src == Dst) {
@@ -120,24 +122,32 @@ void Network::send(int Src, int Dst, int Port, std::vector<uint8_t> Payload,
     Sim.schedule(sim::SimTime(), std::move(Deliver));
     return;
   }
-  Sim.spawn(transfer(std::move(Msg)));
-}
-
-sim::Task<void> Network::transfer(Message Msg) {
-  Nic &Tx = *Nics[static_cast<size_t>(Msg.Src)];
-  Nic &Rx = *Nics[static_cast<size_t>(Msg.Dst)];
 
   // The async span covers queueing on the source NIC through delivery (or
   // drop); the in-flight series is the fabric's queue depth over time.
   int64_t EnqueueNs = Sim.now().nanosecondsCount();
-  trace::asyncBegin(Msg.Src, "net.transfer", EnqueueNs, Msg.Id);
+  trace::asyncBegin(Src, "net.transfer", EnqueueNs, Msg.Id);
   ++InFlight;
   if (InFlight > PeakInFlight)
     PeakInFlight = InFlight;
   trace::counter(-1, "net.in_flight", EnqueueNs, InFlight);
 
-  co_await Tx.TxSlot.acquire();
+  Nic &Tx = Nics[static_cast<size_t>(Src)];
+  if (Tx.TxQueue.empty() && Tx.TxFreeAt <= Sim.now()) {
+    transmit(std::move(Msg), EnqueueNs);
+    return;
+  }
+  // Busy uplink: wait in FIFO order.  The head of the queue starts in the
+  // slot reserved for the instant the current transmission ends.
+  if (Tx.TxQueue.empty())
+    Sim.scheduleAtReserved(Tx.TxFreeAt, Tx.TxFreeSeq,
+                           [this, Src] { uplinkFreed(Src); });
+  Tx.TxQueue.push_back(Queued{std::move(Msg), EnqueueNs});
+}
 
+void Network::transmit(Message Msg, int64_t EnqueueNs) {
+  Nic &Tx = Nics[static_cast<size_t>(Msg.Src)];
+  Nic &Rx = Nics[static_cast<size_t>(Msg.Dst)];
   sim::SimTime Wire = wireTime(Msg.Payload.size());
   sim::SimTime TxStart = Sim.now();
 
@@ -160,14 +170,34 @@ sim::Task<void> Network::transfer(Message Msg) {
   sim::SimTime RxDone = RxStart + Wire;
   Rx.RxFreeAt = RxDone;
 
-  // Occupy our uplink for the transmit time, then free it for the next
-  // message queued on this node.
-  co_await Sim.delay(Wire);
-  Tx.TxSlot.release();
+  // Occupy the uplink for the transmit time.  A message queued behind
+  // this one starts in the slot a wake-up scheduled now would take.
+  Tx.TxFreeAt = TxStart + Wire;
+  Tx.TxFreeSeq = Sim.reserveSeq();
 
-  // Wait until the last packet has drained through the receiver's port.
-  if (RxDone > Sim.now())
-    co_await Sim.delay(RxDone - Sim.now());
+  // The last packet drains through the receiver's port at RxDone.  That
+  // is after every earlier reservation on this downlink, so the arrival
+  // callbacks pop in the FIFO's order.
+  int Dst = Msg.Dst;
+  Rx.Arrivals.push_back(Reserved{std::move(Msg), RxDone.nanosecondsCount(),
+                                 TxStart.nanosecondsCount(), QueueCtx});
+  Sim.scheduleAt(RxDone, [this, Dst] { arrive(Dst); });
+}
+
+void Network::uplinkFreed(int Src) {
+  Nic &Tx = Nics[static_cast<size_t>(Src)];
+  Queued Next = Tx.TxQueue.pop_front();
+  transmit(std::move(Next.Msg), Next.EnqueueNs);
+  if (!Tx.TxQueue.empty())
+    Sim.scheduleAtReserved(Tx.TxFreeAt, Tx.TxFreeSeq,
+                           [this, Src] { uplinkFreed(Src); });
+}
+
+void Network::arrive(int Dst) {
+  Reserved R = Nics[static_cast<size_t>(Dst)].Arrivals.pop_front();
+  Message &Msg = R.Msg;
+  int64_t DoneNs = Sim.now().nanosecondsCount();
+  assert(R.ArriveNs == DoneNs && "downlink arrivals out of FIFO order");
 
   size_t Mss = static_cast<size_t>(Config.MaxSegmentBytes);
   size_t Packets =
@@ -177,7 +207,6 @@ sim::Task<void> Network::transfer(Message Msg) {
   Frames += Packets;
 
   --InFlight;
-  int64_t DoneNs = Sim.now().nanosecondsCount();
   trace::counter(-1, "net.in_flight", DoneNs, InFlight);
   trace::asyncEnd(Msg.Src, "net.transfer", DoneNs, Msg.Id);
 
@@ -185,8 +214,8 @@ sim::Task<void> Network::transfer(Message Msg) {
   // Delivery below hands the wire node's id to the dispatcher.
   if (trace::enabled()) {
     uint64_t WireCtx = trace::mintCausalId();
-    trace::completeCtx(Msg.Src, 0, "net.wire", TxStart.nanosecondsCount(),
-                       DoneNs - TxStart.nanosecondsCount(), WireCtx, QueueCtx);
+    trace::completeCtx(Msg.Src, 0, "net.wire", R.TxStartNs,
+                       DoneNs - R.TxStartNs, WireCtx, R.QueueCtx);
     Msg.TraceCtx = WireCtx;
   }
 
@@ -196,19 +225,33 @@ sim::Task<void> Network::transfer(Message Msg) {
   if (Config.DropEveryNth > 0 &&
       TransferCount % static_cast<uint64_t>(Config.DropEveryNth) == 0) {
     ++Dropped;
-    trace::instant(Msg.Dst, 0, "net.drop", Sim.now().nanosecondsCount());
+    trace::instant(Msg.Dst, 0, "net.drop", DoneNs);
     LogNodeScope Scope(Msg.Dst);
     PARCS_LOG(Debug, "net: dropped msg " << Msg.Id << " (fault injection)");
-    co_return;
+    return;
   }
 
   // Seeded fault injection (src/fault): extra latency first, then the
-  // delivery verdict.  The hook owns its own trace/metric emission; the
-  // fabric only accounts the drop.
+  // delivery verdict.
   if (Hook) {
     sim::SimTime Extra = Hook->extraLatency(Msg.Src, Msg.Dst);
-    if (Extra > sim::SimTime())
-      co_await Sim.delay(Extra);
+    if (Extra > sim::SimTime()) {
+      auto Late = [this, Msg = std::move(Msg)]() mutable {
+        deliver(std::move(Msg));
+      };
+      static_assert(sim::EventCallback::fitsInline<decltype(Late)>(),
+                    "a delayed delivery must not heap-allocate its event");
+      Sim.schedule(Extra, std::move(Late));
+      return;
+    }
+  }
+  deliver(std::move(Msg));
+}
+
+void Network::deliver(Message Msg) {
+  // The hook owns its own trace/metric emission; the fabric only accounts
+  // the drop.
+  if (Hook) {
     FaultHook::Verdict V = Hook->onDeliver(Msg.Src, Msg.Dst, Msg.Payload);
     if (V != FaultHook::Verdict::Deliver) {
       ++Dropped;
@@ -217,7 +260,7 @@ sim::Task<void> Network::transfer(Message Msg) {
       PARCS_LOG(Debug, "net: fault-dropped msg " << Msg.Id << " ("
                                                  << static_cast<int>(V)
                                                  << ")");
-      co_return;
+      return;
     }
   }
 
@@ -234,3 +277,5 @@ sim::Task<void> Network::transfer(Message Msg) {
   sim::Channel<Message> &Port = bind(Msg.Dst, Msg.Port);
   Port.trySend(std::move(Msg));
 }
+
+// PARCS_HOT_END

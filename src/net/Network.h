@@ -23,14 +23,23 @@
 /// Messages carry real bytes; the protocol stacks above put their actual
 /// envelopes in the payload, so wire sizes are honest.
 ///
+/// A message costs one simulator event, at its last packet's arrival, and
+/// no coroutine frame.  Each NIC keeps its uplink as explicit state (the
+/// time it frees and a FIFO of messages waiting for it) and its downlink
+/// as the time it frees plus a FIFO of messages reserved on it.  A message
+/// that finds its uplink idle reserves the receiver's downlink when it is
+/// sent; a queued one starts, and only then reserves, in one callback at
+/// the time its uplink frees.  Reservations on one downlink never overlap,
+/// so its arrivals pop in FIFO order.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PARCS_NET_NETWORK_H
 #define PARCS_NET_NETWORK_H
 
 #include "sim/Channel.h"
+#include "sim/Ring.h"
 #include "sim/Simulator.h"
-#include "sim/Sync.h"
 #include "vm/Calibration.h"
 
 #include <cstdint>
@@ -120,8 +129,8 @@ public:
   bool isBound(int NodeId, int Port) const;
 
   /// Queues \p Payload for transmission from \p Src to (\p Dst, \p Port).
-  /// Non-suspending; the transfer proceeds in virtual time and the message
-  /// appears on the destination channel when the last packet arrives.
+  /// Non-suspending; the message appears on the destination channel when
+  /// its last packet arrives (plus any fault-hook latency).
   /// The destination port must already be bound.  \p TraceCtx is the
   /// sender's causal id; the fabric chains net.queue/net.wire DAG nodes
   /// under it and delivers the final id in Message::TraceCtx.
@@ -153,13 +162,33 @@ public:
   FaultHook *faultHook() const { return Hook; }
 
 private:
+  /// A message waiting for its source's uplink, and when it was sent.
+  struct Queued {
+    Message Msg;
+    int64_t EnqueueNs = 0;
+  };
+  /// A message reserved on its receiver's downlink: when it arrives, when
+  /// it started transmitting and its net.queue causal id (0 untraced).
+  struct Reserved {
+    Message Msg;
+    int64_t ArriveNs = 0;
+    int64_t TxStartNs = 0;
+    uint64_t QueueCtx = 0;
+  };
+
   struct Nic {
-    explicit Nic(sim::Simulator &Sim) : TxSlot(Sim, 1) {}
-    /// Serialises transmissions out of this node, FIFO.
-    sim::Semaphore TxSlot;
-    /// When this node's receive downlink becomes free (virtual-time
-    /// bookkeeping; reservations are made at transmit start).
+    /// When the uplink finishes its current transmission, and the event
+    /// slot reserved for that instant: a message queued behind it starts
+    /// in that slot.
+    sim::SimTime TxFreeAt;
+    uint64_t TxFreeSeq = 0;
+    /// Messages waiting for the uplink, in send order.
+    sim::Ring<Queued> TxQueue;
+    /// When this node's receive downlink becomes free (reservations are
+    /// made at transmit start).
     sim::SimTime RxFreeAt;
+    /// Messages reserved on the downlink, in arrival order.
+    sim::Ring<Reserved> Arrivals;
     /// Ports bound on this node and their delivery channels.  A node binds
     /// a handful, so a scan of this flat table is the whole lookup.
     std::vector<std::pair<int, std::unique_ptr<sim::Channel<Message>>>>
@@ -169,12 +198,21 @@ private:
   /// The channel bound to (\p NodeId, \p Port), or null.
   sim::Channel<Message> *findPort(int NodeId, int Port) const;
 
-  sim::Task<void> transfer(Message Msg);
+  /// Puts \p Msg on its source's idle uplink now: reserves the receiver's
+  /// downlink and schedules the arrival.
+  void transmit(Message Msg, int64_t EnqueueNs);
+  /// The uplink of node \p Src frees: its oldest queued message starts.
+  void uplinkFreed(int Src);
+  /// The last packet of the oldest message reserved on \p Dst's downlink
+  /// arrives: account it, then apply the fault hook and deliver.
+  void arrive(int Dst);
+  /// Applies the fault hook's verdict and delivers \p Msg.
+  void deliver(Message Msg);
   sim::SimTime packetTime(size_t Bytes) const;
 
   sim::Simulator &Sim;
   NetConfig Config;
-  std::vector<std::unique_ptr<Nic>> Nics;
+  std::vector<Nic> Nics;
   uint64_t NextMessageId = 1;
   uint64_t Delivered = 0;
   uint64_t PayloadBytes = 0;

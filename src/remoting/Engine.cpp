@@ -88,21 +88,6 @@ void appendHttpResponseHeader(Bytes &Out, size_t ContentLength) {
 /// SOAPAction stays comfortably under this).
 constexpr size_t MaxHttpHeaderBytes = 320;
 
-/// Extracts the server's retry-after hint from an ErrorCode::Overloaded
-/// message ("... retry-after=<N>ns"); 0 when absent or unparsable.
-int64_t parseRetryAfterNs(const std::string &Message) {
-  constexpr std::string_view Tag = "retry-after=";
-  size_t Pos = Message.find(Tag);
-  if (Pos == std::string::npos)
-    return 0;
-  int64_t Value = 0;
-  const char *First = Message.data() + Pos + Tag.size();
-  if (std::from_chars(First, Message.data() + Message.size(), Value).ec !=
-      std::errc())
-    return 0;
-  return Value;
-}
-
 } // namespace
 
 CallHandler::~CallHandler() = default;
@@ -388,7 +373,7 @@ sim::Task<ErrorOr<Bytes>>
 RpcEndpoint::issue(int DstNode, int DstPort, std::string_view ObjectName,
                    std::string_view Method, std::span<const uint8_t> Args,
                    sim::SimTime Timeout, uint64_t ParentCtx,
-                   uint64_t DedupId) {
+                   uint64_t DedupId, uint64_t *RetryAfterNs) {
   // The round trip's causal identity: minted here, carried in the body's
   // optional context header, restored server-side.  0 (and absent from
   // the wire) when tracing is off.
@@ -410,7 +395,7 @@ RpcEndpoint::issue(int DstNode, int DstPort, std::string_view ObjectName,
   trace::asyncBeginCtx(Host.id(), "rpc.call", IssuedNs, SpanId, H.Ctx,
                        ParentCtx);
 
-  PendingCall Reply(*this, H.CallId, H.Ctx);
+  PendingCall Reply(*this, H.CallId, H.Ctx, RetryAfterNs);
 
   // Client-side marshalling + channel sink cost, then hand to the NIC.
   co_await Host.compute(sideCost(Wire.size()));
@@ -438,8 +423,8 @@ RpcEndpoint::issue(int DstNode, int DstPort, std::string_view ObjectName,
 }
 
 RpcEndpoint::PendingCall::PendingCall(RpcEndpoint &Endpoint, uint64_t CallId,
-                                      uint64_t Ctx)
-    : Owner(&Endpoint), CallId(CallId), Ctx(Ctx) {
+                                      uint64_t Ctx, uint64_t *RetryAfterNs)
+    : Owner(&Endpoint), CallId(CallId), Ctx(Ctx), RetryAfterNs(RetryAfterNs) {
   Endpoint.Pending.insert(this);
 }
 
@@ -596,10 +581,12 @@ sim::Task<ErrorOr<Bytes>> RpcEndpoint::callReliable(int DstNode, int DstPort,
   int Attempt = 1;
   int OverloadWaits = 0;
   for (;;) {
-    // Every attempt borrows this frame's name, method and arguments.
+    // Every attempt borrows this frame's name, method and arguments; a
+    // refusal hands its retry-after hint back through HintNs.
+    uint64_t HintNs = 0;
     ErrorOr<Bytes> Result =
         co_await issue(DstNode, DstPort, ObjectName, Method, Args, Deadline,
-                       ParentCtx, DedupId);
+                       ParentCtx, DedupId, &HintNs);
     if (Result)
       co_return Result;
     ErrorCode Code = Result.error().code();
@@ -623,9 +610,9 @@ sim::Task<ErrorOr<Bytes>> RpcEndpoint::callReliable(int DstNode, int DstPort,
       ++Stats.OverloadDeferred;
       trace::instant(Host.id(), 0, "rpc.overload_wait",
                      Host.sim().now().nanosecondsCount());
-      int64_t HintNs = parseRetryAfterNs(Result.error().message());
       sim::SimTime Wait =
-          HintNs > 0 ? sim::SimTime::nanoseconds(HintNs) : Backoff;
+          HintNs > 0 ? sim::SimTime::nanoseconds(static_cast<int64_t>(HintNs))
+                     : Backoff;
       co_await Host.sim().delay(Wait);
       continue;
     }
@@ -828,10 +815,16 @@ void RpcEndpoint::handleReturn(Bytes &Frame, std::span<const uint8_t> Content,
   }
   // PARCS_HOT_END
   if (Status == StatusOverloaded) {
-    // Admission refusal: surface the server's retry-after hint in the
-    // message so callReliable() can honour it (and callers can log it).
+    // Admission refusal: a callReliable() attempt takes the server's
+    // retry-after hint as a number; a plain call's caller reads it in the
+    // error text.
     uint64_t RetryAfterNs = 0;
     Body.read(RetryAfterNs);
+    if (Call->RetryAfterNs) {
+      *Call->RetryAfterNs = RetryAfterNs;
+      complete(*Call, Error(ErrorCode::Overloaded, "overloaded"));
+      return;
+    }
     complete(*Call, Error(ErrorCode::Overloaded,
                           "server overloaded; retry-after=" +
                               std::to_string(RetryAfterNs) + "ns"));
@@ -1102,10 +1095,13 @@ sim::Task<void> RpcEndpoint::handleCallInner(net::Message Msg,
     co_return;
   }
   // The record is looked up while the name still sits in the frame;
-  // then the arguments take the frame over, which ends the views.
+  // then the arguments take the frame over, which ends the views.  From
+  // there on the name is the record's own key; only a call for a name
+  // with no record copies it, for its error text.
   auto RecIt = Names.find(NameView);
   NameRecord *Rec = RecIt == Names.end() ? nullptr : &RecIt->second;
-  std::string ObjectName(NameView);
+  std::string UnknownName(Rec ? std::string_view() : NameView);
+  std::string_view ObjectName = Rec ? RecIt->first : UnknownName;
   std::string Method(MethodView);
   Bytes Args = Env->adopt(Msg.Payload, ArgsView);
   // PARCS_HOT_END
@@ -1197,28 +1193,37 @@ sim::Task<void> RpcEndpoint::handleCallInner(net::Message Msg,
     if (ServeCtx)
       trace::handoff(ServeCtx);
     // Executing-call count per name: migration drains this to zero after
-    // parking, so state capture never races a running method.  Re-found
-    // after the call: a restart or an unpublish may have dropped the
-    // record while the handler ran.
+    // parking, so state capture never races a running method.  The count
+    // keeps the record, and the key ObjectName views, alive through the
+    // call -- unpublish and other calls only drop idle records -- except
+    // across a crash: restart settles the counts of the handlers the
+    // crash killed and drops idle records, so a handler that resumes in a
+    // later epoch leaves the record alone.
+    uint64_t Epoch = Host.epoch();
     ++Rec->InFlight;
     Result = co_await (*Target)->handleCall(Method, Args);
-    auto After = Names.find(ObjectName);
-    if (After != Names.end() && After->second.InFlight > 0) {
-      --After->second.InFlight;
-      if (After->second.idle())
-        Names.erase(After);
-    }
     if (ServeCtx)
       trace::handoff(0);
+    if (Host.epoch() != Epoch) {
+      Rec = nullptr;
+      ObjectName = "(crashed)";
+    }
+  }
+
+  if (!TwoWay && !Result) {
+    LogNodeScope Scope(Host.id());
+    PARCS_LOG(Warn, "one-way call '" << ObjectName << "." << Method
+                                     << "' faulted: "
+                                     << Result.error().str());
+  }
+  // Last use of ObjectName: the record may go now.
+  if (Target && Rec) {
+    --Rec->InFlight;
+    if (Rec->idle())
+      Names.erase(RecIt);
   }
 
   if (!TwoWay) {
-    if (!Result) {
-      LogNodeScope Scope(Host.id());
-      PARCS_LOG(Warn, "one-way call '" << ObjectName << "." << Method
-                                       << "' faulted: "
-                                       << Result.error().str());
-    }
     trace::completeCtx(Host.id(), 0, "rpc.serve", ServeStartNs,
                        Host.sim().now().nanosecondsCount() - ServeStartNs,
                        ServeCtx, H.Ctx);

@@ -433,7 +433,8 @@ private:
   /// destructor clears Owner on every record it still holds, so a frame
   /// reaped after its endpoint is gone touches nothing.
   struct PendingCall {
-    PendingCall(RpcEndpoint &Endpoint, uint64_t CallId, uint64_t Ctx);
+    PendingCall(RpcEndpoint &Endpoint, uint64_t CallId, uint64_t Ctx,
+                uint64_t *RetryAfterNs);
     PendingCall(const PendingCall &) = delete;
     PendingCall &operator=(const PendingCall &) = delete;
     ~PendingCall();
@@ -449,6 +450,10 @@ private:
     /// The causal id minted at issue (so the reply links back into the
     /// DAG).
     uint64_t Ctx;
+    /// Where an admission refusal's retry-after hint goes, as a number,
+    /// for a callReliable() attempt; null for a plain call, whose error
+    /// text carries the hint instead.
+    uint64_t *RetryAfterNs;
     std::coroutine_handle<> Waiter;
     std::optional<ErrorOr<Bytes>> Result;
   };
@@ -510,12 +515,14 @@ private:
   /// A two-way call after the connect check: the body of call() and of
   /// each callReliable() attempt.  Borrows its names and arguments from
   /// the awaiting frame, and is done with them before it first suspends.
+  /// A non-null \p RetryAfterNs receives an admission refusal's hint.
   sim::Task<ErrorOr<Bytes>> issue(int DstNode, int DstPort,
                                   std::string_view ObjectName,
                                   std::string_view Method,
                                   std::span<const uint8_t> Args,
                                   sim::SimTime Timeout, uint64_t ParentCtx,
-                                  uint64_t DedupId);
+                                  uint64_t DedupId,
+                                  uint64_t *RetryAfterNs = nullptr);
 
   sim::Task<void> dispatchLoop();
   /// \p RecvNs is when the dispatch loop pulled the message off the wire

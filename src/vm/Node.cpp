@@ -14,68 +14,81 @@
 using namespace parcs;
 using namespace parcs::vm;
 
-// PARCS_HOT_BEGIN(cpu-charge): every call path charges the CPU a few
-// times; a single free slice must cost one callback event and nothing else.
+// PARCS_HOT_BEGIN(cpu-charge): every call path charges the CPU several
+// times; a charge costs one callback per slice plus one per core
+// hand-over, and allocates nothing.
 
-std::coroutine_handle<> Node::Charge::await_suspend(
-    std::coroutine_handle<> Awaiting) {
+void Node::Charge::await_suspend(std::coroutine_handle<> Awaiting) {
   if (!Owner.Alive)
-    return std::noop_coroutine(); // compute() on a down node parks.
-  if (CpuTime <= Owner.Quantum && Owner.CoreSlots.tryAcquire()) {
-    ++Owner.Runnable;
-    Caller = Awaiting;
-    auto Finish = [this] { finishSlice(); };
-    static_assert(sim::EventCallback::fitsInline<decltype(Finish)>(),
-                  "a CPU charge must not heap-allocate its event");
-    Owner.Sim.schedule(CpuTime, Finish);
-    return std::noop_coroutine();
+    return; // compute() on a down node parks.
+  Caller = Awaiting;
+  ++Owner.Runnable;
+  if (Owner.FreeCores > 0) {
+    --Owner.FreeCores;
+    startSlice();
+    return;
   }
-  Slow = Owner.chargeSlices(CpuTime, Checked);
-  return std::move(Slow).operator co_await().await_suspend(Awaiting);
+  Owner.Waiting.push_back(this);
+}
+
+void Node::Charge::startSlice() {
+  auto End = [this] { finishSlice(); };
+  static_assert(sim::EventCallback::fitsInline<decltype(End)>(),
+                "a CPU slice must not heap-allocate its event");
+  Owner.Sim.schedule(slice(), End);
 }
 
 void Node::Charge::finishSlice() {
   Node &N = Owner;
   bool Up = N.Alive;
   // Crashed mid-slice: the partial slice's work is lost, not billed.
-  if (Up)
-    N.Busy += CpuTime;
-  N.CoreSlots.release();
-  --N.Runnable;
+  if (Up) {
+    N.Busy += slice();
+    Remaining -= slice();
+  }
+  if (!Up || Remaining <= sim::SimTime()) {
+    N.releaseCore();
+    finish(Up);
+    return;
+  }
+  if (N.Waiting.empty()) {
+    startSlice();
+    return;
+  }
+  // Yield the core between slices so equal threads round-robin.
+  N.releaseCore();
+  N.Waiting.push_back(this);
+}
+
+void Node::Charge::takeCore() {
+  if (Owner.Alive) {
+    startSlice();
+    return;
+  }
+  // The node crashed while this charge queued: the core goes back unused,
+  // so restarted work is not starved by dead holders.
+  Owner.releaseCore();
+  finish(false);
+}
+
+void Node::Charge::finish(bool Up) {
+  --Owner.Runnable;
   if (!Up && !Checked)
     return; // compute(): a crashed node's thread parks here.
   Ok = Up;
   Caller.resume();
 }
 
-// PARCS_HOT_END
-
-sim::Task<bool> Node::chargeSlices(sim::SimTime CpuTime, bool Checked) {
-  ++Runnable;
-  sim::SimTime Remaining = CpuTime;
-  bool Up = true;
-  while (Up && Remaining > sim::SimTime()) {
-    co_await CoreSlots.acquire();
-    sim::SimTime Slice = Remaining < Quantum ? Remaining : Quantum;
-    // A crash while queued for the core skips the slice; one mid-slice
-    // loses it (the partial work is not billed).
-    if (Alive)
-      co_await Sim.delay(Slice);
-    Up = Alive;
-    if (Up) {
-      Busy += Slice;
-      Remaining -= Slice;
-    }
-    // Yield the core between slices so equal-priority threads round-robin;
-    // after a crash it goes back so restarted work is not starved by dead
-    // holders.
-    CoreSlots.release();
+void Node::releaseCore() {
+  if (Waiting.empty()) {
+    ++FreeCores;
+    return;
   }
-  --Runnable;
-  if (!Up && !Checked)
-    co_await haltForever();
-  co_return Up;
+  Charge *Next = Waiting.pop_front();
+  Sim.schedule(sim::SimTime(), [Next] { Next->takeCore(); });
 }
+
+// PARCS_HOT_END
 
 void Node::crash() {
   assert(Alive && "crash: node already down");

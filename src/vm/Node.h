@@ -9,13 +9,19 @@
 /// round-robin time slicing, executing under a VM cost model.  The paper's
 /// testbed nodes are dual Athlon MP 1800+ machines, i.e. 2 cores.
 ///
+/// A CPU charge takes no coroutine frame: it is a callback state machine
+/// (Node::Charge) that lives in the charging coroutine's frame.  The cores
+/// are a count of free ones plus a FIFO of charges waiting for one; each
+/// slice is one callback event, and a freed core reaches a waiter in one
+/// more.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PARCS_VM_NODE_H
 #define PARCS_VM_NODE_H
 
+#include "sim/Ring.h"
 #include "sim/Simulator.h"
-#include "sim/Sync.h"
 #include "sim/Task.h"
 #include "vm/Calibration.h"
 #include "vm/VmKind.h"
@@ -36,7 +42,7 @@ public:
   Node(sim::Simulator &Sim, int Id, VmKind Vm, int Cores = 2,
        sim::SimTime Quantum = calib::SchedulerQuantum)
       : Sim(Sim), Id(Id), Vm(Vm), Model(vmCostModel(Vm)), Cores(Cores),
-        Quantum(Quantum), CoreSlots(Sim, Cores) {
+        Quantum(Quantum), FreeCores(Cores) {
     assert(Cores > 0 && "node needs at least one core");
     assert(Quantum > sim::SimTime() && "quantum must be positive");
   }
@@ -123,7 +129,10 @@ private:
   const VmCostModel &Model;
   int Cores;
   sim::SimTime Quantum;
-  sim::Semaphore CoreSlots;
+  /// Cores no charge holds.  Non-zero only while no charge waits.
+  int FreeCores;
+  /// Charges waiting for a core, oldest first.
+  sim::Ring<Charge *> Waiting;
   sim::SimTime Busy;
   int Runnable = 0;
   bool Alive = true;
@@ -132,49 +141,65 @@ private:
   /// Registration-ordered so restart is deterministic.
   std::vector<std::pair<uint64_t, std::function<void()>>> RestartHooks;
 
-  /// Every charge that is not one free slice: queues for cores and runs
-  /// the slices; on a crash yields false (\p Checked) or parks.
-  sim::Task<bool> chargeSlices(sim::SimTime CpuTime, bool Checked);
+  /// Gives a core back: to the oldest waiting charge, through a callback
+  /// at the current time, or to the free count when none waits.
+  void releaseCore();
 };
 
-/// The awaitable of compute() and computeChecked().  A single-slice charge
-/// on a live node with a free core -- the common case on a call path --
-/// runs without a coroutine frame: it takes the core and schedules one
-/// callback in the slot a delay() resume would take, and that callback
-/// settles the slice and resumes the caller.  Every other charge runs
-/// Node::chargeSlices.  co_await yields false when the node crashed
-/// (which only a computeChecked() caller sees: a compute() caller parks).
+/// The awaitable of compute() and computeChecked(), and the whole of a
+/// charge's state: it lives in the awaiting coroutine's frame, and every
+/// step of the charge is a callback that captures only its address.
+///  - A charge that finds a free core starts its first slice at once.  One
+///    that finds none queues on the node's FIFO; a freed core reaches it
+///    through a callback in the (time, seq) slot a semaphore waiter's
+///    resume would take.
+///  - Each slice is one callback, in the slot a delay() resume would take.
+///    It bills the slice unless the node crashed, then either starts the
+///    next slice -- after yielding the core to the oldest waiter and
+///    queueing behind it, so equal threads round-robin -- or frees the
+///    core and resumes the caller.
+/// co_await yields false when the node crashed, which only a
+/// computeChecked() caller sees: a compute() caller parks.
 class [[nodiscard]] Node::Charge {
 public:
+  Charge(const Charge &) = delete;
+  Charge &operator=(const Charge &) = delete;
+
   bool await_ready() noexcept {
-    if (CpuTime > sim::SimTime() && Owner.Alive)
+    if (Remaining > sim::SimTime() && Owner.Alive)
       return false;
     // A zero charge completes at once; on a down node computeChecked
     // yields false at once and compute parks.
     Ok = Owner.Alive;
-    return CpuTime <= sim::SimTime() || Checked;
+    return Remaining <= sim::SimTime() || Checked;
   }
-  std::coroutine_handle<> await_suspend(std::coroutine_handle<> Awaiting);
-  bool await_resume() {
-    if (Slow.valid())
-      Ok = std::move(Slow).operator co_await().await_resume();
-    return Ok;
-  }
+  void await_suspend(std::coroutine_handle<> Awaiting);
+  bool await_resume() const noexcept { return Ok; }
 
 private:
   friend class Node;
   Charge(Node &Owner, sim::SimTime CpuTime, bool Checked)
-      : Owner(Owner), CpuTime(CpuTime), Checked(Checked) {}
-  /// The fast path's callback: bills the slice unless the node crashed,
-  /// frees the core and resumes (or parks) the caller.
+      : Owner(Owner), Remaining(CpuTime), Checked(Checked) {}
+  /// The slice this charge runs next: a quantum or what is left.
+  sim::SimTime slice() const {
+    return Remaining < Owner.Quantum ? Remaining : Owner.Quantum;
+  }
+  /// Schedules the end of the next slice on the core this charge holds.
+  void startSlice();
+  /// A slice's end: bills it unless the node crashed, then runs on.
   void finishSlice();
+  /// A freed core's hand-over to this queued charge.
+  void takeCore();
+  /// Leaves the runnable set and resumes (or, on a crash under compute(),
+  /// parks) the caller.  \p Up is false when the node crashed.
+  void finish(bool Up);
 
   Node &Owner;
-  sim::SimTime CpuTime;
+  /// CPU time not yet billed.
+  sim::SimTime Remaining;
   bool Checked;
   bool Ok = true;
   std::coroutine_handle<> Caller;
-  sim::Task<bool> Slow;
 };
 
 inline Node::Charge Node::compute(sim::SimTime CpuTime) {

@@ -166,6 +166,124 @@ TEST(NetworkTest, RxPortContentionSerialisesConcurrentSenders) {
               Net.wireTime(Size).toSecondsF(), 1e-9);
 }
 
+/// Collects every message a port receives, with its arrival time.
+Task<void> recvAll(Simulator &Sim, Channel<Message> &Port, int Count,
+                   std::vector<std::pair<int, SimTime>> &Got) {
+  for (int I = 0; I < Count; ++I) {
+    Message M = co_await Port.recv();
+    Got.emplace_back(M.Payload.empty() ? -1 : M.Payload[0], Sim.now());
+  }
+}
+
+/// Delivery time of a \p Size-byte message that starts transmitting at
+/// \p TxStart onto an idle downlink.
+SimTime idleArrival(const Network &Net, SimTime TxStart, size_t Size) {
+  return TxStart + Net.firstPacketTime(Size) + Net.config().SwitchLatency +
+         Net.wireTime(Size);
+}
+
+TEST(NetworkTest, QueuedMessageReservesReceiverWhenItStarts) {
+  // Node 0 sends a long message to node 1, then a short one to node 2; the
+  // short one waits for the uplink.  Node 3 sends to node 2 later, on an
+  // idle uplink, but before the short one starts: it must take node 2's
+  // downlink first, because a queued message reserves the receiver only
+  // when it starts transmitting.
+  Simulator Sim;
+  Network Net(Sim, 4);
+  auto &Long = Net.bind(1, 1);
+  auto &Shared = Net.bind(2, 1);
+  std::vector<std::pair<int, SimTime>> AtOne, AtTwo;
+  Sim.spawn(recvAll(Sim, Long, 1, AtOne));
+  Sim.spawn(recvAll(Sim, Shared, 2, AtTwo));
+  size_t LongSize = 100 * 1000, Queued = 100, Later = 1000;
+  SimTime LaterAt = SimTime::milliseconds(1);
+  Net.send(0, 1, 1, bytes(LongSize, 1));
+  Net.send(0, 2, 1, bytes(Queued, 2));
+  Sim.schedule(LaterAt, [&Net, Later] { Net.send(3, 2, 1, bytes(Later, 3)); });
+  Sim.run();
+
+  SimTime LongWire = Net.wireTime(LongSize);
+  ASSERT_EQ(AtOne.size(), 1u);
+  EXPECT_EQ(AtOne[0].second, idleArrival(Net, SimTime(), LongSize));
+  ASSERT_EQ(AtTwo.size(), 2u);
+  EXPECT_EQ(AtTwo[0].first, 3) << "the queued message took the downlink "
+                                  "before it started";
+  EXPECT_EQ(AtTwo[0].second, idleArrival(Net, LaterAt, Later));
+  ASSERT_LT(AtTwo[0].second, LongWire) << "the reservations must not touch";
+  EXPECT_EQ(AtTwo[1].first, 2);
+  EXPECT_EQ(AtTwo[1].second, idleArrival(Net, LongWire, Queued));
+}
+
+TEST(NetworkTest, QueuedMessagesLeaveOneUplinkBackToBack) {
+  // One long message holds node 0's uplink while three more queue behind
+  // it, each to its own idle receiver: they leave in send order, each
+  // starting the instant the one before it finishes transmitting.
+  Simulator Sim;
+  Network Net(Sim, 5);
+  std::vector<size_t> Sizes = {20 * 1000, 3000, 200, 5000};
+  std::vector<std::vector<std::pair<int, SimTime>>> Got(Sizes.size());
+  for (int Dst = 1; Dst <= 4; ++Dst)
+    Sim.spawn(recvAll(Sim, Net.bind(Dst, 1), 1, Got[size_t(Dst - 1)]));
+  for (int Dst = 1; Dst <= 4; ++Dst)
+    Net.send(0, Dst, 1,
+             bytes(Sizes[size_t(Dst - 1)], static_cast<uint8_t>(Dst)));
+  Sim.run();
+
+  SimTime TxStart;
+  for (size_t I = 0; I < Sizes.size(); ++I) {
+    SCOPED_TRACE(I);
+    ASSERT_EQ(Got[I].size(), 1u);
+    EXPECT_EQ(Got[I][0].second, idleArrival(Net, TxStart, Sizes[I]));
+    TxStart = TxStart + Net.wireTime(Sizes[I]);
+  }
+  EXPECT_EQ(Net.messagesDelivered(), 4u);
+}
+
+/// Fault hook that only adds latency: \p Extra on every message from
+/// \p SlowSrc, none elsewhere.
+class LatencyHook : public FaultHook {
+public:
+  LatencyHook(int SlowSrc, SimTime Extra) : SlowSrc(SlowSrc), Extra(Extra) {}
+  bool nodeAlive(int) const override { return true; }
+  SimTime extraLatency(int Src, int) override {
+    return Src == SlowSrc ? Extra : SimTime();
+  }
+  Verdict onDeliver(int, int, std::vector<uint8_t> &) override {
+    return Verdict::Deliver;
+  }
+
+private:
+  int SlowSrc;
+  SimTime Extra;
+};
+
+TEST(NetworkTest, FaultLatencyDelaysDeliveryAndCanReorderSenders) {
+  // Nodes 1 and 2 send to node 0 at once; node 1's message reserves the
+  // downlink first and drains first, but a 1 ms extra latency on 1 -> 0
+  // holds it past node 2's.
+  Simulator Sim;
+  Network Net(Sim, 3);
+  SimTime Extra = SimTime::milliseconds(1);
+  LatencyHook Hook(1, Extra);
+  Net.setFaultHook(&Hook);
+  std::vector<std::pair<int, SimTime>> Got;
+  Sim.spawn(recvAll(Sim, Net.bind(0, 7), 2, Got));
+  size_t Size = 2000;
+  Net.send(1, 0, 7, bytes(Size, 1));
+  Net.send(2, 0, 7, bytes(Size, 2));
+  Sim.run();
+
+  SimTime FirstDrained = idleArrival(Net, SimTime(), Size);
+  SimTime SecondDrained = FirstDrained + Net.wireTime(Size);
+  ASSERT_LT(SecondDrained, FirstDrained + Extra);
+  ASSERT_EQ(Got.size(), 2u);
+  EXPECT_EQ(Got[0].first, 2);
+  EXPECT_EQ(Got[0].second, SecondDrained);
+  EXPECT_EQ(Got[1].first, 1);
+  EXPECT_EQ(Got[1].second, FirstDrained + Extra);
+  EXPECT_EQ(Net.messagesDelivered(), 2u);
+}
+
 TEST(NetworkTest, LoopbackBypassesWire) {
   Simulator Sim;
   Network Net(Sim, 2);

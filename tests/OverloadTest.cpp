@@ -21,6 +21,7 @@
 #include "core/Rebalancer.h"
 #include "core/Scoopp.h"
 #include "net/Network.h"
+#include "support/Json.h"
 #include "support/Metrics.h"
 #include "support/Trace.h"
 #include "telemetry/Telemetry.h"
@@ -28,6 +29,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <string>
 
@@ -168,6 +171,69 @@ TEST(AdmissionTest, CallReliableWaitsOutHintWithoutBurningAttempts) {
   EXPECT_EQ(W.Client.stats().Retries, 0u)
       << "overload waits must not burn transport attempts";
   EXPECT_EQ(W.Client.stats().OverloadExhausted, 0u);
+}
+
+TEST(AdmissionTest, CallReliableResendsOneHintAfterEachRefusal) {
+  // Budget 1, held 5 ms by an occupier, and a 0.7 ms retry-after base: a
+  // reliable call arriving meanwhile is refused with hint H = 0.7 ms each
+  // time.  Its next attempt must go out exactly H after the refusal
+  // reaches callReliable -- not after the 3 ms backoff, and not at once.
+  constexpr int64_t HintNs = 700'000;
+  trace::reset();
+  trace::setEnabled(true);
+  {
+    AdmissionWorld W(1, ms(5));
+    remoting::AdmissionPolicy Admission;
+    Admission.MaxPending = 1;
+    Admission.RetryAfterBase = SimTime::nanoseconds(HintNs);
+    W.Server.setAdmissionPolicy(Admission);
+    remoting::RetryPolicy Retry;
+    Retry.MaxAttempts = 3;
+    Retry.AttemptTimeout = ms(50);
+    Retry.BaseBackoff = ms(3);
+    W.Client.setRetryPolicy(Retry);
+
+    ErrorOr<remoting::Bytes> First(remoting::Bytes{}),
+        Second(remoting::Bytes{});
+    struct Proc {
+      static Task<void> call(AdmissionWorld &W, SimTime After,
+                             ErrorOr<remoting::Bytes> &Out) {
+        co_await W.sim().delay(After);
+        Out = co_await W.Client.callReliable(
+            1, 1060, "slow", "hold", serial::encodeValues(int32_t(1)));
+      }
+    };
+    W.sim().spawn(Proc::call(W, SimTime(), First));
+    W.sim().spawn(Proc::call(W, ms(1), Second));
+    W.sim().run();
+    EXPECT_TRUE(First.hasValue()) << First.error().str();
+    EXPECT_TRUE(Second.hasValue()) << Second.error().str();
+    EXPECT_GE(W.Client.stats().OverloadDeferred, 2u);
+  }
+  trace::setEnabled(false);
+  json::Value Root;
+  ASSERT_TRUE(json::parse(trace::exportJson(), Root));
+  trace::reset();
+
+  // Refusals reach callReliable at the rpc.overload_wait instants; every
+  // attempt opens an rpc.call span as it is issued.
+  std::vector<int64_t> Waits, Issues;
+  const json::Value *Events = Root.field("traceEvents");
+  ASSERT_NE(Events, nullptr);
+  for (const json::Value &E : Events->Arr) {
+    int64_t Ns = std::llround(E.num("ts") * 1000);
+    if (E.str("name") == "rpc.overload_wait")
+      Waits.push_back(Ns);
+    else if (E.str("name") == "rpc.call" && E.str("ph") == "b")
+      Issues.push_back(Ns);
+  }
+  ASSERT_GE(Waits.size(), 2u);
+  for (int64_t WaitNs : Waits) {
+    SCOPED_TRACE(WaitNs);
+    auto Next = std::upper_bound(Issues.begin(), Issues.end(), WaitNs);
+    ASSERT_NE(Next, Issues.end());
+    EXPECT_EQ(*Next - WaitNs, HintNs);
+  }
 }
 
 TEST(AdmissionTest, PersistentOverloadExhaustsIntoDistinctError) {

@@ -169,6 +169,49 @@ TEST(NodeTest, StartThreadChargesCreationCost) {
   EXPECT_EQ(BodyRanAt, calib::ThreadCreateCost);
 }
 
+TEST(NodeTest, FreedCoreGoesToQueuedChargesInFifoOrder) {
+  // One core (10 ms quantum).  A 5 ms holder takes it; a multi-slice, a
+  // single-slice and another multi-slice charge queue behind it, in that
+  // order.  Each freed core goes to the oldest waiter, and a charge with
+  // slices left queues again behind the waiters it yields to:
+  //   [0,5) H  [5,15) A  [15,18) B  [18,28) C  [28,38) A  [38,40) C
+  //   [40,45) A
+  Simulator Sim;
+  Node N(Sim, 0, VmKind::NativeCpp, /*Cores=*/1);
+  SimTime DoneH, DoneA, DoneB, DoneC;
+  Sim.spawn(burn(N, ms(5), DoneH));
+  Sim.spawn(burn(N, ms(25), DoneA));
+  Sim.spawn(burn(N, ms(3), DoneB));
+  Sim.spawn(burn(N, ms(12), DoneC));
+  struct Probe {
+    int64_t AtMs;
+    int Runnable;
+    SimTime Busy;
+  };
+  std::vector<Probe> Probes = {{1, 4, SimTime()}, {16, 3, ms(15)},
+                               {20, 2, ms(18)},   {30, 2, ms(28)},
+                               {39, 2, ms(38)},   {41, 1, ms(40)}};
+  std::vector<std::pair<int, SimTime>> Seen;
+  for (const Probe &P : Probes)
+    Sim.schedule(ms(P.AtMs), [&N, &Seen] {
+      Seen.emplace_back(N.runnableThreads(), N.busyTime());
+    });
+  Sim.run();
+
+  EXPECT_EQ(DoneH, ms(5));
+  EXPECT_EQ(DoneA, ms(45));
+  EXPECT_EQ(DoneB, ms(18));
+  EXPECT_EQ(DoneC, ms(40));
+  EXPECT_EQ(N.busyTime(), ms(45));
+  EXPECT_EQ(N.runnableThreads(), 0);
+  ASSERT_EQ(Seen.size(), Probes.size());
+  for (size_t I = 0; I < Probes.size(); ++I) {
+    SCOPED_TRACE(Probes[I].AtMs);
+    EXPECT_EQ(Seen[I].first, Probes[I].Runnable);
+    EXPECT_EQ(Seen[I].second, Probes[I].Busy);
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Crashes under compute()/computeChecked()
 //===----------------------------------------------------------------------===//
