@@ -182,8 +182,8 @@ TEST(DeterminismTest, MixedWorkloadGoldenTrace) {
 
   // Golden constants recorded from the current kernel (see file header for
   // how to re-record after an intentional trace change).
-  constexpr uint64_t GoldenHash = 0x95cacf3297e456e3ULL;
-  constexpr uint64_t GoldenEvents = 359ULL;
+  constexpr uint64_t GoldenHash = 0xa3b6a2a45d790ff1ULL;
+  constexpr uint64_t GoldenEvents = 295ULL;
   constexpr int64_t GoldenFinalNs = 32465280LL;
   constexpr uint64_t GoldenDelivered = 44ULL;
   constexpr uint64_t GoldenPayload = 9978ULL;
