@@ -171,7 +171,8 @@ void Network::transmit(Message Msg, int64_t EnqueueNs) {
   Rx.RxFreeAt = RxDone;
 
   // Occupy the uplink for the transmit time.  A message queued behind
-  // this one starts in the slot a wake-up scheduled now would take.
+  // this one starts in the event slot reserved here, at the instant the
+  // uplink frees.
   Tx.TxFreeAt = TxStart + Wire;
   Tx.TxFreeSeq = Sim.reserveSeq();
 

@@ -111,17 +111,6 @@ public:
   uint64_t addRestartHook(std::function<void()> Hook);
   void removeRestartHook(uint64_t Id);
 
-  /// Awaitable that never resumes: crashed threads park here and their
-  /// frames are reclaimed deterministically at simulator teardown.
-  static auto haltForever() {
-    struct Awaiter {
-      bool await_ready() const noexcept { return false; }
-      void await_suspend(std::coroutine_handle<>) const noexcept {}
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{};
-  }
-
 private:
   sim::Simulator &Sim;
   int Id;
