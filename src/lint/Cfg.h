@@ -101,7 +101,7 @@ struct CfgCallSite {
 
 struct FunctionCfg {
   std::string Name;  ///< "transfer"; "<lambda>" for unnamed closures.
-  std::string Scope; ///< "Network" for Network::transfer; empty otherwise.
+  std::string Scope; ///< "Network" for Network::send; empty otherwise.
   int Line = 0;      ///< Line of the body's opening brace.
   size_t BodyBegin = 0; ///< Token index of the opening '{'.
   size_t BodyEnd = 0;   ///< Token index one past the closing '}'.
