@@ -14,10 +14,12 @@
 /// perfbench is the benchmark of record.
 ///
 /// Each row is also held to deterministic ceilings on its counts -- no
-/// callback off the inline buffer, peak queue depth, recycled event nodes,
-/// events per call, every echo call answered -- and the binary exits 1,
-/// naming the row, when one is broken.  Run with --smoke for tiny iteration
-/// counts (the bench_smoke CTest target); the ceilings hold at both sizes.
+/// callback off the inline buffer, peak queue depth, event nodes recycled
+/// (no more allocated than the peak queue depth plus the one a running
+/// callback holds), events per call, every echo call answered -- and the
+/// binary exits 1, naming the row, when one is broken.  Run with --smoke for
+/// tiny iteration counts (the bench_smoke CTest target); the ceilings hold
+/// at both sizes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,7 +34,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
 #include <memory>
 #include <string>
 
@@ -57,8 +58,6 @@ struct Rng {
 /// the same on every machine and in every build type.
 struct Ceilings {
   uint64_t PeakQueueDepth = 0;
-  /// Event-node free-list misses: the kernel rows must recycle their nodes.
-  uint64_t NodesAllocated = std::numeric_limits<uint64_t>::max();
   /// Events per call (the RPC rows, which pass checkRow their call count).
   double EventsPerCall = 0;
 };
@@ -76,7 +75,10 @@ void requireAtMost(const char *Row, const char *What, double Value,
 }
 
 /// Holds \p Row's simulator to \p Max.  No row may let a callback fall off
-/// the inline buffer.  \p Calls is the number of calls an RPC row made.
+/// the inline buffer, and every row must recycle its event nodes: a node is
+/// allocated only when the queue reaches a new depth, plus one for the
+/// node a running callback holds while it schedules.  \p Calls is the
+/// number of calls an RPC row made.
 void checkRow(const char *Row, const sim::Simulator &Sim, const Ceilings &Max,
               uint64_t Calls = 0) {
   const sim::SchedulerCounters &C = Sim.counters();
@@ -84,7 +86,7 @@ void checkRow(const char *Row, const sim::Simulator &Sim, const Ceilings &Max,
   requireAtMost(Row, "peak_queue_depth", double(C.PeakQueueDepth),
                 double(Max.PeakQueueDepth));
   requireAtMost(Row, "nodes_allocated", double(C.NodesAllocated),
-                double(Max.NodesAllocated));
+                double(C.PeakQueueDepth + 1));
   if (Calls > 0)
     requireAtMost(Row, "events per call",
                   double(Sim.eventsProcessed()) / double(Calls),
@@ -152,8 +154,7 @@ RowResult benchRawEvents(uint64_t Total) {
   double Secs = Timer.seconds();
   // The Pump capture fits the inline buffer and the node free list covers
   // the steady-state population: no per-event allocations.
-  checkRow("raw-events", Sim,
-           {.PeakQueueDepth = Population, .NodesAllocated = 2 * Population});
+  checkRow("raw-events", Sim, {.PeakQueueDepth = Population});
   return {"raw-events", static_cast<double>(Total) / Secs,
           Sim.counterSnapshot().str()};
 }
@@ -177,8 +178,7 @@ RowResult benchScheduleResume(uint64_t Total) {
   double Secs = Timer.seconds();
   // The acceptance bar for the resume fast path: raw coroutine handles in
   // recycled nodes, so a steady-state resume allocates nothing.
-  checkRow("resumes", Sim,
-           {.PeakQueueDepth = Population, .NodesAllocated = 2 * Population});
+  checkRow("resumes", Sim, {.PeakQueueDepth = Population});
   return {"resumes", static_cast<double>(PerTask * Population) / Secs,
           Sim.counterSnapshot().str()};
 }

@@ -1,20 +1,18 @@
-//===- sim/SimKernel.h - Calendar-queue event kernel ------------*- C++ -*-===//
+//===- sim/SimKernel.h - Event-heap kernel ----------------------*- C++ -*-===//
 //
 // Part of the ParC# reproduction library.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The allocation-free calendar-queue event kernel behind sim::Simulator.
-/// A SimKernel is the pending-event set plus the virtual clock and sequence
-/// counter that define pop order:
+/// The allocation-free event kernel behind sim::Simulator.  A SimKernel is
+/// the pending-event set plus the virtual clock and sequence counter that
+/// define pop order:
 ///
-///  - events scheduled at exactly the current time go to a FIFO fast lane
+///  - events scheduled at exactly the current time go to a FIFO lane
 ///    (push order there is already (time, seq) order);
-///  - near-future events live in time-bucketed per-bucket min-heaps behind
-///    an occupancy bitmap;
-///  - far-future events live in an overflow heap that drains into the
-///    buckets as the window advances;
+///  - every other event goes to a 4-ary min-heap whose entries carry their
+///    (time, seq) key inline, so sifting never touches an event node;
 ///  - event nodes are recycled through a free list, so a steady-state run
 ///    performs zero allocations per event.
 ///
@@ -56,14 +54,10 @@ struct SchedulerCounters {
   uint64_t SboMisses = 0;
   /// Event nodes allocated (free-list misses; steady state allocates none).
   uint64_t NodesAllocated = 0;
-  /// Events that landed beyond the calendar window, into the overflow heap.
-  uint64_t OverflowInserts = 0;
-  /// Times the calendar window jumped forward to the overflow minimum.
-  uint64_t WindowAdvances = 0;
 };
 
 /// The pending-event set of one virtual-time event loop: clock, sequence
-/// counter, three-lane calendar queue and the recycling free list.
+/// counter, FIFO lane, event heap and the recycling free list.
 class SimKernel {
 public:
   /// One pending event.  Resume events carry the raw coroutine handle (Fn
@@ -95,10 +89,10 @@ public:
   /// insertOrdered.
   uint64_t takeSeq() { return NextSeq++; }
 
-  size_t pendingCount() const { return PendingCount; }
+  size_t pendingCount() const { return Immediate.size() + Heap.size(); }
 
-  // PARCS_HOT_BEGIN(calendar-queue-alloc): the inline half of the kernel;
-  // a steady-state run must recycle instead of allocating.
+  // PARCS_HOT_BEGIN(event-node-alloc): the inline half of the kernel; a
+  // steady-state run must recycle instead of allocating.
 
   /// Returns a recycled (or, on free-list miss, freshly allocated) node
   /// stamped with (\p AtNs, \p Seq).  The caller emplaces the payload and
@@ -132,20 +126,18 @@ public:
   /// Links \p Node into the lane its timestamp selects.
   void insert(EventNode *Node);
 
-  /// Links \p Node into the buckets or the overflow heap, never the
-  /// immediate lane: for a node stamped with a sequence number claimed
-  /// earlier, whose key may precede events already queued at the current
-  /// time.  Such a node pops exactly where it would have had it been
-  /// inserted when its number was claimed, provided no event with a later
-  /// key has popped since.
+  /// Links \p Node into the heap, never the immediate lane: for a node
+  /// stamped with a sequence number claimed earlier, whose key may precede
+  /// events already queued at the current time.  Such a node pops exactly
+  /// where it would have had it been inserted when its number was claimed,
+  /// provided no event with a later key has popped since.
   void insertOrdered(EventNode *Node);
 
   /// Removes and returns the earliest event, or null when empty.
   EventNode *popEarliest();
 
   /// Time of the earliest pending event; only valid when pendingCount() > 0.
-  /// May advance the calendar window (deterministically) to find it.
-  int64_t earliestTimeNs();
+  int64_t earliestTimeNs() const;
 
   /// Bookkeeping hook for callers whose callable fell off the inline
   /// buffer (the template schedule path detects this at compile time).
@@ -155,22 +147,21 @@ public:
   SchedulerCounters &counters() { return Counters; }
 
 private:
-  /// Calendar geometry: 4096 buckets of 2^9 ns (512 ns) cover a ~2 ms
-  /// near-future window -- wider than one RPC round trip, narrower than the
-  /// coarse timeouts that belong in the overflow heap.  Narrow buckets keep
-  /// the per-bucket heaps a handful of entries, and the scan hint only
-  /// moves forward, so the sparse-bucket scan is amortized O(1) per pop.
-  static constexpr int BucketShift = 9;
-  static constexpr size_t BucketCountLog2 = 12;
-  static constexpr size_t NumBuckets = size_t(1) << BucketCountLog2;
+  /// One heap entry: the node's (time, seq) key, copied inline so sifting
+  /// compares and moves 24-byte entries without dereferencing nodes.
+  struct Entry {
+    int64_t AtNs;
+    uint64_t Seq;
+    EventNode *Node;
+  };
+  /// Children per heap node.  Four halves the depth of a binary heap, and
+  /// a node's children sit side by side in 96 bytes.
+  static constexpr size_t Arity = 4;
 
-  /// Counts one more pending event (and the high-water mark).
+  /// Counts one more pending event into the high-water mark.
   void notePending();
-  /// The bucket/overflow half of insert().
-  void insertLater(EventNode *Node);
-  /// Repositions the calendar window at the overflow minimum and drains
-  /// every overflow event that now falls inside it.
-  void advanceWindow();
+  void heapPush(Entry E);
+  EventNode *heapPop();
   void freeAllNodes();
 
   int64_t NowNs = 0;
@@ -181,29 +172,8 @@ private:
   /// (time, seq) order, so the head is always this lane's minimum.  Nodes
   /// carrying an earlier-claimed Seq bypass it (insertOrdered).
   Ring<EventNode *> Immediate{64};
-  /// Near-future buckets; each is a (time, seq) min-heap of node pointers.
-  std::vector<std::vector<EventNode *>> Buckets;
-  /// One bit per bucket (set = non-empty), so finding the next occupied
-  /// bucket is a word scan + countr_zero instead of touching each bucket.
-  std::vector<uint64_t> BucketBits;
-  void markBucket(size_t Idx) {
-    BucketBits[Idx >> 6] |= uint64_t(1) << (Idx & 63);
-  }
-  void unmarkBucket(size_t Idx) {
-    BucketBits[Idx >> 6] &= ~(uint64_t(1) << (Idx & 63));
-  }
-  /// First occupied bucket index >= From; call only when BucketedCount > 0.
-  size_t firstOccupiedBucket(size_t From) const;
-  /// Events at or beyond WindowEndNs, as a (time, seq) min-heap.
-  std::vector<EventNode *> Overflow;
-  /// Window start (multiple of the bucket width) and one-past-the-end.
-  int64_t WindowStartNs = 0;
-  int64_t WindowEndNs = 0;
-  /// Lowest bucket index that may be non-empty (scan hint).
-  size_t ScanHint = 0;
-  /// Events currently in Buckets / in total.
-  size_t BucketedCount = 0;
-  size_t PendingCount = 0;
+  /// Every other pending event, as a 4-ary (time, seq) min-heap.
+  std::vector<Entry> Heap;
 
   EventNode *FreeList = nullptr;
   SchedulerCounters Counters;

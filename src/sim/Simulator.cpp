@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 //
 // The coroutine-runtime half of the simulator: spawn/reap of detached
-// frames, the log-clock install, and the step loop.  The calendar queue
-// itself lives in sim/SimKernel.cpp.
+// frames, the log-clock install, and the step loop.  The pending-event set
+// itself (FIFO lane and event heap) lives in sim/SimKernel.cpp.
 //
 //===----------------------------------------------------------------------===//
 
@@ -60,8 +60,6 @@ Simulator::~Simulator() {
   Reg.counter("sim.resume_events").add(C.ResumeEvents);
   Reg.counter("sim.sbo_misses").add(C.SboMisses);
   Reg.counter("sim.nodes_allocated").add(C.NodesAllocated);
-  Reg.counter("sim.overflow_inserts").add(C.OverflowInserts);
-  Reg.counter("sim.window_advances").add(C.WindowAdvances);
   Reg.gauge("sim.peak_queue_depth")
       .noteMax(static_cast<int64_t>(C.PeakQueueDepth));
 }
@@ -150,7 +148,5 @@ CounterGroup Simulator::counterSnapshot() const {
   Group.add("peak_queue_depth", C.PeakQueueDepth);
   Group.add("sbo_misses", C.SboMisses);
   Group.add("nodes_allocated", C.NodesAllocated);
-  Group.add("overflow_inserts", C.OverflowInserts);
-  Group.add("window_advances", C.WindowAdvances);
   return Group;
 }

@@ -25,15 +25,15 @@
 ///  - coroutine resumes (the single hottest event kind: channel wake-ups,
 ///    delays, semaphore grants) store the raw std::coroutine_handle<> in
 ///    the event node, with no closure at all;
-///  - the pending-event set is the two-level calendar queue in SimKernel
-///    (FIFO fast lane + time buckets + overflow heap, free-list recycled
-///    nodes: zero allocations per event in steady state).
+///  - the pending-event set is SimKernel's FIFO lane for same-time events
+///    plus a 4-ary (time, seq) heap for the rest, over free-list recycled
+///    nodes: zero allocations per event in steady state.
 ///
-/// The calendar queue, clock and sequence counter live in sim/SimKernel.h;
-/// this class binds the kernel to the coroutine runtime (spawn/reap, delay
-/// awaitable, log clock) and is the front door the rest of the library
-/// uses.  See docs/perf.md for the design notes and bench/sim_kernel for
-/// the numbers.
+/// The pending-event set, clock and sequence counter live in
+/// sim/SimKernel.h; this class binds the kernel to the coroutine runtime
+/// (spawn/reap, delay awaitable, log clock) and is the front door the rest
+/// of the library uses.  See docs/perf.md for the design notes and
+/// bench/sim_kernel for the numbers.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -19,7 +19,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <vector>
 
 using namespace parcs;
 using namespace parcs::sim;
@@ -270,6 +272,138 @@ TEST(SimStressTest, HundredThousandEventsInOrder) {
   Sim.run();
   EXPECT_TRUE(Monotonic);
   EXPECT_EQ(Sim.eventsProcessed(), static_cast<uint64_t>(Events));
+}
+
+//===----------------------------------------------------------------------===//
+// Exact (time, seq) pop order across the kernel's lanes
+//===----------------------------------------------------------------------===//
+
+/// Drives a seeded random mix of schedules through one simulator and
+/// records the (time, seq) key of every event it schedules.  The sequence
+/// numbers mirror the kernel's: schedule, scheduleAt and reserveSeq each
+/// claim the next one, and scheduleAtReserved claims none.
+struct PopOrderModel {
+  Simulator Sim;
+  Rng R;
+  uint64_t NextSeq = 0;
+  /// (time, seq) of each scheduled event, indexed by its id.
+  std::vector<std::pair<int64_t, uint64_t>> Keys;
+  /// Event ids in the order they ran.
+  std::vector<size_t> Ran;
+  /// Events that ran with the clock off their own timestamp.
+  int ClockMismatches = 0;
+  /// Schedule operations that running events may still make.
+  int Budget = 0;
+
+  explicit PopOrderModel(uint64_t Seed) : R(Seed) {}
+
+  struct Fire {
+    PopOrderModel *Model;
+    size_t Id;
+    void operator()() const { Model->fire(Id); }
+  };
+
+  /// A delay in one of five classes: 0 (the same-time lane), under 512 ns,
+  /// 512 ns to 2.1 ms, 2.1 ms to 10 s, and over 10 s.  Half the nonzero
+  /// picks are one round value per class, so many events share a
+  /// timestamp and only their sequence numbers order them.
+  int64_t randomDelayNs() {
+    bool Round = R.nextBelow(2) == 0;
+    switch (R.nextBelow(5)) {
+    case 0:
+      return 0;
+    case 1:
+      return Round ? 256 : R.nextInRange(1, 511);
+    case 2:
+      return Round ? 1'000'000 : R.nextInRange(512, 2'100'000);
+    case 3:
+      return Round ? 50'000'000 : R.nextInRange(2'100'001, 10'000'000'000);
+    default:
+      return Round ? 20'000'000'000
+                   : R.nextInRange(10'000'000'001, 100'000'000'000);
+    }
+  }
+
+  /// Schedules one event \p DelayNs from now, through schedule or
+  /// scheduleAt.
+  void add(int64_t DelayNs) {
+    size_t Id = Keys.size();
+    int64_t AtNs = Sim.now().nanosecondsCount() + DelayNs;
+    Keys.push_back({AtNs, NextSeq++});
+    if (R.nextBelow(2) == 0)
+      Sim.schedule(SimTime::nanoseconds(DelayNs), Fire{this, Id});
+    else
+      Sim.scheduleAt(SimTime::nanoseconds(AtNs), Fire{this, Id});
+  }
+
+  /// Reserves a sequence number, schedules one to three other events,
+  /// then schedules an event under the reserved number, at the current
+  /// time or later.  At the current time it must pop ahead of the
+  /// same-time events scheduled in between.
+  void addReserved() {
+    uint64_t Seq = Sim.reserveSeq();
+    ++NextSeq;
+    for (uint64_t N = 1 + R.nextBelow(3); N > 0; --N)
+      add(randomDelayNs());
+    int64_t DelayNs = R.nextBelow(2) == 0 ? 0 : randomDelayNs();
+    size_t Id = Keys.size();
+    int64_t AtNs = Sim.now().nanosecondsCount() + DelayNs;
+    Keys.push_back({AtNs, Seq});
+    Sim.scheduleAtReserved(SimTime::nanoseconds(AtNs), Seq, Fire{this, Id});
+  }
+
+  void fire(size_t Id) {
+    Ran.push_back(Id);
+    if (Sim.now().nanosecondsCount() != Keys[Id].first)
+      ++ClockMismatches;
+    for (uint64_t N = R.nextBelow(3); N > 0 && Budget > 0; --N, --Budget) {
+      if (R.nextBelow(8) == 0)
+        addReserved();
+      else
+        add(randomDelayNs());
+    }
+  }
+};
+
+TEST(SimStressTest, EventsPopInExactTimeSeqOrder) {
+  for (uint64_t Seed = 1; Seed <= 20; ++Seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << Seed);
+    PopOrderModel Model(Seed);
+    for (int Phase = 0; Phase < 4; ++Phase) {
+      // A burst from outside the event loop, then a fast-forward: runUntil
+      // runs every event up to a horizon and moves the clock to it, so the
+      // next burst is scheduled from a time no event ran at.
+      for (int I = 0; I < 1200; ++I)
+        Model.add(Model.randomDelayNs());
+      Model.Budget += 3000;
+      Model.Sim.runUntil(Model.Sim.now() +
+                         SimTime::nanoseconds(Model.randomDelayNs()));
+    }
+    Model.Sim.run();
+
+    ASSERT_EQ(Model.Ran.size(), Model.Keys.size())
+        << "an event was lost or ran twice";
+    std::vector<size_t> Expected(Model.Keys.size());
+    for (size_t Id = 0; Id < Expected.size(); ++Id)
+      Expected[Id] = Id;
+    std::sort(Expected.begin(), Expected.end(), [&](size_t A, size_t B) {
+      return Model.Keys[A] < Model.Keys[B];
+    });
+    auto [RanAt, ExpectedAt] =
+        std::mismatch(Model.Ran.begin(), Model.Ran.end(), Expected.begin());
+    if (RanAt != Model.Ran.end()) {
+      const auto &Got = Model.Keys[*RanAt];
+      const auto &Want = Model.Keys[*ExpectedAt];
+      ADD_FAILURE() << "position " << (RanAt - Model.Ran.begin())
+                    << " ran (" << Got.first << " ns, seq " << Got.second
+                    << "), expected (" << Want.first << " ns, seq "
+                    << Want.second << ")";
+    }
+    EXPECT_EQ(Model.ClockMismatches, 0);
+    EXPECT_GE(Model.Sim.counters().PeakQueueDepth, 1000u);
+    EXPECT_EQ(Model.Sim.reserveSeq(), Model.NextSeq)
+        << "the model's sequence numbers drifted from the kernel's";
+  }
 }
 
 } // namespace
