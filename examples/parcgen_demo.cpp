@@ -34,9 +34,9 @@ namespace {
 /// the caller's passive Row graph, decoded for the duration of the call.
 class RowWorkerImpl : public RowWorkerSkeleton {
 public:
-  using RowWorkerSkeleton::RowWorkerSkeleton;
+  explicit RowWorkerImpl(vm::Node &Host) : Host(Host) {}
 
-  sim::Task<Unit> accumulate(Row *First) override {
+  sim::Task<ErrorOr<Unit>> accumulate(Row *First) override {
     for (const Row *Cursor = First; Cursor; Cursor = Cursor->next) {
       double RowSum = 0;
       for (double V : Cursor->values)
@@ -52,10 +52,11 @@ public:
     co_return Unit();
   }
 
-  sim::Task<double> norm() override { co_return SumOfSquares; }
-  sim::Task<int32_t> rows() override { co_return RowCount; }
+  sim::Task<ErrorOr<double>> norm() override { co_return SumOfSquares; }
+  sim::Task<ErrorOr<int32_t>> rows() override { co_return RowCount; }
 
 private:
+  vm::Node &Host;
   double SumOfSquares = 0;
   int32_t RowCount = 0;
 };

@@ -6,9 +6,8 @@
 
 #include "apps/loadgen/LoadGen.h"
 
+#include "LoadWorkerGen.h"
 #include "core/ObjectManager.h"
-#include "core/Proxy.h"
-#include "core/Scoopp.h"
 #include "net/Network.h"
 #include "support/Metrics.h"
 #include "support/Random.h"
@@ -28,28 +27,17 @@ namespace {
 
 /// The served object: burns a fixed compute cost per call and keeps a
 /// running (count, accumulator) pair -- real state, so live migration has
-/// something to lose if it is wrong, and tests can checksum it.
-class LoadWorkerHandler : public remoting::CallHandler {
+/// something to lose if it is wrong.
+class LoadWorkerImpl : public LoadWorkerSkeleton {
 public:
-  LoadWorkerHandler(vm::Node &Host, sim::SimTime WorkCost)
+  LoadWorkerImpl(vm::Node &Host, sim::SimTime WorkCost)
       : Host(Host), WorkCost(WorkCost) {}
 
-  sim::Task<ErrorOr<remoting::Bytes>>
-  handleCall(std::string_view Method,
-             const remoting::Bytes &Args) override {
-    if (Method == "work") {
-      int32_t Token = 0;
-      if (!serial::decodeValues(Args, Token))
-        co_return Error(ErrorCode::MalformedMessage, "work args");
-      co_await Host.compute(WorkCost);
-      ++Handled;
-      Acc += Token;
-      co_return serial::encodeValues(Token);
-    }
-    if (Method == "sum") {
-      co_return serial::encodeValues(Handled, Acc);
-    }
-    co_return Error(ErrorCode::UnknownMethod, std::string(Method));
+  sim::Task<ErrorOr<int32_t>> work(int32_t Token) override {
+    co_await Host.compute(WorkCost);
+    ++Handled;
+    Acc += Token;
+    co_return Token;
   }
 
   void saveState(serial::OutputArchive &Out) override {
@@ -80,10 +68,9 @@ struct RunState {
   uint64_t Done = 0; ///< Completed + Rejected + Failed (drain condition).
 };
 
-sim::Task<void> oneCall(scoopp::ProxyBase &Proxy, RunState &S,
-                        int32_t Token) {
+sim::Task<void> oneCall(LoadWorkerProxy &Proxy, RunState &S, int32_t Token) {
   sim::SimTime Start = S.Sim.now();
-  ErrorOr<int32_t> R = co_await Proxy.invokeSyncTyped<int32_t>("work", Token);
+  ErrorOr<int32_t> R = co_await Proxy.work(Token);
   if (R) {
     ++S.Completed;
     S.Latency.record((S.Sim.now() - Start).nanosecondsCount());
@@ -106,10 +93,10 @@ sim::Task<void> generatorOn(scoopp::ScooppRuntime &Runtime, int Node,
                             const LoadGenConfig &Cfg, RunState &S,
                             const std::vector<scoopp::ParallelRef> &Fleet) {
   sim::Simulator &Sim = Runtime.sim();
-  std::vector<std::unique_ptr<scoopp::ProxyBase>> Workers;
+  std::vector<std::unique_ptr<LoadWorkerProxy>> Workers;
   for (const scoopp::ParallelRef &Ref : Fleet) {
-    auto Proxy = std::make_unique<scoopp::ProxyBase>(Runtime, Node);
-    Proxy->bind("LoadWorker", Ref);
+    auto Proxy = std::make_unique<LoadWorkerProxy>(Runtime, Node);
+    Proxy->bind(LoadWorkerProxy::ClassName, Ref);
     Workers.push_back(std::move(Proxy));
   }
 
@@ -145,12 +132,11 @@ sim::Task<void> generatorOn(scoopp::ScooppRuntime &Runtime, int Node,
 sim::Task<void>
 driveRun(scoopp::ScooppRuntime &Runtime, const LoadGenConfig &Cfg,
          RunState &S,
-         std::vector<std::unique_ptr<scoopp::ProxyBase>> &Owners,
+         std::vector<std::unique_ptr<LoadWorkerProxy>> &Owners,
          std::vector<scoopp::ParallelRef> &Fleet) {
   for (int W = 0; W < Cfg.Workers; ++W) {
-    auto Proxy =
-        std::make_unique<scoopp::ProxyBase>(Runtime, W % Cfg.Nodes);
-    Error E = co_await Proxy->create("LoadWorker");
+    auto Proxy = std::make_unique<LoadWorkerProxy>(Runtime, W % Cfg.Nodes);
+    Error E = co_await Proxy->create();
     if (E)
       co_return;
     Fleet.push_back(Proxy->ref());
@@ -183,13 +169,7 @@ LoadGenResult parcs::apps::loadgen::runLoadGen(const LoadGenConfig &Cfg) {
   net::Network Net(Machines.sim(), Total);
 
   scoopp::ParallelClassRegistry Registry;
-  sim::SimTime WorkCost = Cfg.WorkCost;
-  Registry.registerClass(
-      {"LoadWorker",
-       [WorkCost](scoopp::ScooppRuntime &, vm::Node &Host)
-           -> std::shared_ptr<remoting::CallHandler> {
-         return std::make_shared<LoadWorkerHandler>(Host, WorkCost);
-       }});
+  registerLoadWorkerClass<LoadWorkerImpl>(Registry, Cfg.WorkCost);
 
   scoopp::ScooppConfig SC;
   SC.Seed = Cfg.Seed;
@@ -216,7 +196,7 @@ LoadGenResult parcs::apps::loadgen::runLoadGen(const LoadGenConfig &Cfg) {
 
   RunState S{Machines.sim()};
   LoadGenResult Out;
-  std::vector<std::unique_ptr<scoopp::ProxyBase>> Owners;
+  std::vector<std::unique_ptr<LoadWorkerProxy>> Owners;
   std::vector<scoopp::ParallelRef> Fleet;
   Machines.sim().spawn(driveRun(Runtime, Cfg, S, Owners, Fleet));
   Machines.sim().run();

@@ -6,8 +6,7 @@
 
 #include "apps/pingpong/PingPong.h"
 
-#include "core/Proxy.h"
-#include "core/Scoopp.h"
+#include "EchoGen.h"
 #include "mpi/Mpi.h"
 #include "net/Network.h"
 #include "remoting/Engine.h"
@@ -21,17 +20,13 @@ using namespace parcs::apps::pingpong;
 
 namespace {
 
-/// The echo server shared by the remoting-style runners.
-class EchoHandler : public remoting::CallHandler {
+/// The echo server shared by the remoting-style runners and the ParC#
+/// runner.
+class EchoImpl : public EchoSkeleton {
 public:
-  sim::Task<ErrorOr<remoting::Bytes>>
-  handleCall(std::string_view Method, const remoting::Bytes &Args) override {
-    if (Method != "echo")
-      co_return Error(ErrorCode::UnknownMethod, std::string(Method));
-    std::vector<int32_t> Payload;
-    if (!serial::decodeValues(Args, Payload))
-      co_return Error(ErrorCode::MalformedMessage, "echo args");
-    co_return serial::encodeValues(Payload);
+  sim::Task<ErrorOr<std::vector<int32_t>>>
+  echo(std::vector<int32_t> Payload) override {
+    co_return Payload;
   }
 };
 
@@ -84,7 +79,7 @@ parcs::apps::pingpong::runRemotingPingPong(remoting::StackKind Stack,
                                remoting::stackProfile(Stack), 1050);
   remoting::RpcEndpoint Server(Machines.node(1), Net,
                                remoting::stackProfile(Stack), 1050);
-  Server.publish("echo", std::make_shared<EchoHandler>());
+  Server.publish("echo", std::make_shared<EchoImpl>());
 
   sim::SimTime Elapsed;
   struct Driver {
@@ -153,25 +148,12 @@ PingPongResult parcs::apps::pingpong::runMpiPingPong(size_t PayloadBytes,
   return finish(Elapsed, PayloadBytes, Rounds, Net.wireBytesCarried());
 }
 
-namespace {
-
-/// Parallel class used by the ParC# ping-pong.
-void registerEcho(scoopp::ParallelClassRegistry &Registry) {
-  Registry.registerClass(
-      {"Echo", [](scoopp::ScooppRuntime &, vm::Node &)
-                   -> std::shared_ptr<remoting::CallHandler> {
-         return std::make_shared<EchoHandler>();
-       }});
-}
-
-} // namespace
-
 PingPongResult parcs::apps::pingpong::runScooppPingPong(size_t PayloadBytes,
                                                         int Rounds) {
   vm::Cluster Machines(2, vm::VmKind::MonoVm117);
   net::Network Net(Machines.sim(), 2);
   scoopp::ParallelClassRegistry Registry;
-  registerEcho(Registry);
+  registerEchoClass<EchoImpl>(Registry);
   scoopp::ScooppRuntime Runtime(Machines, Net, std::move(Registry));
 
   sim::SimTime Elapsed;
@@ -179,18 +161,16 @@ PingPongResult parcs::apps::pingpong::runScooppPingPong(size_t PayloadBytes,
     static sim::Task<void> run(scoopp::ScooppRuntime &Runtime,
                                std::vector<int32_t> Payload, int Rounds,
                                sim::SimTime &Elapsed) {
-      scoopp::ProxyBase Proxy(Runtime, 0);
-      Error E = co_await Proxy.create("Echo");
+      EchoProxy Proxy(Runtime, 0);
+      Error E = co_await Proxy.create();
       if (E)
         co_return;
-      (void)co_await Proxy.invokeSyncTyped<std::vector<int32_t>>("echo",
-                                                                 Payload);
+      (void)co_await Proxy.echo(Payload);
       sim::Simulator &Sim = Runtime.sim();
       sim::SimTime Start = Sim.now();
       for (int I = 0; I < Rounds; ++I) {
         sim::SimTime RoundStart = Sim.now();
-        (void)co_await Proxy.invokeSyncTyped<std::vector<int32_t>>("echo",
-                                                                   Payload);
+        (void)co_await Proxy.echo(Payload);
         telemetry::record(0, "app.round.latency", Sim.now().nanosecondsCount(),
                           (Sim.now() - RoundStart).nanosecondsCount());
       }

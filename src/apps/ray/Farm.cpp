@@ -6,6 +6,7 @@
 
 #include "apps/ray/Farm.h"
 
+#include "RayWorkerGen.h"
 #include "fault/Injector.h"
 #include "mpi/Mpi.h"
 #include "net/Network.h"
@@ -24,8 +25,31 @@ using namespace parcs::apps::ray;
 // Worker
 //===----------------------------------------------------------------------===//
 
-RayWorkerHandler::RayWorkerHandler(vm::Node &Host,
-                                   std::shared_ptr<const RayJob> Job)
+namespace {
+
+/// The worker implementation object: renders line blocks and hands back
+/// its accumulated rows.  Serves the ParC# farm as a parallel object and
+/// the RMI farm as a unicast remote object.
+class RayWorkerImpl : public RayWorkerSkeleton {
+public:
+  RayWorkerImpl(vm::Node &Host, std::shared_ptr<const RayJob> Job);
+
+  sim::Task<ErrorOr<Unit>> render(int32_t Y0, int32_t Y1) override;
+  sim::Task<ErrorOr<std::vector<uint8_t>>> collect() override;
+
+private:
+  vm::Node &Host;
+  std::shared_ptr<const RayJob> Job;
+  /// Rendered rows keyed by Y (map keeps collect output in image order).
+  std::map<int32_t, std::vector<uint8_t>> Rows;
+  uint64_t ChecksumSum = 0;
+  /// This worker's trace lane on its node (0 when tracing is off).
+  int TraceTid = 0;
+};
+
+} // namespace
+
+RayWorkerImpl::RayWorkerImpl(vm::Node &Host, std::shared_ptr<const RayJob> Job)
     : Host(Host), Job(std::move(Job)) {
   if (trace::enabled()) {
     // One trace lane per worker, numbered in per-run track registration
@@ -37,64 +61,52 @@ RayWorkerHandler::RayWorkerHandler(vm::Node &Host,
   }
 }
 
-sim::Task<ErrorOr<remoting::Bytes>>
-RayWorkerHandler::handleCall(std::string_view Method,
-                             const remoting::Bytes &Args) {
-  if (Method == "render") {
-    int32_t Y0 = 0, Y1 = 0;
-    if (!serial::decodeValues(Args, Y0, Y1))
-      co_return Error(ErrorCode::MalformedMessage, "render args");
-    if (Y0 < 0 || Y1 < Y0 || Y1 > Job->Height)
-      co_return Error(ErrorCode::InvalidArgument, "render line range");
-    int64_t BlockStartNs = Host.sim().now().nanosecondsCount();
-    for (int32_t Y = Y0; Y < Y1; ++Y) {
-      // Real rendering; virtual time charged per counted op, scaled by
-      // this node's VM (reference = Sun JVM).
-      LineResult Line = Job->SceneData.renderLine(Y, Job->Width, Job->Height);
-      co_await Host.computeWork(
-          vm::WorkKind::FloatingPoint,
-          sim::SimTime::fromSecondsF(Job->NsPerOp * 1e-9 *
-                                     static_cast<double>(Line.Ops)));
-      ChecksumSum += Scene::lineChecksum(Line.Rgb);
-      Rows[Y] = std::move(Line.Rgb);
-    }
-    trace::complete(Host.id(), TraceTid, "ray.render_block", BlockStartNs,
-                    Host.sim().now().nanosecondsCount() - BlockStartNs);
-    metrics::Registry &Reg = metrics::Registry::global();
-    Reg.counter("ray.render_blocks").add(1);
-    Reg.counter("ray.lines_rendered").add(static_cast<uint64_t>(Y1 - Y0));
-    co_return remoting::Bytes{};
+sim::Task<ErrorOr<Unit>> RayWorkerImpl::render(int32_t Y0, int32_t Y1) {
+  if (Y0 < 0 || Y1 < Y0 || Y1 > Job->Height)
+    co_return Error(ErrorCode::InvalidArgument, "render line range");
+  int64_t BlockStartNs = Host.sim().now().nanosecondsCount();
+  for (int32_t Y = Y0; Y < Y1; ++Y) {
+    // Real rendering; virtual time charged per counted op, scaled by
+    // this node's VM (reference = Sun JVM).
+    LineResult Line = Job->SceneData.renderLine(Y, Job->Width, Job->Height);
+    co_await Host.computeWork(
+        vm::WorkKind::FloatingPoint,
+        sim::SimTime::fromSecondsF(Job->NsPerOp * 1e-9 *
+                                   static_cast<double>(Line.Ops)));
+    ChecksumSum += Scene::lineChecksum(Line.Rgb);
+    Rows[Y] = std::move(Line.Rgb);
   }
-  if (Method == "collect") {
-    trace::instant(Host.id(), TraceTid, "ray.collect",
-                   Host.sim().now().nanosecondsCount());
-    serial::OutputArchive Out;
-    Out.write(ChecksumSum);
-    Out.write(static_cast<uint32_t>(Rows.size()));
-    for (const auto &[Y, Rgb] : Rows) {
-      Out.write(Y);
-      Out.write(static_cast<uint32_t>(Rgb.size()));
-      Out.writeRaw(Rgb);
-    }
-    co_return Out.take();
+  trace::complete(Host.id(), TraceTid, "ray.render_block", BlockStartNs,
+                  Host.sim().now().nanosecondsCount() - BlockStartNs);
+  metrics::Registry &Reg = metrics::Registry::global();
+  Reg.counter("ray.render_blocks").add(1);
+  Reg.counter("ray.lines_rendered").add(static_cast<uint64_t>(Y1 - Y0));
+  co_return Unit();
+}
+
+sim::Task<ErrorOr<std::vector<uint8_t>>> RayWorkerImpl::collect() {
+  trace::instant(Host.id(), TraceTid, "ray.collect",
+                 Host.sim().now().nanosecondsCount());
+  serial::OutputArchive Out;
+  Out.write(ChecksumSum);
+  Out.write(static_cast<uint32_t>(Rows.size()));
+  for (const auto &[Y, Rgb] : Rows) {
+    Out.write(Y);
+    Out.write(static_cast<uint32_t>(Rgb.size()));
+    Out.writeRaw(Rgb);
   }
-  co_return Error(ErrorCode::UnknownMethod, std::string(Method));
+  co_return Out.take();
 }
 
 void parcs::apps::ray::registerRayWorker(
     scoopp::ParallelClassRegistry &Registry,
     std::shared_ptr<const RayJob> Job) {
-  Registry.registerClass(
-      {RayWorkerHandler::ClassName,
-       [Job](scoopp::ScooppRuntime &, vm::Node &Host)
-           -> std::shared_ptr<remoting::CallHandler> {
-         return std::make_shared<RayWorkerHandler>(Host, Job);
-       }});
+  registerRayWorkerClass<RayWorkerImpl>(Registry, std::move(Job));
 }
 
 namespace {
 
-/// Decodes a worker's collect() payload into (checksum, pixel bytes).
+/// Decodes a worker's collect() blob into (checksum, pixel bytes).
 ErrorOr<std::pair<uint64_t, uint64_t>>
 parseCollect(const remoting::Bytes &Raw) {
   serial::InputArchive In(Raw);
@@ -216,14 +228,14 @@ sim::Task<void> scooppMaster(scoopp::ScooppRuntime &Runtime,
   // loop below re-renders them elsewhere.
   std::vector<uint8_t> RowSeen(static_cast<size_t>(Job->Height), 0);
   for (auto &Proxy : Proxies) {
-    ErrorOr<remoting::Bytes> Raw = co_await Proxy->collect();
-    if (!Raw) {
+    ErrorOr<std::vector<uint8_t>> Blob = co_await Proxy->collect();
+    if (!Blob) {
       PARCS_LOG(Warn, "ray: collect failed ("
-                          << Raw.error().message() << "); rows from "
+                          << Blob.error().message() << "); rows from "
                           << Proxy->ref().Name << " will be re-rendered");
       continue;
     }
-    mergeCollect(*Raw, *Job, RowSeen, Out);
+    mergeCollect(*Blob, *Job, RowSeen, Out);
   }
   trace::complete(0, MasterTid, "ray.collect_results", CollectStartNs,
                   Sim.now().nanosecondsCount() - CollectStartNs);
@@ -272,9 +284,9 @@ sim::Task<void> scooppMaster(scoopp::ScooppRuntime &Runtime,
     for (auto [Y0, Y1] : Missing)
       co_await Spare->render(Y0, Y1);
     co_await Spare->flush();
-    ErrorOr<remoting::Bytes> Raw = co_await Spare->collect();
-    if (Raw)
-      mergeCollect(*Raw, *Job, RowSeen, Out);
+    ErrorOr<std::vector<uint8_t>> Blob = co_await Spare->collect();
+    if (Blob)
+      mergeCollect(*Blob, *Job, RowSeen, Out);
     trace::complete(0, MasterTid, "ray.recovery_round", RecoveryStartNs,
                     Sim.now().nanosecondsCount() - RecoveryStartNs);
   }
@@ -296,9 +308,10 @@ sim::Task<void> rmiWorkerDriver(remoting::RemoteHandle Worker,
     if (!R)
       break;
   }
-  ErrorOr<remoting::Bytes> Raw = co_await Worker.invoke("collect", {});
-  if (Raw) {
-    auto Parsed = parseCollect(*Raw);
+  ErrorOr<std::vector<uint8_t>> Blob =
+      co_await Worker.invokeTyped<std::vector<uint8_t>>("collect");
+  if (Blob) {
+    auto Parsed = parseCollect(*Blob);
     if (Parsed) {
       Out.Checksum += Parsed->first;
       Out.PixelBytes += Parsed->second;
@@ -390,7 +403,7 @@ FarmResult parcs::apps::ray::runRmiRayFarm(std::shared_ptr<const RayJob> Job,
     int NodeId = W / Config.CoresPerNode;
     std::string Name = "worker" + std::to_string(W);
     Endpoints[static_cast<size_t>(NodeId)]->publish(
-        Name, std::make_shared<RayWorkerHandler>(Machines.node(NodeId), Job));
+        Name, std::make_shared<RayWorkerImpl>(Machines.node(NodeId), Job));
     Workers.emplace_back(*Endpoints[0], NodeId, rmi::RegistryPort, Name);
   }
   FarmResult Out;

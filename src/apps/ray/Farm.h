@@ -22,13 +22,17 @@
 /// executing VM's floating-point multiplier -- which is how the paper's
 /// "C# sequential time is 40% superior" shows up in the curves.
 ///
+/// The worker class is declared in ray_worker.pci, and its proxy and
+/// skeleton are generated at build time (RayWorkerGen.h).  Farm.cpp
+/// implements the skeleton once; the ParC# farm calls it through the
+/// generated proxy and the RMI farm through a plain remote handle.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PARCS_APPS_RAY_FARM_H
 #define PARCS_APPS_RAY_FARM_H
 
 #include "apps/ray/Scene.h"
-#include "core/Proxy.h"
 #include "core/Scoopp.h"
 #include "fault/FaultPlan.h"
 #include "rmi/Rmi.h"
@@ -61,46 +65,8 @@ struct FarmResult {
   bool Complete = true;
 };
 
-/// The worker implementation object: renders line blocks ("render") and
-/// hands back its accumulated rows ("collect").  Used both as a SCOOPP
-/// parallel class and as an RMI unicast object.
-class RayWorkerHandler : public remoting::CallHandler {
-public:
-  RayWorkerHandler(vm::Node &Host, std::shared_ptr<const RayJob> Job);
-
-  sim::Task<ErrorOr<remoting::Bytes>>
-  handleCall(std::string_view Method, const remoting::Bytes &Args) override;
-
-  static constexpr const char *ClassName = "RayWorker";
-
-private:
-  vm::Node &Host;
-  std::shared_ptr<const RayJob> Job;
-  /// Rendered rows keyed by Y (map keeps collect output in image order).
-  std::map<int32_t, std::vector<uint8_t>> Rows;
-  uint64_t ChecksumSum = 0;
-  /// This worker's trace lane on its node (0 when tracing is off).
-  int TraceTid = 0;
-};
-
-/// The generated-proxy shape for RayWorkerHandler (ParC# side).
-class RayWorkerProxy : public scoopp::ProxyBase {
-public:
-  using ProxyBase::ProxyBase;
-  sim::Task<Error> create() {
-    return ProxyBase::create(RayWorkerHandler::ClassName);
-  }
-  /// Asynchronous: render lines [Y0, Y1).
-  sim::Task<void> render(int32_t Y0, int32_t Y1) {
-    return invokeAsync("render", serial::encodeValues(Y0, Y1));
-  }
-  /// Synchronous: returns (checksum, pixel rows).
-  sim::Task<ErrorOr<remoting::Bytes>> collect() {
-    return invokeSync("collect", remoting::Bytes{});
-  }
-};
-
-/// Registers the RayWorker parallel class backed by \p Job.
+/// Registers the RayWorker parallel class (ray_worker.pci; its proxy is
+/// RayWorkerProxy in the generated RayWorkerGen.h) backed by \p Job.
 void registerRayWorker(scoopp::ParallelClassRegistry &Registry,
                        std::shared_ptr<const RayJob> Job);
 

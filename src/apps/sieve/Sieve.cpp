@@ -6,41 +6,79 @@
 
 #include "apps/sieve/Sieve.h"
 
+#include "PrimeFilterGen.h"
 #include "support/Metrics.h"
 #include "support/Trace.h"
 #include "vm/VmKind.h"
+
+#include <map>
 
 using namespace parcs;
 using namespace parcs::apps::sieve;
 using scoopp::ParallelRef;
 
-PrimeFilterHandler::PrimeFilterHandler(scoopp::ScooppRuntime &Runtime,
-                                       vm::Node &Host,
-                                       std::shared_ptr<const SieveJob> Job)
-    : Runtime(Runtime), Host(Host), Job(std::move(Job)),
-      Batches(metrics::Registry::global().counter("sieve.batches")),
-      TestsRun(metrics::Registry::global().counter("sieve.tests")) {}
+namespace {
 
-sim::Task<ErrorOr<scoopp::ParallelRef>> PrimeFilterProxy::nextRef() {
-  ErrorOr<remoting::Bytes> Raw = co_await invokeSync("nextRef", {});
-  if (!Raw)
-    co_return Raw.error();
-  serial::InputArchive In(*Raw);
-  int32_t HasNext = 0;
-  if (!In.read(HasNext))
-    co_return Error(ErrorCode::MalformedMessage, "nextRef reply");
-  ParallelRef Ref;
-  if (HasNext && !ParallelRef::decode(In, Ref))
-    co_return Error(ErrorCode::MalformedMessage, "nextRef payload");
-  co_return Ref; // Invalid (default) ref means "end of chain".
+/// The PrimeFilter implementation object.
+class PrimeFilterImpl : public PrimeFilterSkeleton {
+public:
+  PrimeFilterImpl(scoopp::ScooppRuntime &Runtime, vm::Node &Host,
+                  std::shared_ptr<const SieveJob> Job)
+      : Runtime(Runtime), Host(Host), Job(std::move(Job)),
+        Batches(metrics::Registry::global().counter("sieve.batches")),
+        TestsRun(metrics::Registry::global().counter("sieve.tests")) {}
+
+  /// Filters batch \p Seq (empty = end of stream), holding it in the
+  /// reorder buffer until every earlier batch has run.
+  sim::Task<ErrorOr<Unit>> process(int32_t Seq,
+                                   std::vector<int32_t> Numbers) override;
+  sim::Task<ErrorOr<std::vector<int32_t>>> primes() override {
+    co_return Primes;
+  }
+  sim::Task<ErrorOr<bool>> eosSeen() override { co_return EosSeen; }
+  sim::Task<ErrorOr<std::vector<ParallelRef>>> nextRef() override {
+    std::vector<ParallelRef> Link;
+    if (Next && Next->created())
+      Link.push_back(Next->ref());
+    co_return Link;
+  }
+
+private:
+  /// Runs one in-order batch (empty = end of stream); the survivors stay
+  /// in \p Numbers, which moves on to the next filter.
+  sim::Task<Error> processInOrder(std::vector<int32_t> Numbers);
+  /// Forwards a batch downstream, creating the next filter on first use.
+  sim::Task<Error> forward(std::vector<int32_t> Survivors);
+
+  scoopp::ScooppRuntime &Runtime;
+  vm::Node &Host;
+  std::shared_ptr<const SieveJob> Job;
+  /// sieve.batches and sieve.tests, looked up once per filter.
+  metrics::Counter &Batches;
+  metrics::Counter &TestsRun;
+  std::vector<int32_t> Primes;
+  std::unique_ptr<PrimeFilterProxy> Next;
+  /// Reorder machinery.
+  int32_t ExpectedSeq = 0;
+  std::map<int32_t, std::vector<int32_t>> Stash;
+  int32_t ForwardSeq = 0;
+  bool EosSeen = false;
+};
+
+/// The filter after the one a nextRef() reply came from: invalid at the
+/// tail of the chain.
+ParallelRef nextLink(std::vector<ParallelRef> &Link) {
+  return Link.empty() ? ParallelRef() : std::move(Link.front());
 }
 
-sim::Task<Error> PrimeFilterHandler::forward(std::vector<int32_t> Survivors) {
+} // namespace
+
+sim::Task<Error> PrimeFilterImpl::forward(std::vector<int32_t> Survivors) {
   if (!Next) {
     // Dynamic pipeline growth: the filter itself creates its successor
     // (a parallel object creating a parallel object).
     auto Proxy = std::make_unique<PrimeFilterProxy>(Runtime, Host.id());
-    Error E = co_await static_cast<PrimeFilterProxy &>(*Proxy).create();
+    Error E = co_await Proxy->create();
     if (E)
       co_return E;
     Next = std::move(Proxy);
@@ -49,13 +87,12 @@ sim::Task<Error> PrimeFilterHandler::forward(std::vector<int32_t> Survivors) {
                    Host.sim().now().nanosecondsCount());
   }
   int32_t Seq = ForwardSeq++;
-  co_await static_cast<PrimeFilterProxy &>(*Next).process(Seq,
-                                                         std::move(Survivors));
+  co_await Next->process(Seq, std::move(Survivors));
   co_return Error();
 }
 
 sim::Task<Error>
-PrimeFilterHandler::processInOrder(std::vector<int32_t> Numbers) {
+PrimeFilterImpl::processInOrder(std::vector<int32_t> Numbers) {
   if (Numbers.empty()) {
     // End of stream: push any buffered aggregate downstream, then pass
     // the marker along the same ordered path.
@@ -92,7 +129,6 @@ PrimeFilterHandler::processInOrder(std::vector<int32_t> Numbers) {
     Numbers[Survivors++] = N;
   }
   Numbers.resize(Survivors);
-  Tests += BatchTests;
   co_await Host.computeWork(
       vm::WorkKind::Integer,
       sim::SimTime::fromSecondsF(Job->NsPerTest * 1e-9 *
@@ -109,12 +145,12 @@ PrimeFilterHandler::processInOrder(std::vector<int32_t> Numbers) {
   co_return Error();
 }
 
-sim::Task<Error> PrimeFilterHandler::process(int32_t Seq,
-                                             std::vector<int32_t> Numbers) {
+sim::Task<ErrorOr<Unit>>
+PrimeFilterImpl::process(int32_t Seq, std::vector<int32_t> Numbers) {
   if (Seq != ExpectedSeq) {
     // Arrived early: hold it in the reorder buffer.
     Stash[Seq] = std::move(Numbers);
-    co_return Error();
+    co_return Unit();
   }
   Error E = co_await processInOrder(std::move(Numbers));
   if (E)
@@ -131,50 +167,13 @@ sim::Task<Error> PrimeFilterHandler::process(int32_t Seq,
     ++ExpectedSeq;
     It = Stash.find(ExpectedSeq);
   }
-  co_return Error();
-}
-
-sim::Task<ErrorOr<remoting::Bytes>>
-PrimeFilterHandler::handleCall(std::string_view Method,
-                               const remoting::Bytes &Args) {
-  if (Method == "process") {
-    int32_t Seq = 0;
-    std::vector<int32_t> Numbers;
-    if (!serial::decodeValues(Args, Seq, Numbers))
-      co_return Error(ErrorCode::MalformedMessage, "process args");
-    Error E = co_await process(Seq, std::move(Numbers));
-    if (E)
-      co_return E;
-    co_return remoting::Bytes{};
-  }
-  if (Method == "primes")
-    co_return serial::encodeValues(Primes);
-  if (Method == "eosSeen")
-    co_return serial::encodeValues(EosSeen);
-  if (Method == "tests")
-    co_return serial::encodeValues(static_cast<uint64_t>(Tests));
-  if (Method == "nextRef") {
-    serial::OutputArchive Out;
-    if (Next && Next->created()) {
-      Out.write(static_cast<int32_t>(1));
-      Next->ref().encode(Out);
-    } else {
-      Out.write(static_cast<int32_t>(0));
-    }
-    co_return Out.take();
-  }
-  co_return Error(ErrorCode::UnknownMethod, std::string(Method));
+  co_return Unit();
 }
 
 void parcs::apps::sieve::registerSieveClasses(
     scoopp::ParallelClassRegistry &Registry,
     std::shared_ptr<const SieveJob> Job) {
-  Registry.registerClass(
-      {PrimeFilterHandler::ClassName,
-       [Job](scoopp::ScooppRuntime &Runtime, vm::Node &Host)
-           -> std::shared_ptr<remoting::CallHandler> {
-         return std::make_shared<PrimeFilterHandler>(Runtime, Host, Job);
-       }});
+  registerPrimeFilterClass<PrimeFilterImpl>(Registry, std::move(Job));
 }
 
 sim::Task<ErrorOr<PipelineResult>>
@@ -203,7 +202,7 @@ parcs::apps::sieve::runSievePipeline(scoopp::ScooppRuntime &Runtime,
   co_await First.process(Seq++, {});
   co_await First.flush();
 
-  const std::string Class = PrimeFilterHandler::ClassName;
+  const std::string Class = PrimeFilterProxy::ClassName;
 
   // Wait for the EOS marker to drain through the (still growing) chain:
   // walk to the tail and check its marker, iteratively -- at most one
@@ -215,10 +214,10 @@ parcs::apps::sieve::runSievePipeline(scoopp::ScooppRuntime &Runtime,
       Tail = Cursor;
       PrimeFilterProxy Link(Runtime, HomeNode);
       Link.bind(Class, Cursor);
-      ErrorOr<ParallelRef> NextRef = co_await Link.nextRef();
+      ErrorOr<std::vector<ParallelRef>> NextRef = co_await Link.nextRef();
       if (!NextRef)
         co_return NextRef.error();
-      Cursor = *NextRef;
+      Cursor = nextLink(*NextRef);
     }
     PrimeFilterProxy TailProxy(Runtime, HomeNode);
     TailProxy.bind(Class, Tail);
@@ -241,10 +240,10 @@ parcs::apps::sieve::runSievePipeline(scoopp::ScooppRuntime &Runtime,
       co_return Stored.error();
     Result.Primes.insert(Result.Primes.end(), Stored->begin(), Stored->end());
     ++Result.FilterCount;
-    ErrorOr<ParallelRef> NextRef = co_await Link.nextRef();
+    ErrorOr<std::vector<ParallelRef>> NextRef = co_await Link.nextRef();
     if (!NextRef)
       co_return NextRef.error();
-    Cursor = *NextRef;
+    Cursor = nextLink(*NextRef);
   }
   co_return Result;
 }

@@ -9,9 +9,8 @@
 /// local or a remote parallel object and has the same interface as the
 /// object it represents.  It transparently replaces remote parallel
 /// objects and forwards all method invocations to the remote parallel
-/// object implementation."  Generated proxy classes (parcgen output, or
-/// hand-written equivalents) derive from it and add one typed method per
-/// user method.
+/// object implementation."  Proxy classes generated by parcgen derive from
+/// it and add one typed method per user method.
 ///
 /// create() reproduces Fig. 5's generated constructor: consult the OM;
 /// either create the IO locally (object agglomeration, call d in Fig. 3)

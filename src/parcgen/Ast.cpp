@@ -17,6 +17,8 @@ static const char *baseName(TypeKind Kind) {
     return "void";
   case TypeKind::Bool:
     return "bool";
+  case TypeKind::Byte:
+    return "byte";
   case TypeKind::Int:
     return "int";
   case TypeKind::Long:
@@ -54,6 +56,9 @@ std::string TypeNode::cppType() const {
     break;
   case TypeKind::Bool:
     Base = "bool";
+    break;
+  case TypeKind::Byte:
+    Base = "uint8_t";
     break;
   case TypeKind::Int:
     Base = "int32_t";

@@ -17,7 +17,7 @@
 ///   params      ::= param (',' param)*
 ///   param       ::= 'ref'? type IDENT
 ///   type        ::= base-type ('[' ']')?
-///   base-type   ::= 'void' | 'bool' | 'int' | 'long' | 'double'
+///   base-type   ::= 'void' | 'bool' | 'byte' | 'int' | 'long' | 'double'
 ///                 | 'string' | 'ref' '<' IDENT '>'
 /// \endcode
 ///
@@ -40,6 +40,7 @@ namespace parcs::pcc {
 enum class TypeKind {
   Void,
   Bool,
+  Byte,   ///< Unsigned 8-bit; a byte[] travels as one bulk copy.
   Int,    ///< 32-bit.
   Long,   ///< 64-bit.
   Double,

@@ -41,11 +41,13 @@ std::string passiveTypeName(const ModuleDecl &Module,
   return Prefix + "." + Class;
 }
 
-/// C++ type of a method parameter in the *proxy* signature.
+/// C++ type of a method parameter in the *proxy* signature: by value, so
+/// the direct call moves it on to the skeleton.  Passive graphs are read
+/// through a pointer and always marshalled.
 std::string proxyParamType(const TypeNode &Type) {
   if (Type.isPassive())
     return "const " + Type.RefClass + " *";
-  return "const " + Type.cppType() + " &";
+  return Type.cppType() + " ";
 }
 
 /// C++ type of a method parameter in the *skeleton* signature.
@@ -194,12 +196,10 @@ void emitSkeleton(std::ostringstream &Os, const ClassDecl &Class) {
   Os << "/// Abstract implementation-object (IO) base for parallel class\n";
   Os << "/// " << Class.Name << ".  Derive, implement the methods, and\n";
   Os << "/// register the subclass with register" << Class.Name
-     << "Class().\n";
+     << "Class(), or publish\n/// it on an endpoint as is.  A method's "
+        "Error is its caller's result.\n";
   Os << "class " << Skel << " : public parcs::remoting::CallHandler {\n";
   Os << "public:\n";
-  Os << "  " << Skel << "(parcs::scoopp::ScooppRuntime &Runtime,\n";
-  Os << "      parcs::vm::Node &Host)\n";
-  Os << "      : Runtime(Runtime), Host(Host) {}\n\n";
 
   for (const MethodDecl &Method : Class.Methods) {
     Os << "  /// " << (Method.Kind == MethodKind::Async ? "Asynchronous"
@@ -209,9 +209,9 @@ void emitSkeleton(std::ostringstream &Os, const ClassDecl &Class) {
       Os << "  Passive parameters are\n  /// decoded copies owned by the "
             "call (valid until the method returns).";
     Os << "\n";
-    Os << "  virtual parcs::sim::Task<" << Method.ReturnType.cppType()
-       << "> " << Method.Name << "(" << paramList(Method, /*Proxy=*/false)
-       << ") = 0;\n";
+    Os << "  virtual parcs::sim::Task<parcs::ErrorOr<"
+       << Method.ReturnType.cppType() << ">> " << Method.Name << "("
+       << paramList(Method, /*Proxy=*/false) << ") = 0;\n";
   }
 
   Os << "\n  parcs::sim::Task<parcs::ErrorOr<parcs::remoting::Bytes>>\n";
@@ -237,17 +237,13 @@ void emitSkeleton(std::ostringstream &Os, const ClassDecl &Class) {
           Os << "_graph";
       }
       Os << "))\n";
-      Os << "        co_return parcs::Error(\n";
-      Os << "            parcs::ErrorCode::MalformedMessage,\n";
-      Os << "            \"arguments of " << Class.Name << "."
-         << Method.Name << "\");\n";
     } else {
       Os << "      if (!Args.empty())\n";
-      Os << "        co_return parcs::Error(\n";
-      Os << "            parcs::ErrorCode::MalformedMessage,\n";
-      Os << "            \"arguments of " << Class.Name << "."
-         << Method.Name << "\");\n";
     }
+    Os << "        co_return parcs::Error(\n";
+    Os << "            parcs::ErrorCode::MalformedMessage,\n";
+    Os << "            \"arguments of " << Class.Name << "." << Method.Name
+       << "\");\n";
     if (HasPassive) {
       Os << "      parcs::serial::ObjectPool Pool_;\n";
       for (const ParamDecl &Param : Method.Params) {
@@ -272,8 +268,8 @@ void emitSkeleton(std::ostringstream &Os, const ClassDecl &Class) {
         Os << "      }\n";
       }
     }
-    Os << "      " << Method.ReturnType.cppType()
-       << " Result_ = co_await " << Method.Name << "(";
+    Os << "      parcs::ErrorOr<" << Method.ReturnType.cppType()
+       << "> Result_ = co_await " << Method.Name << "(";
     for (size_t I = 0; I < Method.Params.size(); ++I) {
       if (I)
         Os << ", ";
@@ -284,15 +280,14 @@ void emitSkeleton(std::ostringstream &Os, const ClassDecl &Class) {
         Os << "std::move(" << Param.Name << ")";
     }
     Os << ");\n";
-    Os << "      co_return parcs::serial::encodeValues(Result_);\n";
+    Os << "      if (!Result_)\n";
+    Os << "        co_return Result_.error();\n";
+    Os << "      co_return parcs::serial::encodeValues(*Result_);\n";
     Os << "    }\n";
   }
   Os << "    co_return parcs::Error(parcs::ErrorCode::UnknownMethod,\n";
   Os << "                           std::string(Method));\n";
-  Os << "  }\n\n";
-  Os << "protected:\n";
-  Os << "  parcs::scoopp::ScooppRuntime &Runtime;\n";
-  Os << "  parcs::vm::Node &Host;\n";
+  Os << "  }\n";
   Os << "};\n\n";
 }
 
@@ -301,15 +296,15 @@ void emitSkeleton(std::ostringstream &Os, const ClassDecl &Class) {
 //===----------------------------------------------------------------------===//
 
 /// The direct branch of a proxy method: when the object is agglomerated,
-/// call the skeleton's method itself, the arguments copied once into the
-/// call and moved from there.  \p Ret is invokeLocal's result type.
+/// call the skeleton's method itself, the by-value arguments moved into
+/// the call and on to the method.  \p Ret is invokeLocal's result type.
 void emitDirectBranch(std::ostringstream &Os, const MethodDecl &Method,
                       const std::string &Ret) {
   Os << "    if (Local_)\n";
   Os << "      return invokeLocal<" << Ret << ">(\"" << Method.Name
      << "\", [Io_ = Local_";
   for (const ParamDecl &Param : Method.Params)
-    Os << ", " << Param.Name;
+    Os << ", " << Param.Name << " = std::move(" << Param.Name << ")";
   Os << "]() mutable {\n";
   Os << "        return Io_->" << Method.Name << "(";
   for (size_t I = 0; I < Method.Params.size(); ++I)
@@ -376,22 +371,39 @@ void emitProxy(std::ostringstream &Os, const ClassDecl &Class) {
 }
 
 void emitRegistration(std::ostringstream &Os, const ClassDecl &Class) {
-  Os << "/// Registers " << Class.Name
-     << " backed by \\p ImplT (a subclass of " << Class.Name
-     << "Skeleton\n/// constructible from (ScooppRuntime&, vm::Node&)).\n";
-  Os << "template <typename ImplT>\n";
+  Os << "/// Registers " << Class.Name << " backed by \\p ImplT, a subclass "
+     << "of " << Class.Name << "Skeleton.\n";
+  Os << "/// Each instance is built from (ScooppRuntime&, vm::Node&, "
+        "Args...),\n";
+  Os << "/// (vm::Node&, Args...) or (Args...), the first ImplT can be\n";
+  Os << "/// constructed from; every instance gets copies of \\p Args.\n";
+  Os << "template <typename ImplT, typename... ArgTs>\n";
   Os << "void register" << Class.Name
-     << "Class(parcs::scoopp::ParallelClassRegistry &Registry) {\n";
+     << "Class(parcs::scoopp::ParallelClassRegistry &Registry,\n";
+  Os << "    ArgTs... Args) {\n";
   Os << "  static_assert(std::is_base_of_v<" << Class.Name
      << "Skeleton, ImplT>,\n";
   Os << "                \"implementation must derive from " << Class.Name
      << "Skeleton\");\n";
   Os << "  Registry.registerClass(\n";
   Os << "      {" << Class.Name << "Proxy::ClassName,\n";
-  Os << "       [](parcs::scoopp::ScooppRuntime &Runtime,\n";
-  Os << "          parcs::vm::Node &Host)\n";
+  Os << "       [Args...](parcs::scoopp::ScooppRuntime &Runtime,\n";
+  Os << "                 parcs::vm::Node &Host)\n";
   Os << "           -> std::shared_ptr<parcs::remoting::CallHandler> {\n";
-  Os << "         return std::make_shared<ImplT>(Runtime, Host);\n";
+  Os << "         if constexpr (std::is_constructible_v<\n";
+  Os << "                           ImplT, parcs::scoopp::ScooppRuntime &,\n";
+  Os << "                           parcs::vm::Node &, const ArgTs &...>) {\n";
+  Os << "           return std::make_shared<ImplT>(Runtime, Host, Args...);\n";
+  Os << "         } else if constexpr (std::is_constructible_v<\n";
+  Os << "                                  ImplT, parcs::vm::Node &,\n";
+  Os << "                                  const ArgTs &...>) {\n";
+  Os << "           (void)Runtime;\n";
+  Os << "           return std::make_shared<ImplT>(Host, Args...);\n";
+  Os << "         } else {\n";
+  Os << "           (void)Runtime;\n";
+  Os << "           (void)Host;\n";
+  Os << "           return std::make_shared<ImplT>(Args...);\n";
+  Os << "         }\n";
   Os << "       }});\n";
   Os << "}\n\n";
 }
@@ -413,7 +425,9 @@ std::string parcs::pcc::generateCpp(const ModuleDecl &Module) {
   Os << "#include <cstdint>\n";
   Os << "#include <memory>\n";
   Os << "#include <string>\n";
+  Os << "#include <string_view>\n";
   Os << "#include <type_traits>\n";
+  Os << "#include <utility>\n";
   Os << "#include <vector>\n\n";
 
   std::vector<std::string> Parts = namespaceParts(Module);

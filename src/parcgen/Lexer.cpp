@@ -36,6 +36,8 @@ const char *parcs::pcc::tokenKindName(TokenKind Kind) {
     return "'void'";
   case TokenKind::KwBool:
     return "'bool'";
+  case TokenKind::KwByte:
+    return "'byte'";
   case TokenKind::KwInt:
     return "'int'";
   case TokenKind::KwLong:
@@ -142,6 +144,7 @@ Token Lexer::next() {
         {"class", TokenKind::KwClass},     {"extern", TokenKind::KwExtern},
         {"async", TokenKind::KwAsync},     {"sync", TokenKind::KwSync},
         {"void", TokenKind::KwVoid},       {"bool", TokenKind::KwBool},
+        {"byte", TokenKind::KwByte},
         {"int", TokenKind::KwInt},         {"long", TokenKind::KwLong},
         {"double", TokenKind::KwDouble},   {"string", TokenKind::KwString},
         {"ref", TokenKind::KwRef},

@@ -282,6 +282,10 @@ std::optional<TypeNode> Parser::parseType(bool AfterRef) {
     Type.Kind = TypeKind::Bool;
     consume();
     break;
+  case TokenKind::KwByte:
+    Type.Kind = TypeKind::Byte;
+    consume();
+    break;
   case TokenKind::KwInt:
     Type.Kind = TypeKind::Int;
     consume();

@@ -43,6 +43,7 @@ enum class TokenKind {
   KwSync,
   KwVoid,
   KwBool,
+  KwByte,
   KwInt,
   KwLong,
   KwDouble,

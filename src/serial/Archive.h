@@ -97,7 +97,10 @@ public:
 
   template <typename T> void write(const std::vector<T> &Values) {
     write(static_cast<uint32_t>(Values.size()));
-    if constexpr (std::is_arithmetic_v<T>) {
+    if constexpr (std::is_same_v<T, uint8_t>) {
+      // A byte array is its own encoding: one bulk copy.
+      writeRaw(Values.data(), Values.size());
+    } else if constexpr (std::is_arithmetic_v<T>) {
       // Hot path for numeric arrays (the ping-pong payloads).
       for (const T &Value : Values)
         write(Value);
@@ -259,7 +262,9 @@ public:
     // Reject counts that cannot possibly fit in the remaining bytes, so a
     // corrupt length cannot trigger a huge allocation.  Every element
     // encoding occupies at least one byte.
-    if constexpr (std::is_arithmetic_v<T>) {
+    if constexpr (std::is_same_v<T, uint8_t>) {
+      return readRaw(Out, Count);
+    } else if constexpr (std::is_arithmetic_v<T>) {
       if (!require(static_cast<size_t>(Count) * sizeof(T)))
         return false;
     } else if (Count > remaining()) {
@@ -374,11 +379,17 @@ private:
 };
 
 /// Encodes a fixed sequence of values into one buffer (method-call
-/// argument packing).
+/// argument packing).  No values, or Units alone, encode as an empty
+/// buffer with no storage: a void reply or a no-argument call.
 template <typename... Ts> Bytes encodeValues(const Ts &...Values) {
-  OutputArchive Archive;
-  (Archive.write(Values), ...);
-  return Archive.take();
+  if constexpr ((std::is_same_v<Ts, Unit> && ...)) {
+    ((void)Values, ...);
+    return Bytes{};
+  } else {
+    OutputArchive Archive;
+    (Archive.write(Values), ...);
+    return Archive.take();
+  }
 }
 
 /// Decodes exactly the values encoded by encodeValues; fails on trailing

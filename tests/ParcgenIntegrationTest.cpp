@@ -15,6 +15,9 @@
 #include "AccumulatorGen.h"
 #include "core/ObjectManager.h"
 #include "net/Network.h"
+#include "remoting/Profiles.h"
+#include "remoting/Remoting.h"
+#include "support/Logging.h"
 #include "vm/Cluster.h"
 
 #include <gtest/gtest.h>
@@ -32,23 +35,24 @@ namespace {
 /// Implementation of the generated skeleton.
 class AccumulatorImpl : public AccumulatorSkeleton {
 public:
-  using AccumulatorSkeleton::AccumulatorSkeleton;
+  explicit AccumulatorImpl(vm::Node &Host) : Host(Host) {}
 
-  sim::Task<Unit> add(int32_t Value) override {
+  sim::Task<ErrorOr<Unit>> add(int32_t Value) override {
     co_await Host.compute(SimTime::microseconds(1));
     Sum += Value;
     co_return Unit();
   }
 
-  sim::Task<Unit> addMany(std::vector<int32_t> Values) override {
+  sim::Task<ErrorOr<Unit>> addMany(std::vector<int32_t> Values) override {
     for (int32_t V : Values)
       Sum += V;
     co_return Unit();
   }
 
-  sim::Task<int32_t> total() override { co_return Sum; }
+  sim::Task<ErrorOr<int32_t>> total() override { co_return Sum; }
 
-  sim::Task<std::string> describe(std::string Prefix, bool Upper) override {
+  sim::Task<ErrorOr<std::string>> describe(std::string Prefix,
+                                           bool Upper) override {
     std::string Text = Prefix + std::to_string(Sum);
     if (Upper)
       std::transform(Text.begin(), Text.end(), Text.begin(), [](char C) {
@@ -57,17 +61,35 @@ public:
     co_return Text;
   }
 
-  sim::Task<double> scale(double Factor) override {
+  sim::Task<ErrorOr<double>> scale(double Factor) override {
     co_return Sum * Factor;
   }
 
-  sim::Task<int64_t> big(int64_t X) override { co_return X * 2; }
+  sim::Task<ErrorOr<int64_t>> big(int64_t X) override { co_return X * 2; }
 
-  sim::Task<scoopp::ParallelRef> self() override { co_return SelfRef; }
+  sim::Task<ErrorOr<scoopp::ParallelRef>> self() override {
+    co_return SelfRef;
+  }
 
-  sim::Task<Unit> note(scoopp::ParallelRef Peer) override {
+  sim::Task<ErrorOr<Unit>> note(scoopp::ParallelRef Peer) override {
     LastPeer = Peer;
     co_return Unit();
+  }
+
+  sim::Task<ErrorOr<int32_t>> checked(int32_t Value) override {
+    if (Value < 0)
+      co_return Error(ErrorCode::InvalidArgument, "negative value");
+    co_return Value;
+  }
+
+  sim::Task<ErrorOr<Unit>> fail(std::string Reason) override {
+    co_return Error(ErrorCode::InvalidArgument, Reason);
+  }
+
+  sim::Task<ErrorOr<std::vector<uint8_t>>>
+  reverse(std::vector<uint8_t> Data) override {
+    std::reverse(Data.begin(), Data.end());
+    co_return Data;
   }
 
   /// Counts the calls that arrive marshalled.
@@ -78,6 +100,7 @@ public:
   }
   inline static int Marshalled = 0;
 
+  vm::Node &Host;
   int32_t Sum = 0;
   scoopp::ParallelRef SelfRef;
   scoopp::ParallelRef LastPeer;
@@ -288,6 +311,136 @@ TEST(ParcgenIntegrationTest, GeneratedDispatchRejectsMalformedArgs) {
   };
   W.sim().spawn(Proc::run(W));
   W.sim().run();
+}
+
+TEST(ParcgenIntegrationTest, ByteArrayRoundTripsAsTheElementLoop) {
+  GenWorld W;
+  bool Done = false;
+  struct Proc {
+    static Task<void> run(GenWorld &W, bool &Done) {
+      AccumulatorProxy P(W.Runtime, 0);
+      (void)co_await P.create();
+      EXPECT_FALSE(P.isLocal());
+      std::vector<uint8_t> Data = {0, 1, 2, 0x7f, 0x80, 0xff};
+      auto Reversed = co_await P.reverse(Data);
+      EXPECT_TRUE(Reversed.hasValue());
+      if (Reversed) {
+        EXPECT_EQ(*Reversed,
+                  (std::vector<uint8_t>{0xff, 0x80, 0x7f, 2, 1, 0}));
+      }
+      // On the wire a byte[] is the element loop's encoding: a u32 count,
+      // then one byte per element.
+      serial::OutputArchive Loop;
+      Loop.write(static_cast<uint32_t>(Data.size()));
+      for (uint8_t B : Data)
+        Loop.write(B);
+      EXPECT_EQ(serial::encodeValues(Data), Loop.bytes());
+      auto Raw = co_await P.invokeSync("reverse", Loop.take());
+      EXPECT_TRUE(Raw.hasValue());
+      if (Raw) {
+        EXPECT_EQ(*Raw, serial::encodeValues(std::vector<uint8_t>(
+                            Data.rbegin(), Data.rend())));
+      }
+      Done = true;
+    }
+  };
+  W.sim().spawn(Proc::run(W, Done));
+  W.sim().run();
+  EXPECT_TRUE(Done);
+}
+
+/// Calls checked() with a negative value and returns the error code the
+/// caller sees (ErrorCode::None when the call succeeded).
+struct CheckedCall {
+  static Task<void> run(GenWorld &W, bool &Local, ErrorCode &Code) {
+    AccumulatorProxy P(W.Runtime, 0);
+    (void)co_await P.create();
+    Local = P.isLocal();
+    auto Out = co_await P.checked(-1);
+    Code = Out ? ErrorCode::None : Out.error().code();
+  }
+};
+
+TEST(ParcgenIntegrationTest, SkeletonErrorReachesSyncCallerOnBothPaths) {
+  GenWorld Remote;
+  bool RemoteLocal = true;
+  ErrorCode RemoteCode = ErrorCode::None;
+  Remote.sim().spawn(CheckedCall::run(Remote, RemoteLocal, RemoteCode));
+  Remote.sim().run();
+  EXPECT_FALSE(RemoteLocal);
+  EXPECT_EQ(RemoteCode, ErrorCode::InvalidArgument) << "marshalled path";
+
+  scoopp::ScooppConfig Config;
+  Config.Grain.AgglomerateObjects = true;
+  GenWorld Agglomerated(Config);
+  bool DirectLocal = false;
+  ErrorCode DirectCode = ErrorCode::None;
+  Agglomerated.sim().spawn(
+      CheckedCall::run(Agglomerated, DirectLocal, DirectCode));
+  Agglomerated.sim().run();
+  EXPECT_TRUE(DirectLocal);
+  EXPECT_EQ(DirectCode, ErrorCode::InvalidArgument) << "direct path";
+}
+
+TEST(ParcgenIntegrationTest, DirectAsyncFailureIsLogged) {
+  scoopp::ScooppConfig Config;
+  Config.Grain.AgglomerateObjects = true;
+  GenWorld W(Config);
+  struct Proc {
+    static Task<void> run(GenWorld &W) {
+      AccumulatorProxy P(W.Runtime, 0);
+      (void)co_await P.create();
+      EXPECT_TRUE(P.isLocal());
+      co_await P.fail("no such luck");
+    }
+  };
+  LogLevel Saved = logLevel();
+  setLogLevel(LogLevel::Warn);
+  testing::internal::CaptureStderr();
+  W.sim().spawn(Proc::run(W));
+  W.sim().run();
+  std::string Logged = testing::internal::GetCapturedStderr();
+  setLogLevel(Saved);
+  EXPECT_NE(Logged.find("local async call 'Accumulator.fail' failed"),
+            std::string::npos)
+      << Logged;
+  EXPECT_NE(Logged.find("no such luck"), std::string::npos) << Logged;
+  EXPECT_EQ(W.Runtime.stats().LocalCalls, 1u);
+}
+
+TEST(ParcgenIntegrationTest, SkeletonServesABareEndpoint) {
+  // The RMI farm's and the ping-pong's shape: the implementation is
+  // published on a plain endpoint, with no ScooppRuntime, and called
+  // through a RemoteHandle.
+  vm::Cluster Machines(2, vm::VmKind::MonoVm117);
+  net::Network Net(Machines.sim(), 2);
+  const remoting::StackProfile &Stack =
+      remoting::stackProfile(remoting::StackKind::MonoRemotingTcp117);
+  remoting::RpcEndpoint Client(Machines.node(0), Net, Stack, 1050);
+  remoting::RpcEndpoint Server(Machines.node(1), Net, Stack, 1050);
+  Server.publish("acc", std::make_shared<AccumulatorImpl>(Machines.node(1)));
+  bool Done = false;
+  struct Proc {
+    static Task<void> run(remoting::RpcEndpoint &Client, bool &Done) {
+      remoting::RemoteHandle Acc(Client, 1, 1050, "acc");
+      auto Added = co_await Acc.invokeTyped<Unit>("add", int32_t(5));
+      EXPECT_TRUE(Added.hasValue());
+      auto Total = co_await Acc.invokeTyped<int32_t>("total");
+      EXPECT_TRUE(Total.hasValue());
+      if (Total) {
+        EXPECT_EQ(*Total, 5);
+      }
+      auto Rejected = co_await Acc.invokeTyped<int32_t>("checked", -3);
+      EXPECT_FALSE(Rejected.hasValue());
+      if (!Rejected) {
+        EXPECT_EQ(Rejected.error().code(), ErrorCode::InvalidArgument);
+      }
+      Done = true;
+    }
+  };
+  Machines.sim().spawn(Proc::run(Client, Done));
+  Machines.sim().run();
+  EXPECT_TRUE(Done);
 }
 
 } // namespace

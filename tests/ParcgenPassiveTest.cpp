@@ -134,9 +134,9 @@ TEST(ParcgenPassiveTest, UnregisteredTypeFailsCleanly) {
 /// Implementation of the generated skeleton: accumulates polygon areas.
 class AreaServerImpl : public AreaServerSkeleton {
 public:
-  using AreaServerSkeleton::AreaServerSkeleton;
+  explicit AreaServerImpl(vm::Node &Host) : Host(Host) {}
 
-  sim::Task<Unit> accumulate(Polygon *Poly) override {
+  sim::Task<ErrorOr<Unit>> accumulate(Polygon *Poly) override {
     co_await Host.compute(SimTime::microseconds(20));
     for (Polygon *Cursor = Poly; Cursor; Cursor = Cursor->next) {
       Sum += area(Cursor);
@@ -147,10 +147,11 @@ public:
     co_return Unit();
   }
 
-  sim::Task<double> total() override { co_return Sum; }
-  sim::Task<int32_t> polygons() override { co_return Count; }
+  sim::Task<ErrorOr<double>> total() override { co_return Sum; }
+  sim::Task<ErrorOr<int32_t>> polygons() override { co_return Count; }
 
 private:
+  vm::Node &Host;
   double Sum = 0;
   int32_t Count = 0;
 };

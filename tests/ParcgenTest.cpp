@@ -43,6 +43,13 @@ TEST(PccLexerTest, KeywordsAndPunctuation) {
   EXPECT_EQ(Kinds, Expected);
 }
 
+TEST(PccLexerTest, ByteIsAKeyword) {
+  EXPECT_EQ(kindsOf("byte[] bytes"),
+            (std::vector<TokenKind>{TokenKind::KwByte, TokenKind::LBracket,
+                                    TokenKind::RBracket, TokenKind::Identifier,
+                                    TokenKind::EndOfFile}));
+}
+
 TEST(PccLexerTest, CommentsAreSkipped) {
   auto Kinds = kindsOf("// line\nint /* block\nspanning */ x");
   EXPECT_EQ(Kinds, (std::vector<TokenKind>{TokenKind::KwInt,
@@ -155,6 +162,16 @@ TEST(PccParserTest, TypeRendering) {
   EXPECT_EQ(Params[2].Type.cppType(), "std::string");
 }
 
+TEST(PccParserTest, ByteTypeRendering) {
+  ModuleDecl M = parseOk("parallel class A { sync byte[] f(byte b); }");
+  const MethodDecl &F = M.Classes[0].Methods[0];
+  EXPECT_EQ(F.ReturnType.Kind, TypeKind::Byte);
+  EXPECT_EQ(F.ReturnType.str(), "byte[]");
+  EXPECT_EQ(F.ReturnType.cppType(), "std::vector<uint8_t>");
+  EXPECT_EQ(F.Params[0].Type.str(), "byte");
+  EXPECT_EQ(F.Params[0].Type.cppType(), "uint8_t");
+}
+
 TEST(PccParserTest, ParsesByRefParamModifier) {
   ModuleDecl M =
       parseOk("parallel class A { sync int fill(ref int x, int y); }");
@@ -220,6 +237,18 @@ TEST(PccSemaTest, AcceptsCleanModule) {
               "parallel class A : Base { async void f(int x); }\n"
               "parallel class B { sync ref<A> peer(); }\n");
   EXPECT_FALSE(Diags.hasErrors()) << Diags.render("<test>");
+}
+
+TEST(PccSemaTest, ByteIsValidWhereverIntIs) {
+  DiagnosticEngine Diags =
+      analyze("passive class P { byte b; byte[] bs; }\n"
+              "parallel class A {\n"
+              "  async void put(byte b, byte[] bs, P p);\n"
+              "  sync byte[] get();\n"
+              "  sync byte one();\n"
+              "}\n");
+  EXPECT_FALSE(Diags.hasErrors()) << Diags.render("<test>");
+  EXPECT_TRUE(Diags.all().empty()) << Diags.render("<test>");
 }
 
 TEST(PccSemaTest, AsyncWithValueRejected) {
@@ -344,8 +373,20 @@ TEST(PccCodeGenTest, EmitsExpectedDeclarations) {
   EXPECT_NE(Code.find("invokeAsync(\"run\""), std::string::npos);
   EXPECT_NE(Code.find("invokeSyncTyped<double>(\"score\""),
             std::string::npos);
-  EXPECT_NE(Code.find("virtual parcs::sim::Task<double> score()"),
+  EXPECT_NE(Code.find("virtual parcs::sim::Task<parcs::ErrorOr<double>> "
+                      "score()"),
             std::string::npos);
+  EXPECT_NE(Code.find("virtual parcs::sim::Task<parcs::ErrorOr<parcs::Unit>> "
+                      "run(std::vector<int32_t> data)"),
+            std::string::npos);
+  // The proxy takes its arguments by value and moves them into the direct
+  // call.
+  EXPECT_NE(Code.find("parcs::sim::Task<void> run(std::vector<int32_t> "
+                      "data)"),
+            std::string::npos);
+  EXPECT_NE(Code.find("data = std::move(data)"), std::string::npos);
+  // The skeleton takes no runtime.
+  EXPECT_EQ(Code.find("ScooppRuntime &Runtime;"), std::string::npos);
   EXPECT_NE(Code.find("namespace m {"), std::string::npos);
   EXPECT_NE(Code.find("#ifndef PARCSGEN_M_H"), std::string::npos);
 }

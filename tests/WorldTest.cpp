@@ -11,6 +11,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "RayWorkerGen.h"
 #include "apps/ray/Farm.h"
 #include "apps/sieve/Sieve.h"
 #include "core/ObjectManager.h"
@@ -94,11 +95,11 @@ TEST(WorldTest, TwoApplicationsShareOneRuntime) {
     }
     uint64_t Sum = 0;
     for (auto &Worker : Workers) {
-      auto Raw = co_await Worker->collect();
-      EXPECT_TRUE(Raw.hasValue());
-      if (!Raw)
+      auto Blob = co_await Worker->collect();
+      EXPECT_TRUE(Blob.hasValue());
+      if (!Blob)
         co_return;
-      serial::InputArchive In(*Raw);
+      serial::InputArchive In(*Blob);
       uint64_t Partial = 0;
       EXPECT_TRUE(In.read(Partial));
       Sum += Partial;
