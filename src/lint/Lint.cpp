@@ -9,6 +9,7 @@
 #include "lint/Cfg.h"
 #include "lint/CppScanner.h"
 #include "lint/Dataflow.h"
+#include "support/Json.h"
 
 #include <algorithm>
 #include <climits>
@@ -995,36 +996,6 @@ std::string parcs::lint::renderText(std::vector<Finding> Findings) {
   return Out;
 }
 
-static void jsonEscape(std::string &Out, std::string_view S) {
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-}
-
 std::string parcs::lint::renderJson(std::vector<Finding> Findings) {
   std::sort(Findings.begin(), Findings.end());
   std::string Out;
@@ -1032,15 +1003,15 @@ std::string parcs::lint::renderJson(std::vector<Finding> Findings) {
   for (size_t I = 0; I < Findings.size(); ++I) {
     const Finding &F = Findings[I];
     Out += I == 0 ? "\n" : ",\n";
-    Out += "    {\"rule\": \"";
-    jsonEscape(Out, F.Rule);
-    Out += "\", \"file\": \"";
-    jsonEscape(Out, F.File);
-    Out += "\", \"line\": " + std::to_string(F.Line);
+    Out += "    {\"rule\": ";
+    json::appendString(Out, F.Rule);
+    Out += ", \"file\": ";
+    json::appendString(Out, F.File);
+    Out += ", \"line\": " + std::to_string(F.Line);
     Out += ", \"col\": " + std::to_string(F.Col);
-    Out += ", \"message\": \"";
-    jsonEscape(Out, F.Message);
-    Out += "\"}";
+    Out += ", \"message\": ";
+    json::appendString(Out, F.Message);
+    Out += '}';
   }
   Out += Findings.empty() ? "]" : "\n  ]";
   Out += ",\n  \"count\": " + std::to_string(Findings.size()) + "\n}\n";

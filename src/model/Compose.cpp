@@ -7,6 +7,7 @@
 #include "model/Compose.h"
 
 #include "model/Legs.h"
+#include "support/Json.h"
 
 #include <algorithm>
 #include <cmath>
@@ -16,12 +17,6 @@
 namespace parcs::model {
 
 namespace {
-
-std::string fmtNum(double V) {
-  char Buf[32];
-  std::snprintf(Buf, sizeof(Buf), "%.6g", V);
-  return Buf;
-}
 
 bool isLegMetric(std::string_view Name) {
   return Name.substr(0, LegPrefix.size()) == LegPrefix;
@@ -116,11 +111,13 @@ std::string compositionReport(const Composition &C, const DataSet &Data) {
                  std::max(std::abs(Direct), 1e-12);
     char Buf[96];
     std::snprintf(Buf, sizeof(Buf), "    %8s  %10s  %10s  %6s%%\n",
-                  fmtNum(X).c_str(), fmtNum(Composed).c_str(),
-                  fmtNum(Direct).c_str(), fmtNum(100.0 * Gap).c_str());
+                  json::number(X).c_str(), json::number(Composed).c_str(),
+                  json::number(Direct).c_str(),
+                  json::number(100.0 * Gap).c_str());
     Out += Buf;
   }
-  Out += "  composition error: " + fmtNum(100.0 * C.CompositionErr) + "%\n";
+  Out += "  composition error: " + json::number(100.0 * C.CompositionErr) +
+         "%\n";
   return Out;
 }
 

@@ -6,29 +6,14 @@
 
 #include "model/DataSet.h"
 
+#include "support/Json.h"
+
 #include <algorithm>
-#include <cstdio>
 #include <set>
 
 namespace parcs::model {
 
 namespace {
-
-void appendEscaped(std::string &Out, std::string_view S) {
-  Out += '"';
-  for (char C : S) {
-    if (C == '"' || C == '\\')
-      Out += '\\';
-    Out += C;
-  }
-  Out += '"';
-}
-
-void appendDouble(std::string &Out, double V) {
-  char Buf[32];
-  std::snprintf(Buf, sizeof(Buf), "%.6g", V);
-  Out += Buf;
-}
 
 void appendMap(std::string &Out, const NumberMap &M) {
   Out += '{';
@@ -37,9 +22,9 @@ void appendMap(std::string &Out, const NumberMap &M) {
     if (!First)
       Out += ", ";
     First = false;
-    appendEscaped(Out, Name);
+    json::appendString(Out, Name);
     Out += ": ";
-    appendDouble(Out, Value);
+    Out += json::number(Value);
   }
   Out += '}';
 }
@@ -96,11 +81,11 @@ std::string writeSweepJson(const DataSet &Data) {
   std::string Out = "{\n  \"parcs_sweep\": 1";
   if (!Data.Bench.empty()) {
     Out += ",\n  \"bench\": ";
-    appendEscaped(Out, Data.Bench);
+    json::appendString(Out, Data.Bench);
   }
   if (!Data.Machine.empty()) {
     Out += ",\n  \"machine\": ";
-    appendEscaped(Out, Data.Machine);
+    json::appendString(Out, Data.Machine);
   }
   Out += ",\n  \"points\": [";
   bool First = true;

@@ -6,8 +6,9 @@
 
 #include "model/Pmnf.h"
 
+#include "support/Json.h"
+
 #include <cmath>
-#include <cstdio>
 #include <set>
 
 namespace parcs::model {
@@ -62,12 +63,6 @@ double meanY(const std::vector<Sample> &Samples, size_t Skip) {
   return Sy / N;
 }
 
-void appendNum(std::string &Out, double V) {
-  char Buf[32];
-  std::snprintf(Buf, sizeof(Buf), "%.6g", V);
-  Out += Buf;
-}
-
 } // namespace
 
 double FittedModel::predict(double X) const {
@@ -84,17 +79,17 @@ double FittedModel::bandHalfWidth(double X) const {
 
 std::string FittedModel::functionStr() const {
   std::string Out;
-  appendNum(Out, C0);
+  Out += json::number(C0);
   if (C1 == 0)
     return Out;
   Out += C1 < 0 ? " - " : " + ";
-  appendNum(Out, std::abs(C1));
+  Out += json::number(std::abs(C1));
   if (Exp != 0) {
     Out += " * ";
     Out += Param;
     if (Exp != 1) {
       Out += '^';
-      appendNum(Out, Exp);
+      Out += json::number(Exp);
     }
   }
   if (Log > 0) {
@@ -103,7 +98,7 @@ std::string FittedModel::functionStr() const {
     Out += ')';
     if (Log > 1) {
       Out += '^';
-      appendNum(Out, double(Log));
+      Out += json::number(double(Log));
     }
   }
   return Out;

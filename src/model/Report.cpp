@@ -9,7 +9,6 @@
 #include "model/Ingest.h"
 #include "support/Json.h"
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
@@ -18,28 +17,6 @@ namespace parcs::model {
 namespace {
 
 using json::Value;
-
-void appendEscaped(std::string &Out, std::string_view S) {
-  Out += '"';
-  for (char C : S) {
-    if (C == '"' || C == '\\')
-      Out += '\\';
-    Out += C;
-  }
-  Out += '"';
-}
-
-void appendDouble(std::string &Out, double V) {
-  char Buf[32];
-  std::snprintf(Buf, sizeof(Buf), "%.6g", V);
-  Out += Buf;
-}
-
-std::string fmtCell(double V) {
-  char Buf[32];
-  std::snprintf(Buf, sizeof(Buf), "%.6g", V);
-  return Buf;
-}
 
 } // namespace
 
@@ -109,11 +86,11 @@ std::string textReport(const ModelSet &Set) {
     Out += "  ";
     Out += std::to_string(M.Points);
     Out += "  ";
-    Out += fmtCell(M.CvRmse);
+    Out += json::number(M.CvRmse);
     Out += "  ";
-    Out += fmtCell(M.MaxRelErr);
+    Out += json::number(M.MaxRelErr);
     Out += "  ";
-    Out += fmtCell(M.R2);
+    Out += json::number(M.R2);
     Out += '\n';
   }
   return Out;
@@ -121,31 +98,31 @@ std::string textReport(const ModelSet &Set) {
 
 std::string modelJson(const ModelSet &Set) {
   std::string Out = "{\n  \"parcs_model\": 1,\n  \"param\": ";
-  appendEscaped(Out, Set.Param);
+  json::appendString(Out, Set.Param);
   Out += ",\n  \"models\": {";
   bool First = true;
   for (const auto &[Metric, M] : Set.Models) {
     Out += First ? "\n    " : ",\n    ";
     First = false;
-    appendEscaped(Out, Metric);
+    json::appendString(Out, Metric);
     Out += ": {\"function\": ";
-    appendEscaped(Out, M.functionStr());
+    json::appendString(Out, M.functionStr());
     Out += ", \"c0\": ";
-    appendDouble(Out, M.C0);
+    Out += json::number(M.C0);
     Out += ", \"c1\": ";
-    appendDouble(Out, M.C1);
+    Out += json::number(M.C1);
     Out += ", \"exp\": ";
-    appendDouble(Out, M.Exp);
+    Out += json::number(M.Exp);
     Out += ", \"log\": ";
-    appendDouble(Out, double(M.Log));
+    Out += json::number(double(M.Log));
     Out += ", \"points\": ";
-    appendDouble(Out, double(M.Points));
+    Out += json::number(double(M.Points));
     Out += ", \"cv_rmse\": ";
-    appendDouble(Out, M.CvRmse);
+    Out += json::number(M.CvRmse);
     Out += ", \"max_rel_err\": ";
-    appendDouble(Out, M.MaxRelErr);
+    Out += json::number(M.MaxRelErr);
     Out += ", \"r2\": ";
-    appendDouble(Out, M.R2);
+    Out += json::number(M.R2);
     Out += '}';
   }
   Out += "\n  }\n}\n";

@@ -10,6 +10,7 @@
 #include "parcgen/CodeGen.h"
 #include "parcgen/Parser.h"
 #include "parcgen/Sema.h"
+#include "support/Json.h"
 
 #include <cstdio>
 #include <fstream>
@@ -34,46 +35,20 @@ std::string DiagnosticEngine::render(const std::string &FileName) const {
   return Out;
 }
 
-namespace {
-
-/// Minimal JSON string escaping (facts values are identifiers and type
-/// renderings, but stay safe on arbitrary input).
-std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      Out += C;
-    }
-  }
-  return Out;
-}
-
-} // namespace
-
 std::string parcs::pcc::renderFactsJson(const ModuleDecl &Module) {
   std::string Out;
   Out += "{\n";
-  Out += "  \"module\": \"" + jsonEscape(Module.Name) + "\",\n";
+  Out += "  \"module\": ";
+  json::appendString(Out, Module.Name);
+  Out += ",\n";
   Out += "  \"classes\": [";
   for (size_t CI = 0; CI < Module.Classes.size(); ++CI) {
     const ClassDecl &C = Module.Classes[CI];
     Out += CI == 0 ? "\n" : ",\n";
     Out += "    {\n";
-    Out += "      \"name\": \"" + jsonEscape(C.Name) + "\",\n";
+    Out += "      \"name\": ";
+    json::appendString(Out, C.Name);
+    Out += ",\n";
     Out += std::string("      \"extern\": ") + (C.IsExtern ? "true" : "false") +
            ",\n";
     Out += std::string("      \"passive\": ") +
@@ -82,9 +57,13 @@ std::string parcs::pcc::renderFactsJson(const ModuleDecl &Module) {
     for (size_t MI = 0; MI < C.Methods.size(); ++MI) {
       const MethodDecl &M = C.Methods[MI];
       Out += MI == 0 ? "\n" : ",\n";
-      Out += "        {\"name\": \"" + jsonEscape(M.Name) + "\", \"kind\": \"";
-      Out += M.Kind == MethodKind::Sync ? "sync" : "async";
-      Out += "\", \"returns\": \"" + jsonEscape(M.ReturnType.str()) + "\"}";
+      Out += "        {\"name\": ";
+      json::appendString(Out, M.Name);
+      Out += M.Kind == MethodKind::Sync ? ", \"kind\": \"sync\""
+                                        : ", \"kind\": \"async\"";
+      Out += ", \"returns\": ";
+      json::appendString(Out, M.ReturnType.str());
+      Out += '}';
     }
     Out += C.Methods.empty() ? "]\n" : "\n      ]\n";
     Out += "    }";

@@ -1,4 +1,4 @@
-//===- support/Json.cpp - Minimal JSON reader -----------------------------===//
+//===- support/Json.cpp - JSON reader and writer --------------------------===//
 //
 // Part of the ParC# reproduction library.
 //
@@ -6,6 +6,7 @@
 
 #include "support/Json.h"
 
+#include <cstdio>
 #include <cstdlib>
 
 namespace parcs::json {
@@ -63,12 +64,53 @@ private:
         case 'n': C = '\n'; break;
         case 't': C = '\t'; break;
         case 'r': C = '\r'; break;
+        case 'u': {
+          unsigned Code = 0;
+          if (!hex4(Code))
+            return false;
+          appendUtf8(Out, Code);
+          continue;
+        }
         default: return false;
         }
       }
       Out += C;
     }
     return consume('"');
+  }
+
+  /// Reads the four hex digits of a \u escape.
+  bool hex4(unsigned &Code) {
+    if (Text.size() - Pos < 4)
+      return false;
+    for (int I = 0; I < 4; ++I) {
+      char H = Text[Pos++];
+      unsigned Digit;
+      if (H >= '0' && H <= '9')
+        Digit = unsigned(H - '0');
+      else if (H >= 'a' && H <= 'f')
+        Digit = unsigned(H - 'a' + 10);
+      else if (H >= 'A' && H <= 'F')
+        Digit = unsigned(H - 'A' + 10);
+      else
+        return false;
+      Code = Code * 16 + Digit;
+    }
+    return true;
+  }
+
+  /// Appends basic-multilingual-plane code point \p Code as UTF-8.
+  static void appendUtf8(std::string &Out, unsigned Code) {
+    if (Code < 0x80) {
+      Out += char(Code);
+    } else if (Code < 0x800) {
+      Out += char(0xC0 | (Code >> 6));
+      Out += char(0x80 | (Code & 0x3F));
+    } else {
+      Out += char(0xE0 | (Code >> 12));
+      Out += char(0x80 | ((Code >> 6) & 0x3F));
+      Out += char(0x80 | (Code & 0x3F));
+    }
   }
 
   bool value(Value &Out) {
@@ -145,6 +187,34 @@ private:
 
 bool parse(std::string_view Text, Value &Out) {
   return Parser(Text).parse(Out);
+}
+
+void appendString(std::string &Out, std::string_view S) {
+  Out += '"';
+  for (char C : S) {
+    switch (C) {
+    case '"': Out += "\\\""; break;
+    case '\\': Out += "\\\\"; break;
+    case '\n': Out += "\\n"; break;
+    case '\r': Out += "\\r"; break;
+    case '\t': Out += "\\t"; break;
+    default:
+      if (static_cast<unsigned char>(C) < 0x20) {
+        char Buf[8];
+        std::snprintf(Buf, sizeof(Buf), "\\u%04x", unsigned(C));
+        Out += Buf;
+      } else {
+        Out += C;
+      }
+    }
+  }
+  Out += '"';
+}
+
+std::string number(double V) {
+  char Buf[32];
+  std::snprintf(Buf, sizeof(Buf), "%.6g", V);
+  return Buf;
 }
 
 } // namespace parcs::json

@@ -1,17 +1,26 @@
-//===- support/Json.h - Minimal JSON reader for our own exports -*- C++ -*-===//
+//===- support/Json.h - JSON reader and writer for our exports --*- C++ -*-===//
 //
 // Part of the ParC# reproduction library.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A small recursive-descent JSON reader shared by the offline consumers
-/// of this repo's own export formats: parcs_top over telemetry exports,
-/// and the parcs-model ingester over bench sweeps, fitted-model files and
-/// telemetry exports.  It covers exactly what those writers emit --
-/// objects, arrays, strings, numbers, bools, null; the common escapes but
-/// no \uXXXX, which no exporter produces -- and is deliberately not a
-/// general-purpose JSON library.
+/// The one JSON reader and the two writer primitives behind every JSON
+/// file this repo produces or consumes.
+///
+/// Writers -- the metrics report, the trace exporter, the telemetry
+/// plane, parcs-model's sweeps and fits, parcgen's facts and parcs-lint's
+/// findings -- lay out their documents by hand and quote strings with
+/// appendString() and render report numbers with number(), so every
+/// export escapes and prints alike.
+///
+/// The reader serves the offline consumers: parcs-prof over trace
+/// exports, parcs_top over telemetry exports, the parcs-model ingester
+/// over bench sweeps, fitted-model files and telemetry exports, and
+/// parcs-lint over parcgen's facts.  It reads back everything the writer
+/// emits -- objects, arrays, strings (the common escapes plus \uXXXX for
+/// the basic multilingual plane), numbers, bools, null -- and is
+/// deliberately not a general-purpose JSON library.
 ///
 /// Object members keep their document order (vector of pairs, not a map):
 /// every export in this repo is already deterministically ordered, and
@@ -45,7 +54,8 @@ struct Value {
   bool isArray() const { return K == Kind::Array; }
   bool isNumber() const { return K == Kind::Number; }
 
-  /// The named member, or nullptr (also for non-objects).
+  /// The named member (the first, if repeated), or nullptr (also for
+  /// non-objects).
   const Value *field(std::string_view Name) const {
     for (const auto &[Key, Member] : Obj)
       if (Key == Name)
@@ -68,6 +78,14 @@ struct Value {
 /// Parses \p Text (which must be one complete JSON document) into \p Out.
 /// Returns false on any syntax error or trailing garbage.
 bool parse(std::string_view Text, Value &Out);
+
+/// Appends \p S to \p Out as a quoted JSON string.  Escapes '"', '\\',
+/// '\n', '\r' and '\t' by name and every other byte below 0x20 as
+/// \u00XX; all other bytes, UTF-8 sequences included, pass through.
+void appendString(std::string &Out, std::string_view S);
+
+/// \p V as a report number: printf's "%.6g".
+std::string number(double V);
 
 } // namespace parcs::json
 

@@ -7,12 +7,12 @@
 #include "support/Metrics.h"
 
 #include "support/EnvSpec.h"
+#include "support/Json.h"
 
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <sstream>
 
 namespace parcs::metrics {
@@ -22,6 +22,18 @@ namespace parcs::metrics {
 //===----------------------------------------------------------------------===//
 
 namespace {
+
+/// Index of the log2 bucket holding \p Value: 0 for 0, otherwise
+/// 1 + floor(log2), with everything >= 2^Histogram::MaxShift in the
+/// overflow bucket.
+int bucketIndex(uint64_t Value) {
+  if (Value == 0)
+    return 0;
+  int Log2 = 63 - __builtin_clzll(Value);
+  if (Log2 >= Histogram::MaxShift)
+    return Histogram::NumBuckets - 1;
+  return Log2 + 1;
+}
 
 /// Inclusive [lo, hi] value range a finite bucket covers.
 void bucketRange(int B, double &Lo, double &Hi) {
@@ -35,35 +47,50 @@ void bucketRange(int B, double &Lo, double &Hi) {
 
 } // namespace
 
-int detail::bucketIndex(uint64_t Value) {
-  if (Value == 0)
-    return 0;
-  int Log2 = 63 - __builtin_clzll(Value);
-  if (Log2 >= Histogram::MaxShift)
-    return Histogram::NumBuckets - 1;
-  return Log2 + 1;
+void Histogram::record(int64_t Value) {
+  uint64_t V = Value < 0 ? 0 : uint64_t(Value);
+  ++Buckets[bucketIndex(V)];
+  int64_t Clamped = int64_t(V);
+  if (Count == 0 || Clamped < Min)
+    Min = Clamped;
+  if (Count == 0 || Clamped > Max)
+    Max = Clamped;
+  Sum += V;
+  ++Count;
 }
 
-double detail::bucketsPercentile(const uint64_t *Buckets, uint64_t Count,
-                                 double Min, double Max, double P) {
+void Histogram::merge(const Histogram &Other) {
+  if (Other.Count == 0)
+    return;
+  for (int B = 0; B < NumBuckets; ++B)
+    Buckets[B] += Other.Buckets[B];
+  if (Count == 0 || Other.Min < Min)
+    Min = Other.Min;
+  if (Count == 0 || Other.Max > Max)
+    Max = Other.Max;
+  Sum += Other.Sum;
+  Count += Other.Count;
+}
+
+double Histogram::percentile(double P) const {
   if (Count == 0)
-    return Histogram::EmptyPercentile;
+    return EmptyPercentile;
   P = std::clamp(P, 0.0, 100.0);
-  // Rank in [0, N-1], same convention as SampleSet::percentile.
+  // Rank in [0, N-1]: linear interpolation between closest ranks.
   double Rank = P / 100.0 * static_cast<double>(Count - 1);
   double Target = Rank + 1.0; // 1-based position within the distribution.
   uint64_t Seen = 0;
-  double Result = Max;
-  for (int B = 0; B < Histogram::NumBuckets; ++B) {
+  double Result = double(Max);
+  for (int B = 0; B < NumBuckets; ++B) {
     if (Buckets[B] == 0)
       continue;
     if (static_cast<double>(Seen + Buckets[B]) >= Target) {
       double Lo, Hi;
-      if (B == Histogram::NumBuckets - 1) {
+      if (B == NumBuckets - 1) {
         // Overflow bucket: no finite upper bound; interpolate up to the
         // observed maximum.
-        Lo = static_cast<double>(uint64_t{1} << Histogram::MaxShift);
-        Hi = Max;
+        Lo = static_cast<double>(uint64_t{1} << MaxShift);
+        Hi = double(Max);
       } else {
         bucketRange(B, Lo, Hi);
       }
@@ -76,64 +103,18 @@ double detail::bucketsPercentile(const uint64_t *Buckets, uint64_t Count,
   }
   // Clamp to the exact observed range: a single sample reports itself, and
   // bucket upper bounds never exceed the true max.
-  return std::clamp(Result, Min, Max);
-}
-
-void Histogram::record(int64_t Value) {
-  uint64_t V = Value < 0 ? 0 : static_cast<uint64_t>(Value);
-  ++Buckets[detail::bucketIndex(V)];
-  Stats.add(static_cast<double>(V));
-}
-
-double Histogram::percentile(double P) const {
-  if (Stats.count() == 0)
-    return EmptyPercentile;
-  return detail::bucketsPercentile(Buckets, Stats.count(), Stats.min(),
-                                   Stats.max(), P);
-}
-
-//===----------------------------------------------------------------------===//
-// HistogramSnapshot
-//===----------------------------------------------------------------------===//
-
-void HistogramSnapshot::record(int64_t Value) {
-  uint64_t V = Value < 0 ? 0 : uint64_t(Value);
-  ++Buckets[detail::bucketIndex(V)];
-  int64_t Clamped = int64_t(V);
-  if (Count == 0 || Clamped < Min)
-    Min = Clamped;
-  if (Count == 0 || Clamped > Max)
-    Max = Clamped;
-  Sum += V;
-  ++Count;
-}
-
-void HistogramSnapshot::merge(const HistogramSnapshot &Other) {
-  if (Other.Count == 0)
-    return;
-  for (int B = 0; B < Histogram::NumBuckets; ++B)
-    Buckets[B] += Other.Buckets[B];
-  if (Count == 0 || Other.Min < Min)
-    Min = Other.Min;
-  if (Count == 0 || Other.Max > Max)
-    Max = Other.Max;
-  Sum += Other.Sum;
-  Count += Other.Count;
-}
-
-double HistogramSnapshot::percentile(double P) const {
-  return detail::bucketsPercentile(Buckets, Count, double(Min), double(Max),
-                                   P);
+  return std::clamp(Result, double(Min), double(Max));
 }
 
 std::string Histogram::str() const {
-  if (Stats.count() == 0)
+  if (Count == 0)
     return "n=0 (no samples)";
   char Buf[192];
   std::snprintf(Buf, sizeof(Buf),
-                "n=%zu mean=%.1f p50=%.0f p90=%.0f p99=%.0f max=%.0f",
-                Stats.count(), Stats.mean(), percentile(50.0),
-                percentile(90.0), percentile(99.0), Stats.max());
+                "n=%llu mean=%.1f p50=%.0f p90=%.0f p99=%.0f max=%.0f",
+                static_cast<unsigned long long>(Count), mean(),
+                percentile(50.0), percentile(90.0), percentile(99.0),
+                double(Max));
   return Buf;
 }
 
@@ -269,73 +250,50 @@ std::string Registry::textReport() const {
   return Os.str();
 }
 
-namespace {
-
-void appendJsonString(std::ostringstream &Os, std::string_view S) {
-  Os << '"';
-  for (char C : S) {
-    if (C == '"' || C == '\\')
-      Os << '\\';
-    Os << C;
-  }
-  Os << '"';
-}
-
-void appendDouble(std::ostringstream &Os, double V) {
-  char Buf[64];
-  std::snprintf(Buf, sizeof(Buf), "%.6g", V);
-  Os << Buf;
-}
-
-} // namespace
-
 std::string Registry::jsonReport() const {
-  std::ostringstream Os;
-  Os << "{\n";
+  std::string Out = "{\n";
   for (int Pass = 0; Pass < 3; ++Pass) {
     Kind Want = static_cast<Kind>(Pass);
     const char *Section = Pass == 0   ? "counters"
                           : Pass == 1 ? "gauges"
                                       : "histograms";
-    Os << "  \"" << Section << "\": {";
+    Out += "  \"";
+    Out += Section;
+    Out += "\": {";
     bool First = true;
     for (const auto &[Name, M] : Metrics) {
       if (M.MetricKind != Want)
         continue;
-      Os << (First ? "\n    " : ",\n    ");
+      Out += First ? "\n    " : ",\n    ";
       First = false;
-      appendJsonString(Os, Name);
-      Os << ": ";
+      json::appendString(Out, Name);
+      Out += ": ";
       switch (Want) {
       case Kind::Counter:
-        Os << M.C->value();
+        Out += std::to_string(M.C->value());
         break;
       case Kind::Gauge:
-        Os << M.G->value();
+        Out += std::to_string(M.G->value());
         break;
       case Kind::Histogram: {
         const Histogram &H = *M.H;
-        Os << "{\"n\": " << H.count() << ", \"mean\": ";
-        appendDouble(Os, H.summary().mean());
-        Os << ", \"min\": ";
-        appendDouble(Os, H.summary().min());
-        Os << ", \"p50\": ";
-        appendDouble(Os, H.percentile(50.0));
-        Os << ", \"p90\": ";
-        appendDouble(Os, H.percentile(90.0));
-        Os << ", \"p99\": ";
-        appendDouble(Os, H.percentile(99.0));
-        Os << ", \"max\": ";
-        appendDouble(Os, H.summary().max());
-        Os << ", \"overflow\": " << H.overflowCount() << "}";
+        Out += "{\"n\": " + std::to_string(H.Count);
+        Out += ", \"mean\": " + json::number(H.mean());
+        Out += ", \"min\": " + json::number(double(H.Min));
+        Out += ", \"p50\": " + json::number(H.percentile(50.0));
+        Out += ", \"p90\": " + json::number(H.percentile(90.0));
+        Out += ", \"p99\": " + json::number(H.percentile(99.0));
+        Out += ", \"max\": " + json::number(double(H.Max));
+        Out += ", \"overflow\": " + std::to_string(H.overflowCount()) + "}";
         break;
       }
       }
     }
-    Os << (First ? "}" : "\n  }") << (Pass == 2 ? "\n" : ",\n");
+    Out += First ? "}" : "\n  }";
+    Out += Pass == 2 ? "\n" : ",\n";
   }
-  Os << "}\n";
-  return Os.str();
+  Out += "}\n";
+  return Out;
 }
 
 bool Registry::writeReport(const ReportSpec &Spec) const {

@@ -22,16 +22,14 @@
 ///   PARCS_METRICS=<file>[,format=text|json]
 ///
 /// is set (format defaults to json when <file> ends in ".json", text
-/// otherwise).  Histograms reuse the Statistics.h machinery for their
-/// exact summary (count/mean/min/max) and answer percentile queries by
-/// interpolating within power-of-two buckets.
+/// otherwise).  Histograms keep an exact integer summary (count, min,
+/// max, sum) and answer percentile queries by interpolating within
+/// power-of-two buckets.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef PARCS_SUPPORT_METRICS_H
 #define PARCS_SUPPORT_METRICS_H
-
-#include "support/Statistics.h"
 
 #include <cstdint>
 #include <map>
@@ -40,23 +38,6 @@
 #include <string_view>
 
 namespace parcs::metrics {
-
-namespace detail {
-
-/// Index of the log2 bucket holding \p Value: 0 for 0, otherwise
-/// 1 + floor(log2), with everything >= 2^Histogram::MaxShift in one
-/// overflow bucket (see Histogram).
-int bucketIndex(uint64_t Value);
-
-/// Percentile interpolation over a Histogram-layout bucket array holding
-/// \p Count samples with observed range [\p Min, \p Max], clamped to that
-/// range so a single sample reports itself exactly.  Returns
-/// Histogram::EmptyPercentile when \p Count is zero.  Shared by Histogram
-/// and HistogramSnapshot.
-double bucketsPercentile(const uint64_t *Buckets, uint64_t Count, double Min,
-                         double Max, double P);
-
-} // namespace detail
 
 /// Monotonically increasing event count.
 class Counter {
@@ -88,17 +69,22 @@ private:
 };
 
 /// Fixed-bucket histogram for non-negative integer samples (latencies in
-/// nanoseconds, sizes in bytes).  Bucket 0 holds the value 0; bucket B
-/// (1..MaxShift) holds [2^(B-1), 2^B); values >= 2^MaxShift land in one
-/// overflow bucket.  The exact summary (count, mean, min, max) comes from
-/// an embedded RunningStats; percentiles are interpolated within a bucket
-/// and clamped to the observed [min, max], so a single sample reports
-/// itself exactly and overflow samples never report beyond the true
-/// maximum.  An empty histogram has no percentiles: percentile() returns
-/// the EmptyPercentile sentinel (-1, impossible for real samples, which
-/// clamp to >= 0).
-class Histogram {
-public:
+/// nanoseconds, sizes in bytes), as plain mergeable data.  Bucket 0 holds
+/// the value 0; bucket B (1..MaxShift) holds [2^(B-1), 2^B); values >=
+/// 2^MaxShift land in one overflow bucket.  Beside the buckets it keeps the
+/// exact count, min, max and sum.  Percentiles are interpolated within a
+/// bucket and clamped to the observed [min, max], so a single sample
+/// reports itself exactly and overflow samples never report beyond the
+/// true maximum.  An empty histogram has no percentiles: percentile()
+/// returns the EmptyPercentile sentinel (-1, impossible for real samples,
+/// which clamp to >= 0).
+///
+/// Registry histograms, the RPC endpoints' call latency and loadgen's
+/// latency record into one.  It is also the telemetry plane's per-window
+/// wire and merge unit: agents record each window's samples into one, and
+/// the collector merges histograms from many nodes bucket-wise into a
+/// cluster series.
+struct Histogram {
   /// Last finite bucket bound is 2^MaxShift ns (~18 minutes).
   static constexpr int MaxShift = 40;
   static constexpr int NumBuckets = MaxShift + 2; // 0-bucket + overflow.
@@ -107,11 +93,21 @@ public:
   /// on purpose: samples clamp to >= 0, so it cannot collide with data.
   static constexpr double EmptyPercentile = -1.0;
 
+  uint64_t Buckets[NumBuckets] = {};
+  uint64_t Count = 0;
+  /// Observed range and total of the (clamped) samples; 0 when empty.
+  int64_t Min = 0;
+  int64_t Max = 0;
+  uint64_t Sum = 0;
+
   /// Records one sample; negative values clamp to 0.
   void record(int64_t Value);
+  /// Folds \p Other in (bucket-wise add, min/max/sum/count merge).
+  void merge(const Histogram &Other);
 
-  size_t count() const { return Stats.count(); }
-  const RunningStats &summary() const { return Stats; }
+  double mean() const {
+    return Count == 0 ? 0.0 : double(Sum) / double(Count);
+  }
   uint64_t overflowCount() const { return Buckets[NumBuckets - 1]; }
 
   /// The \p P-th percentile (0..100); EmptyPercentile when empty.
@@ -119,36 +115,6 @@ public:
 
   /// One-line "n=.. mean=.. p50=.. p90=.. p99=.. max=.." rendering.
   std::string str() const;
-
-private:
-  uint64_t Buckets[NumBuckets] = {};
-  RunningStats Stats;
-};
-
-/// A log2-bucket histogram as plain mergeable data: the telemetry plane's
-/// per-window wire and merge unit.  Agents record each window's samples
-/// into one, and the collector merges snapshots from many nodes
-/// bucket-wise into a cluster series.  Same bucket layout and percentile
-/// interpolation as Histogram, clamped to the observed min/max; an empty
-/// snapshot reports Histogram::EmptyPercentile, exactly like an empty
-/// Histogram.
-struct HistogramSnapshot {
-  uint64_t Buckets[Histogram::NumBuckets] = {};
-  uint64_t Count = 0;
-  int64_t Min = 0;
-  int64_t Max = 0;
-  uint64_t Sum = 0;
-
-  double mean() const {
-    return Count == 0 ? 0.0 : double(Sum) / double(Count);
-  }
-  /// The \p P-th percentile (0..100); Histogram::EmptyPercentile when the
-  /// snapshot is empty.
-  double percentile(double P) const;
-  /// Folds \p Other in (bucket-wise add, min/max/sum/count merge).
-  void merge(const HistogramSnapshot &Other);
-  /// Records one sample; negative values clamp to 0.
-  void record(int64_t Value);
 };
 
 /// How a report should be written (parsed from PARCS_METRICS).

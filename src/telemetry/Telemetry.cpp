@@ -8,6 +8,7 @@
 
 #include "serial/Archive.h"
 #include "support/EnvSpec.h"
+#include "support/Json.h"
 #include "support/Trace.h"
 
 #include <algorithm>
@@ -82,36 +83,6 @@ bool envTelemetrySpec(TelemetrySpec &Out) {
                Env, BadToken.c_str());
   return false;
 }
-
-namespace {
-
-//===----------------------------------------------------------------------===//
-// JSON helpers (same conventions as the metrics report: %.6g doubles)
-//===----------------------------------------------------------------------===//
-
-void appendEscaped(std::string &Out, std::string_view S) {
-  Out += '"';
-  for (char C : S) {
-    if (C == '"' || C == '\\')
-      Out += '\\';
-    Out += C;
-  }
-  Out += '"';
-}
-
-void appendDouble(std::string &Out, double V) {
-  char Buf[32];
-  std::snprintf(Buf, sizeof(Buf), "%.6g", V);
-  Out += Buf;
-}
-
-void appendInt(std::string &Out, long long V) {
-  char Buf[32];
-  std::snprintf(Buf, sizeof(Buf), "%lld", V);
-  Out += Buf;
-}
-
-} // namespace
 
 //===----------------------------------------------------------------------===//
 // Plane lifecycle
@@ -337,7 +308,7 @@ void Plane::evaluateSlos(int64_t Window) {
   int64_t EndNs = (Window + 1) * Spec.WindowNs;
   for (SloState &S : Slos) {
     auto SeriesIt = Merged.find(S.Spec.Series);
-    metrics::HistogramSnapshot Fast, Slow;
+    metrics::Histogram Fast, Slow;
     if (SeriesIt != Merged.end()) {
       auto &Windows = SeriesIt->second;
       for (int64_t W = Window - S.SpanWindows + 1; W <= Window; ++W) {
@@ -437,22 +408,22 @@ void Plane::finish() {
 std::string Plane::exportJson() {
   finish();
   std::string Out = "{\n  \"window_ns\": ";
-  appendInt(Out, Spec.WindowNs);
+  Out += std::to_string(Spec.WindowNs);
   Out += ",\n  \"nodes\": ";
-  appendInt(Out, int64_t(Agents.size()));
+  Out += std::to_string(Agents.size());
   Out += ",\n  \"snapshots\": ";
-  appendInt(Out, int64_t(SnapshotsReceived));
+  Out += std::to_string(SnapshotsReceived);
   Out += ",\n  \"late_windows\": ";
-  appendInt(Out, int64_t(LateWindows));
+  Out += std::to_string(LateWindows);
   Out += ",\n  \"corrupt_snapshots\": ";
-  appendInt(Out, int64_t(CorruptSnapshots));
+  Out += std::to_string(CorruptSnapshots);
 
   Out += ",\n  \"series\": {";
   bool FirstSeries = true;
   for (const auto &[Name, Windows] : Merged) {
     Out += FirstSeries ? "\n    " : ",\n    ";
     FirstSeries = false;
-    appendEscaped(Out, Name);
+    json::appendString(Out, Name);
     bool IsHist = false;
     for (const auto &[W, D] : Windows)
       if (D.Hist.Count != 0)
@@ -464,29 +435,29 @@ std::string Plane::exportJson() {
       Out += FirstWin ? "\n      " : ",\n      ";
       FirstWin = false;
       Out += "{\"w\": ";
-      appendInt(Out, W);
+      Out += std::to_string(W);
       Out += ", \"start_ns\": ";
-      appendInt(Out, W * Spec.WindowNs);
+      Out += std::to_string(W * Spec.WindowNs);
       if (IsHist) {
         Out += ", \"n\": ";
-        appendInt(Out, int64_t(D.Hist.Count));
+        Out += std::to_string(D.Hist.Count);
         Out += ", \"mean\": ";
-        appendDouble(Out, D.Hist.mean());
+        Out += json::number(D.Hist.mean());
         Out += ", \"min\": ";
-        appendInt(Out, D.Hist.Count ? D.Hist.Min : 0);
+        Out += std::to_string(D.Hist.Min);
         Out += ", \"max\": ";
-        appendInt(Out, D.Hist.Count ? D.Hist.Max : 0);
+        Out += std::to_string(D.Hist.Max);
         Out += ", \"p50\": ";
-        appendDouble(Out, D.Hist.percentile(50));
+        Out += json::number(D.Hist.percentile(50));
         Out += ", \"p90\": ";
-        appendDouble(Out, D.Hist.percentile(90));
+        Out += json::number(D.Hist.percentile(90));
         Out += ", \"p99\": ";
-        appendDouble(Out, D.Hist.percentile(99));
+        Out += json::number(D.Hist.percentile(99));
         Out += ", \"p999\": ";
-        appendDouble(Out, D.Hist.percentile(99.9));
+        Out += json::number(D.Hist.percentile(99.9));
       } else {
         Out += ", \"n\": ";
-        appendInt(Out, int64_t(D.Count));
+        Out += std::to_string(D.Count);
       }
       Out += '}';
     }
@@ -500,28 +471,28 @@ std::string Plane::exportJson() {
     Out += FirstSlo ? "\n    " : ",\n    ";
     FirstSlo = false;
     Out += "{\"spec\": ";
-    appendEscaped(Out, S.Spec.Text);
+    json::appendString(Out, S.Spec.Text);
     Out += ", \"series\": ";
-    appendEscaped(Out, S.Spec.Series);
+    json::appendString(Out, S.Spec.Series);
     Out += ", \"percentile\": ";
-    appendDouble(Out, S.Spec.Percentile);
+    Out += json::number(S.Spec.Percentile);
     Out += ", \"threshold_ns\": ";
-    appendInt(Out, S.Spec.ThresholdNs);
+    Out += std::to_string(S.Spec.ThresholdNs);
     Out += ", \"window_ns\": ";
-    appendInt(Out, S.SpanWindows * Spec.WindowNs);
+    Out += std::to_string(S.SpanWindows * Spec.WindowNs);
     Out += ", \"fast_burn_windows\": ";
-    appendInt(Out, int64_t(S.FastBurnWindows));
+    Out += std::to_string(S.FastBurnWindows);
     Out += ", \"slow_burn_windows\": ";
-    appendInt(Out, int64_t(S.SlowBurnWindows));
+    Out += std::to_string(S.SlowBurnWindows);
     Out += ", \"events\": [";
     bool FirstEdge = true;
     for (const SloState::Edge &E : S.Edges) {
       Out += FirstEdge ? "" : ", ";
       FirstEdge = false;
       Out += "{\"window\": ";
-      appendInt(Out, E.Window);
+      Out += std::to_string(E.Window);
       Out += ", \"at_ns\": ";
-      appendInt(Out, E.AtNs);
+      Out += std::to_string(E.AtNs);
       Out += E.Breach ? ", \"kind\": \"breach\"}" : ", \"kind\": \"recover\"}";
     }
     Out += "]}";
@@ -544,13 +515,13 @@ std::string Plane::modelPointsJson() {
   std::string Out = "{\n  \"parcs_sweep\": 1,\n  \"bench\": "
                     "\"telemetry\",\n  \"machine\": \"\",\n  \"points\": [\n"
                     "    {\"params\": {\"nodes\": ";
-  appendInt(Out, int64_t(Agents.size()));
+  Out += std::to_string(Agents.size());
   Out += "}, \"metrics\": {";
   bool First = true;
   for (const auto &[Name, Windows] : Merged) {
     // Whole-run exact summary: merge every window's buckets, then take
     // percentiles -- no window-average approximation.
-    metrics::HistogramSnapshot Hist;
+    metrics::Histogram Hist;
     uint64_t Count = 0;
     for (const auto &[W, D] : Windows) {
       Hist.merge(D.Hist);
@@ -562,9 +533,9 @@ std::string Plane::modelPointsJson() {
     auto Metric = [&](const std::string &Suffix, double V) {
       Out += First ? "\n      " : ",\n      ";
       First = false;
-      appendEscaped(Out, Name + Suffix);
+      json::appendString(Out, Name + Suffix);
       Out += ": ";
-      appendDouble(Out, V);
+      Out += json::number(V);
     };
     Metric(".n", double(N));
     if (SpanS > 0)

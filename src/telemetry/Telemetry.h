@@ -137,7 +137,6 @@ public:
 
   // Collector health, for tests and reports.
   uint64_t snapshotsReceived() const { return SnapshotsReceived; }
-  uint64_t lateWindows() const { return LateWindows; }
   uint64_t corruptSnapshots() const { return CorruptSnapshots; }
 
   const TelemetrySpec &spec() const { return Spec; }
@@ -148,7 +147,7 @@ private:
   /// merge harmlessly because the unused half stays empty).
   struct SeriesDelta {
     uint64_t Count = 0;
-    metrics::HistogramSnapshot Hist;
+    metrics::Histogram Hist;
 
     void merge(const SeriesDelta &Other) {
       Count += Other.Count;

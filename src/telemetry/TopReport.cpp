@@ -64,9 +64,9 @@ bool renderTopReport(std::string_view ExportJson, std::string &Out) {
   }
 
   double WindowNs = Root.num("window_ns");
-  appendLine(Out, "parcs_top -- cluster telemetry (window %.6g ms, %d nodes, "
+  appendLine(Out, "parcs_top -- cluster telemetry (window %s ms, %d nodes, "
                   "%d snapshots)",
-             toMs(WindowNs), int(Root.num("nodes")),
+             json::number(toMs(WindowNs)).c_str(), int(Root.num("nodes")),
              int(Root.num("snapshots")));
   if (Root.num("late_windows") > 0 || Root.num("corrupt_snapshots") > 0)
     appendLine(Out, "  dropped: %d late window contributions, %d corrupt "

@@ -17,6 +17,7 @@
 #include "remoting/Engine.h"
 #include "remoting/Profiles.h"
 #include "serial/Archive.h"
+#include "support/Json.h"
 #include "support/Logging.h"
 #include "support/Metrics.h"
 #include "support/Trace.h"
@@ -25,7 +26,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cctype>
 #include <map>
 #include <memory>
 #include <set>
@@ -38,184 +38,12 @@ using serial::Bytes;
 namespace {
 
 //===----------------------------------------------------------------------===//
-// Minimal JSON parser (objects, arrays, strings, numbers, bools, null).
-// Just enough to validate exported traces and reports; throws nothing --
-// parse failures surface as a null Value plus Ok=false.
-//===----------------------------------------------------------------------===//
-
-struct JsonValue {
-  enum class Kind { Null, Bool, Number, String, Array, Object } K = Kind::Null;
-  bool B = false;
-  double Num = 0;
-  std::string Str;
-  std::vector<JsonValue> Arr;
-  std::map<std::string, JsonValue> Obj;
-
-  const JsonValue *field(const std::string &Name) const {
-    auto It = Obj.find(Name);
-    return It == Obj.end() ? nullptr : &It->second;
-  }
-};
-
-class JsonParser {
-public:
-  explicit JsonParser(std::string_view Text) : Text(Text) {}
-
-  bool parse(JsonValue &Out) {
-    bool Ok = value(Out);
-    skipWs();
-    return Ok && Pos == Text.size();
-  }
-
-private:
-  std::string_view Text;
-  size_t Pos = 0;
-
-  void skipWs() {
-    while (Pos < Text.size() &&
-           std::isspace(static_cast<unsigned char>(Text[Pos])))
-      ++Pos;
-  }
-  bool consume(char C) {
-    skipWs();
-    if (Pos < Text.size() && Text[Pos] == C) {
-      ++Pos;
-      return true;
-    }
-    return false;
-  }
-  bool literal(std::string_view Word) {
-    if (Text.substr(Pos, Word.size()) != Word)
-      return false;
-    Pos += Word.size();
-    return true;
-  }
-
-  bool value(JsonValue &Out) {
-    skipWs();
-    if (Pos >= Text.size())
-      return false;
-    char C = Text[Pos];
-    if (C == '{')
-      return object(Out);
-    if (C == '[')
-      return array(Out);
-    if (C == '"') {
-      Out.K = JsonValue::Kind::String;
-      return string(Out.Str);
-    }
-    if (C == 't') {
-      Out.K = JsonValue::Kind::Bool;
-      Out.B = true;
-      return literal("true");
-    }
-    if (C == 'f') {
-      Out.K = JsonValue::Kind::Bool;
-      Out.B = false;
-      return literal("false");
-    }
-    if (C == 'n') {
-      Out.K = JsonValue::Kind::Null;
-      return literal("null");
-    }
-    return number(Out);
-  }
-
-  bool string(std::string &Out) {
-    if (!consume('"'))
-      return false;
-    while (Pos < Text.size() && Text[Pos] != '"') {
-      char C = Text[Pos++];
-      if (C == '\\') {
-        if (Pos >= Text.size())
-          return false;
-        char E = Text[Pos++];
-        switch (E) {
-        case '"':
-        case '\\':
-        case '/':
-          Out.push_back(E);
-          break;
-        case 'n':
-          Out.push_back('\n');
-          break;
-        case 't':
-          Out.push_back('\t');
-          break;
-        default:
-          return false; // No \u in our exports.
-        }
-      } else {
-        Out.push_back(C);
-      }
-    }
-    return Pos < Text.size() && Text[Pos++] == '"';
-  }
-
-  bool number(JsonValue &Out) {
-    size_t Start = Pos;
-    if (Pos < Text.size() && Text[Pos] == '-')
-      ++Pos;
-    while (Pos < Text.size() &&
-           (std::isdigit(static_cast<unsigned char>(Text[Pos])) ||
-            Text[Pos] == '.' || Text[Pos] == 'e' || Text[Pos] == 'E' ||
-            Text[Pos] == '+' || Text[Pos] == '-'))
-      ++Pos;
-    if (Pos == Start)
-      return false;
-    Out.K = JsonValue::Kind::Number;
-    Out.Num = std::stod(std::string(Text.substr(Start, Pos - Start)));
-    return true;
-  }
-
-  bool array(JsonValue &Out) {
-    Out.K = JsonValue::Kind::Array;
-    if (!consume('['))
-      return false;
-    skipWs();
-    if (consume(']'))
-      return true;
-    for (;;) {
-      JsonValue Elem;
-      if (!value(Elem))
-        return false;
-      Out.Arr.push_back(std::move(Elem));
-      if (consume(','))
-        continue;
-      return consume(']');
-    }
-  }
-
-  bool object(JsonValue &Out) {
-    Out.K = JsonValue::Kind::Object;
-    if (!consume('{'))
-      return false;
-    skipWs();
-    if (consume('}'))
-      return true;
-    for (;;) {
-      skipWs();
-      std::string Key;
-      if (!string(Key) || !consume(':'))
-        return false;
-      JsonValue Val;
-      if (!value(Val))
-        return false;
-      Out.Obj.emplace(std::move(Key), std::move(Val));
-      if (consume(','))
-        continue;
-      return consume('}');
-    }
-  }
-};
-
-//===----------------------------------------------------------------------===//
 // Histogram edge cases.
 //===----------------------------------------------------------------------===//
 
 TEST(HistogramTest, EmptyReportsSentinel) {
   metrics::Histogram H;
-  EXPECT_EQ(H.count(), 0u);
+  EXPECT_EQ(H.Count, 0u);
   // No samples: every percentile is the documented sentinel, never a
   // fabricated 0.0 (which is a legal sample value).
   EXPECT_EQ(H.percentile(0), metrics::Histogram::EmptyPercentile);
@@ -232,15 +60,18 @@ TEST(HistogramTest, SingleSampleIsExactEverywhere) {
   H.record(777);
   for (double P : {0.0, 1.0, 50.0, 90.0, 99.0, 100.0})
     EXPECT_EQ(H.percentile(P), 777.0) << "P" << P;
-  EXPECT_EQ(H.summary().min(), 777.0);
-  EXPECT_EQ(H.summary().max(), 777.0);
+  EXPECT_EQ(H.Min, 777);
+  EXPECT_EQ(H.Max, 777);
+  EXPECT_EQ(H.mean(), 777.0);
 }
 
 TEST(HistogramTest, ZeroAndNegativeSamples) {
   metrics::Histogram H;
   H.record(0);
   H.record(-5); // Clamps to 0.
-  EXPECT_EQ(H.count(), 2u);
+  EXPECT_EQ(H.Count, 2u);
+  EXPECT_EQ(H.Min, 0);
+  EXPECT_EQ(H.Sum, 0u);
   EXPECT_EQ(H.percentile(50), 0.0);
   EXPECT_EQ(H.percentile(100), 0.0);
 }
@@ -276,11 +107,11 @@ TEST(HistogramTest, PercentilesAreMonotonicAndBracketed) {
 }
 
 //===----------------------------------------------------------------------===//
-// Per-window histogram snapshots (the telemetry plane's merge unit).
+// Per-window histograms (the telemetry plane's merge unit).
 //===----------------------------------------------------------------------===//
 
 TEST(WindowedHistogramTest, EmptyWindowReportsSentinel) {
-  metrics::HistogramSnapshot S;
+  metrics::Histogram S;
   EXPECT_EQ(S.Count, 0u);
   EXPECT_EQ(S.percentile(0), metrics::Histogram::EmptyPercentile);
   EXPECT_EQ(S.percentile(50), metrics::Histogram::EmptyPercentile);
@@ -288,7 +119,7 @@ TEST(WindowedHistogramTest, EmptyWindowReportsSentinel) {
 }
 
 TEST(WindowedHistogramTest, BucketBoundaryValues) {
-  metrics::HistogramSnapshot S;
+  metrics::Histogram S;
   // Exact powers of two sit on log2 bucket boundaries; make sure both the
   // count and the percentile clamp stay exact at the edges.
   for (int64_t V : {1, 2, 4, 1024, 1 << 20})
@@ -302,9 +133,9 @@ TEST(WindowedHistogramTest, BucketBoundaryValues) {
 }
 
 TEST(WindowedHistogramTest, SnapshotMergeMatchesCombinedRecording) {
-  // Merging two snapshots must equal recording every sample into one --
+  // Merging two histograms must equal recording every sample into one --
   // the property the telemetry collector's cross-node merge relies on.
-  metrics::HistogramSnapshot A, B, Both;
+  metrics::Histogram A, B, Both;
   for (int64_t V : {5, 17, 300})
     A.record(V), Both.record(V);
   for (int64_t V : {2, 90000})
@@ -316,8 +147,8 @@ TEST(WindowedHistogramTest, SnapshotMergeMatchesCombinedRecording) {
   EXPECT_EQ(A.Sum, Both.Sum);
   for (double P : {0.0, 50.0, 99.0, 100.0})
     EXPECT_EQ(A.percentile(P), Both.percentile(P)) << "P" << P;
-  // Merging an empty snapshot is the identity.
-  metrics::HistogramSnapshot Empty;
+  // Merging an empty histogram is the identity.
+  metrics::Histogram Empty;
   A.merge(Empty);
   EXPECT_EQ(A.Count, Both.Count);
   EXPECT_EQ(A.Min, Both.Min);
@@ -356,27 +187,27 @@ TEST(MetricsRegistryTest, JsonReportParses) {
   H.record(10);
   H.record(20);
 
-  JsonValue Root;
-  ASSERT_TRUE(JsonParser(Reg.jsonReport()).parse(Root));
-  ASSERT_EQ(Root.K, JsonValue::Kind::Object);
+  json::Value Root;
+  ASSERT_TRUE(json::parse(Reg.jsonReport(), Root));
+  ASSERT_EQ(Root.K, json::Value::Kind::Object);
 
-  const JsonValue *Counters = Root.field("counters");
+  const json::Value *Counters = Root.field("counters");
   ASSERT_NE(Counters, nullptr);
-  const JsonValue *Count = Counters->field("x.count");
+  const json::Value *Count = Counters->field("x.count");
   ASSERT_NE(Count, nullptr);
   EXPECT_EQ(Count->Num, 42.0);
 
-  const JsonValue *Gauges = Root.field("gauges");
+  const json::Value *Gauges = Root.field("gauges");
   ASSERT_NE(Gauges, nullptr);
-  const JsonValue *Level = Gauges->field("x.level");
+  const json::Value *Level = Gauges->field("x.level");
   ASSERT_NE(Level, nullptr);
   EXPECT_EQ(Level->Num, -3.0);
 
-  const JsonValue *Hists = Root.field("histograms");
+  const json::Value *Hists = Root.field("histograms");
   ASSERT_NE(Hists, nullptr);
-  const JsonValue *Lat = Hists->field("x.lat");
+  const json::Value *Lat = Hists->field("x.lat");
   ASSERT_NE(Lat, nullptr);
-  const JsonValue *N = Lat->field("n");
+  const json::Value *N = Lat->field("n");
   ASSERT_NE(N, nullptr);
   EXPECT_EQ(N->Num, 2.0);
   EXPECT_NE(Lat->field("p50"), nullptr);
@@ -536,9 +367,9 @@ TEST(TraceTest, DisabledRecordsNothing) {
   trace::counter(-1, "ignored", 5, 1);
   EXPECT_EQ(trace::track(0, "ignored"), 0);
 
-  JsonValue Root;
-  ASSERT_TRUE(JsonParser(trace::exportJson()).parse(Root));
-  const JsonValue *Events = Root.field("traceEvents");
+  json::Value Root;
+  ASSERT_TRUE(json::parse(trace::exportJson(), Root));
+  const json::Value *Events = Root.field("traceEvents");
   ASSERT_NE(Events, nullptr);
   EXPECT_TRUE(Events->Arr.empty());
 }
@@ -561,21 +392,21 @@ TEST(TraceTest, ExportIsWellFormedChromeJson) {
   TraceSession Session;
   runTracedWorkload();
 
-  JsonValue Root;
-  ASSERT_TRUE(JsonParser(trace::exportJson()).parse(Root));
-  const JsonValue *Events = Root.field("traceEvents");
+  json::Value Root;
+  ASSERT_TRUE(json::parse(trace::exportJson(), Root));
+  const json::Value *Events = Root.field("traceEvents");
   ASSERT_NE(Events, nullptr);
-  ASSERT_EQ(Events->K, JsonValue::Kind::Array);
+  ASSERT_EQ(Events->K, json::Value::Kind::Array);
   ASSERT_FALSE(Events->Arr.empty());
 
   std::set<int> SpanPids;
   std::set<std::string> Phases;
   bool SawCounter = false, SawMetadata = false;
-  for (const JsonValue &Ev : Events->Arr) {
-    ASSERT_EQ(Ev.K, JsonValue::Kind::Object);
-    const JsonValue *Ph = Ev.field("ph");
-    const JsonValue *Pid = Ev.field("pid");
-    const JsonValue *Name = Ev.field("name");
+  for (const json::Value &Ev : Events->Arr) {
+    ASSERT_EQ(Ev.K, json::Value::Kind::Object);
+    const json::Value *Ph = Ev.field("ph");
+    const json::Value *Pid = Ev.field("pid");
+    const json::Value *Name = Ev.field("name");
     ASSERT_NE(Ph, nullptr);
     ASSERT_NE(Pid, nullptr);
     ASSERT_NE(Name, nullptr);
@@ -587,7 +418,7 @@ TEST(TraceTest, ExportIsWellFormedChromeJson) {
       continue; // Metadata has args.name, not ts.
     }
     if (Ph->Str == "X" || Ph->Str == "i") {
-      const JsonValue *Tid = Ev.field("tid");
+      const json::Value *Tid = Ev.field("tid");
       ASSERT_NE(Tid, nullptr);
       EXPECT_GE(Tid->Num, 0.0);
     }
@@ -618,17 +449,17 @@ TEST(TraceTest, NamedTracksGetDistinctTids) {
   trace::complete(0, T1, "on-one", 100, 50);
   trace::complete(0, T2, "on-two", 100, 50);
 
-  JsonValue Root;
-  ASSERT_TRUE(JsonParser(trace::exportJson()).parse(Root));
-  const JsonValue *Events = Root.field("traceEvents");
+  json::Value Root;
+  ASSERT_TRUE(json::parse(trace::exportJson(), Root));
+  const json::Value *Events = Root.field("traceEvents");
   ASSERT_NE(Events, nullptr);
   std::set<int> Tids;
   int NamedTracks = 0;
-  for (const JsonValue &Ev : Events->Arr) {
-    const JsonValue *Ph = Ev.field("ph");
+  for (const json::Value &Ev : Events->Arr) {
+    const json::Value *Ph = Ev.field("ph");
     ASSERT_NE(Ph, nullptr);
     if (Ph->Str == "X") {
-      const JsonValue *Tid = Ev.field("tid");
+      const json::Value *Tid = Ev.field("tid");
       ASSERT_NE(Tid, nullptr);
       Tids.insert(int(Tid->Num));
     }
@@ -650,13 +481,13 @@ TEST(TraceTest, RingOverwritesOldestAndKeepsExportValid) {
   trace::reset();
   trace::setRingCapacity(size_t(1) << 16); // Restore the default.
 
-  JsonValue Root;
-  ASSERT_TRUE(JsonParser(Json).parse(Root));
-  const JsonValue *Events = Root.field("traceEvents");
+  json::Value Root;
+  ASSERT_TRUE(json::parse(Json, Root));
+  const json::Value *Events = Root.field("traceEvents");
   ASSERT_NE(Events, nullptr);
   int Instants = 0;
   double FirstTs = -1;
-  for (const JsonValue &Ev : Events->Arr)
+  for (const json::Value &Ev : Events->Arr)
     if (Ev.field("ph")->Str == "i") {
       if (Instants == 0)
         FirstTs = Ev.field("ts")->Num;
@@ -686,16 +517,16 @@ TEST(TraceTest, RingWrapMidSpanMarksTruncated) {
   trace::reset();
   trace::setRingCapacity(size_t(1) << 16);
 
-  JsonValue Root;
-  ASSERT_TRUE(JsonParser(Json).parse(Root));
-  const JsonValue *Events = Root.field("traceEvents");
+  json::Value Root;
+  ASSERT_TRUE(json::parse(Json, Root));
+  const json::Value *Events = Root.field("traceEvents");
   ASSERT_NE(Events, nullptr);
   int TruncatedEnds = 0, CleanPairs = 0;
-  for (const JsonValue &Ev : Events->Arr) {
-    const JsonValue *Ph = Ev.field("ph");
+  for (const json::Value &Ev : Events->Arr) {
+    const json::Value *Ph = Ev.field("ph");
     if (Ph->Str != "b" && Ph->Str != "e")
       continue;
-    const JsonValue *Args = Ev.field("args");
+    const json::Value *Args = Ev.field("args");
     bool Truncated = Args && Args->field("truncated") &&
                      Args->field("truncated")->B;
     if (Ev.field("name")->Str == "span.lost_begin") {
@@ -722,19 +553,19 @@ TEST(TraceTest, CrossNodeAsyncIdsDoNotMerge) {
   trace::asyncEnd(0, "work", 200, 42);
   trace::asyncEnd(1, "work", 300, 42);
 
-  JsonValue Root;
-  ASSERT_TRUE(JsonParser(trace::exportJson()).parse(Root));
-  const JsonValue *Events = Root.field("traceEvents");
+  json::Value Root;
+  ASSERT_TRUE(json::parse(trace::exportJson(), Root));
+  const json::Value *Events = Root.field("traceEvents");
   ASSERT_NE(Events, nullptr);
   std::set<std::string> Ids;
   std::map<std::string, std::set<double>> PidsById;
-  for (const JsonValue &Ev : Events->Arr) {
-    const JsonValue *Ph = Ev.field("ph");
+  for (const json::Value &Ev : Events->Arr) {
+    const json::Value *Ph = Ev.field("ph");
     if (Ph->Str != "b" && Ph->Str != "e")
       continue;
-    const JsonValue *Id = Ev.field("id");
+    const json::Value *Id = Ev.field("id");
     ASSERT_NE(Id, nullptr);
-    ASSERT_EQ(Id->K, JsonValue::Kind::String);
+    ASSERT_EQ(Id->K, json::Value::Kind::String);
     Ids.insert(Id->Str);
     PidsById[Id->Str].insert(Ev.field("pid")->Num);
   }
@@ -752,13 +583,13 @@ TEST(TraceTest, CausalContextRidesInArgs) {
   trace::completeCtx(0, 0, "step", 100, 50, Child, Parent);
   trace::instantCtx(0, 0, "mark", 160, Child, 0);
 
-  JsonValue Root;
-  ASSERT_TRUE(JsonParser(trace::exportJson()).parse(Root));
-  const JsonValue *Events = Root.field("traceEvents");
+  json::Value Root;
+  ASSERT_TRUE(json::parse(trace::exportJson(), Root));
+  const json::Value *Events = Root.field("traceEvents");
   ASSERT_NE(Events, nullptr);
   int CtxEvents = 0;
-  for (const JsonValue &Ev : Events->Arr) {
-    const JsonValue *Args = Ev.field("args");
+  for (const json::Value &Ev : Events->Arr) {
+    const json::Value *Args = Ev.field("args");
     if (!Args || !Args->field("ctx"))
       continue;
     ++CtxEvents;
@@ -798,19 +629,19 @@ TEST(TraceTest, FlightModeKeepsBoundedTailWithoutMintingIds) {
   trace::reset();
   trace::setFlightCapacity(512);
 
-  JsonValue Root;
-  ASSERT_TRUE(JsonParser(Flight).parse(Root));
-  const JsonValue *Events = Root.field("traceEvents");
+  json::Value Root;
+  ASSERT_TRUE(json::parse(Flight, Root));
+  const json::Value *Events = Root.field("traceEvents");
   ASSERT_NE(Events, nullptr);
   int Instants = 0;
-  for (const JsonValue &Ev : Events->Arr)
+  for (const json::Value &Ev : Events->Arr)
     if (Ev.field("ph")->Str == "i")
       ++Instants;
   EXPECT_EQ(Instants, 8) << "flight ring must keep only the recent tail";
 
   // The big rings were off: the full-trace export saw nothing.
-  JsonValue FullRoot;
-  ASSERT_TRUE(JsonParser(Full).parse(FullRoot));
+  json::Value FullRoot;
+  ASSERT_TRUE(json::parse(Full, FullRoot));
   EXPECT_TRUE(FullRoot.field("traceEvents")->Arr.empty());
 }
 
@@ -830,14 +661,14 @@ TEST(TraceTest, FlightTailMatchesFullTraceSuffix) {
   trace::reset();
   trace::setFlightCapacity(512);
 
-  JsonValue FlightRoot, FullRoot;
-  ASSERT_TRUE(JsonParser(Flight).parse(FlightRoot));
-  ASSERT_TRUE(JsonParser(Full).parse(FullRoot));
+  json::Value FlightRoot, FullRoot;
+  ASSERT_TRUE(json::parse(Flight, FlightRoot));
+  ASSERT_TRUE(json::parse(Full, FullRoot));
   std::vector<double> FlightTs, FullTs;
-  for (const JsonValue &Ev : FlightRoot.field("traceEvents")->Arr)
+  for (const json::Value &Ev : FlightRoot.field("traceEvents")->Arr)
     if (Ev.field("ph")->Str == "i")
       FlightTs.push_back(Ev.field("ts")->Num);
-  for (const JsonValue &Ev : FullRoot.field("traceEvents")->Arr)
+  for (const json::Value &Ev : FullRoot.field("traceEvents")->Arr)
     if (Ev.field("ph")->Str == "i")
       FullTs.push_back(Ev.field("ts")->Num);
   ASSERT_EQ(FlightTs.size(), 4u);

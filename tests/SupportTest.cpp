@@ -6,12 +6,13 @@
 
 #include "support/Error.h"
 #include "support/Random.h"
-#include "support/Statistics.h"
+#include "support/Json.h"
 #include "support/StringUtils.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <set>
 
 using namespace parcs;
@@ -116,51 +117,49 @@ TEST(RngTest, NextInRangeInclusive) {
 }
 
 //===----------------------------------------------------------------------===//
-// Statistics
+// Json writer primitives
 //===----------------------------------------------------------------------===//
 
-TEST(RunningStatsTest, EmptyIsZero) {
-  RunningStats S;
-  EXPECT_EQ(S.count(), 0u);
-  EXPECT_EQ(S.mean(), 0.0);
-  EXPECT_EQ(S.variance(), 0.0);
+TEST(JsonWriterTest, EveryAsciiByteRoundTrips) {
+  std::string All;
+  for (int C = 0; C < 0x80; ++C)
+    All += char(C);
+  std::string Doc;
+  json::appendString(Doc, All);
+  // The escapes leave no raw control character in the document.
+  for (char C : Doc)
+    EXPECT_GE(static_cast<unsigned char>(C), 0x20u);
+  json::Value Back;
+  ASSERT_TRUE(json::parse(Doc, Back)) << Doc;
+  ASSERT_EQ(Back.K, json::Value::Kind::String);
+  EXPECT_EQ(Back.Str, All);
 }
 
-TEST(RunningStatsTest, MeanAndVariance) {
-  RunningStats S;
-  for (double X : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0})
-    S.add(X);
-  EXPECT_DOUBLE_EQ(S.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(S.variance(), 4.0);
-  EXPECT_DOUBLE_EQ(S.stddev(), 2.0);
-  EXPECT_EQ(S.min(), 2.0);
-  EXPECT_EQ(S.max(), 9.0);
-  EXPECT_DOUBLE_EQ(S.sum(), 40.0);
+TEST(JsonWriterTest, MultibyteUtf8PassesThrough) {
+  // Latin letters with diacritics (two-byte UTF-8) and three CJK
+  // ideographs (three bytes each).
+  std::string Text = "na\xc3\xafve caf\xc3\xa9, \xe6\x97\xa5\xe6\x9c\xac"
+                     "\xe8\xaa\x9e";
+  std::string Doc;
+  json::appendString(Doc, Text);
+  EXPECT_EQ(Doc, '"' + Text + '"');
+  json::Value Back;
+  ASSERT_TRUE(json::parse(Doc, Back));
+  EXPECT_EQ(Back.Str, Text);
+  // The reader also decodes \u escapes of the same code points.
+  ASSERT_TRUE(json::parse("\"caf\\u00e9 \\u65e5\"", Back));
+  EXPECT_EQ(Back.Str, "caf\xc3\xa9 \xe6\x97\xa5");
 }
 
-TEST(SampleSetTest, PercentilesInterpolate) {
-  SampleSet S;
-  for (int I = 1; I <= 100; ++I)
-    S.add(static_cast<double>(I));
-  EXPECT_DOUBLE_EQ(S.percentile(0), 1.0);
-  EXPECT_DOUBLE_EQ(S.percentile(100), 100.0);
-  EXPECT_NEAR(S.median(), 50.5, 1e-9);
-}
-
-TEST(SampleSetTest, SingleSample) {
-  SampleSet S;
-  S.add(3.5);
-  EXPECT_DOUBLE_EQ(S.percentile(0), 3.5);
-  EXPECT_DOUBLE_EQ(S.percentile(99), 3.5);
-}
-
-TEST(SampleSetTest, UnsortedInsertOrder) {
-  SampleSet S;
-  for (double X : {9.0, 1.0, 5.0, 3.0, 7.0})
-    S.add(X);
-  EXPECT_DOUBLE_EQ(S.percentile(0), 1.0);
-  EXPECT_DOUBLE_EQ(S.percentile(100), 9.0);
-  EXPECT_DOUBLE_EQ(S.median(), 5.0);
+TEST(JsonWriterTest, NumbersPrintLikePercentSixG) {
+  for (double V : {0.0, -0.0, 1.0, -2.5, 1.0 / 3.0, 123456.0, 1234567.0,
+                   1e-7, 6.02214076e23, 1e300, -123.456789}) {
+    char Want[32];
+    std::snprintf(Want, sizeof(Want), "%.6g", V);
+    EXPECT_EQ(json::number(V), Want) << V;
+  }
+  EXPECT_EQ(json::number(1234567.0), "1.23457e+06");
+  EXPECT_EQ(json::number(0.25), "0.25");
 }
 
 //===----------------------------------------------------------------------===//

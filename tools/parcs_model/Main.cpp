@@ -21,6 +21,7 @@
 #include "model/Ingest.h"
 #include "model/Legs.h"
 #include "model/Report.h"
+#include "support/Json.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -56,12 +57,6 @@ int usage() {
 int fail(const std::string &Msg) {
   std::fprintf(stderr, "parcs-model: %s\n", Msg.c_str());
   return 1;
-}
-
-std::string fmtNum(double V) {
-  char Buf[32];
-  std::snprintf(Buf, sizeof(Buf), "%.6g", V);
-  return Buf;
 }
 
 bool writeFile(const std::string &Path, const std::string &Body) {
@@ -182,7 +177,7 @@ int cmdPredict(const std::vector<std::string> &Args) {
     return fail("--" + ParamName + " must be positive");
 
   std::printf("parcs-model predict -- %s = %s\n", ParamName.c_str(),
-              fmtNum(ParamValue).c_str());
+              json::number(ParamValue).c_str());
   size_t MetricW = 6;
   for (const auto &[Name, M] : Set->Models)
     if (Metric.empty() || Name == Metric)
@@ -196,8 +191,9 @@ int cmdPredict(const std::vector<std::string> &Args) {
     double Pred = M.predict(ParamValue);
     double Band = M.bandHalfWidth(ParamValue);
     std::printf("  %-*s  %10s  +/- %-10s [%s, %s]\n", int(MetricW),
-                Name.c_str(), fmtNum(Pred).c_str(), fmtNum(Band).c_str(),
-                fmtNum(Pred - Band).c_str(), fmtNum(Pred + Band).c_str());
+                Name.c_str(), json::number(Pred).c_str(),
+                json::number(Band).c_str(), json::number(Pred - Band).c_str(),
+                json::number(Pred + Band).c_str());
   }
   if (!Any)
     return fail("metric \"" + Metric + "\" was not fitted");
