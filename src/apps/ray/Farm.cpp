@@ -342,9 +342,7 @@ FarmResult parcs::apps::ray::runScooppRayFarm(std::shared_ptr<const RayJob> Job,
                                               scoopp::GrainPolicy Grain) {
   assert(Config.Processors >= 1 && "need at least one processor");
   vm::Cluster Machines(nodesFor(Config), Config.Vm, Config.CoresPerNode);
-  net::NetConfig NetCfg;
-  NetCfg.DropEveryNth = Config.Faults.DropEveryNth;
-  net::Network Net(Machines.sim(), Machines.nodeCount(), NetCfg);
+  net::Network Net(Machines.sim(), Machines.nodeCount());
   // The injector outlives the runtime teardown below; its destructor
   // detaches from the network before folding its counters.
   std::unique_ptr<fault::Injector> Chaos;

@@ -63,7 +63,6 @@ public:
   virtual ~ProxyBase();
 
   ScooppRuntime &runtime() { return Runtime; }
-  int homeNode() const { return Home; }
   vm::Node &node();
 
   /// True once create()/bind() succeeded.

@@ -167,7 +167,7 @@ void ScooppRuntime::noteCallOutcome(int Node, bool Ok) {
   }
   if (Down[Idx])
     return;
-  if (++FailStreak[Idx] >= Config.NodeFailureThreshold) {
+  if (++FailStreak[Idx] >= NodeFailureThreshold) {
     Down[Idx] = 1;
     metrics::Registry::global().counter("om.node_down").add(1);
     trace::instant(Node, 0, "om.node_down",
@@ -205,7 +205,7 @@ bool ScooppRuntime::nodeSaturated(int Node) const {
   if (At < 0)
     return false;
   return Cluster.sim().now().nanosecondsCount() - At <=
-         Config.SaturationTtl.nanosecondsCount();
+         SaturationTtl.nanosecondsCount();
 }
 
 void ScooppRuntime::noteMigrated(const ParallelRef &From,

@@ -133,18 +133,11 @@ struct ScooppConfig {
   /// leaves the fault-free event stream untouched).  Enable it when a
   /// FaultPlan is in play so proxies survive loss and crashes.
   remoting::RetryPolicy Retry;
-  /// Consecutive transport failures against one node before the runtime
-  /// marks it down and steers placement away from it.
-  int NodeFailureThreshold = 2;
   /// Admission budget installed on every endpoint (disabled by default:
   /// the fault-free wire bytes and event stream stay exactly legacy).
   /// Enable it under open-loop load so saturated nodes refuse work with a
   /// retry-after hint instead of queueing without bound.
   remoting::AdmissionPolicy Admission;
-  /// How long one Overloaded refusal keeps a node marked saturated for
-  /// placement purposes (virtual time, so the mark ages deterministically).
-  /// A successful call clears it early.
-  sim::SimTime SaturationTtl = sim::SimTime::milliseconds(2);
 };
 
 //===----------------------------------------------------------------------===//
@@ -246,6 +239,10 @@ public:
            Code == ErrorCode::ChecksumMismatch;
   }
 
+  /// Consecutive transport failures against one node before the runtime
+  /// marks it down and steers placement away from it.
+  static constexpr int NodeFailureThreshold = 2;
+
   /// False once \p Node accumulated NodeFailureThreshold consecutive
   /// transport failures (and no success since); placement avoids
   /// unhealthy nodes and proxies fail over.
@@ -260,6 +257,11 @@ public:
   //===--------------------------------------------------------------------===//
   // Backpressure (overload-aware placement)
   //===--------------------------------------------------------------------===//
+
+  /// How long one Overloaded refusal keeps a node marked saturated for
+  /// placement purposes (virtual time, so the mark ages deterministically).
+  /// A successful call clears it early.
+  static constexpr sim::SimTime SaturationTtl = sim::SimTime::milliseconds(2);
 
   /// Feeds an Overloaded refusal observed against \p Node into the
   /// backpressure tracker: bumps the om.calls_shed counter and marks the

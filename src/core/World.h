@@ -61,9 +61,6 @@ public:
     return Machines.sim().now() - Start;
   }
 
-  /// The live telemetry plane, or null when PARCS_TELEMETRY is unset.
-  telemetry::Plane *telemetryPlane() { return Telemetry.get(); }
-
 private:
   vm::Cluster Machines;
   net::Network Fabric;

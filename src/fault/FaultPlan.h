@@ -18,7 +18,7 @@
 /// seconds; 0 means "never"/"forever" where a bound is optional):
 ///
 ///   seed(N)                      PRNG seed for the random clauses
-///   dropnth(N)                   legacy NetConfig::DropEveryNth pattern
+///   dropnth(N)                   every Nth delivery judged is lost
 ///   crash(node,at[,restartAt])   node crashes at `at`, optional restart
 ///   partition(a,b,from[,until])  messages between a and b are dropped
 ///   loss(p[,from[,until]])       each delivery lost with probability p
@@ -91,9 +91,9 @@ struct LatencyClause {
 struct FaultPlan {
   /// Seed for the loss/corruption draws; same seed, same faults.
   uint64_t Seed = 1;
-  /// Legacy deterministic pattern, applied as NetConfig::DropEveryNth by
-  /// whoever builds the network (kept as a plan clause for one-stop
-  /// configuration).
+  /// Deterministic loss pattern: the Injector loses every Nth delivery it
+  /// judges, before any other clause (0 = off).  With no latency clause
+  /// the Nth delivery is the Nth non-loopback arrival.
   int DropEveryNth = 0;
   std::vector<CrashEvent> Crashes;
   std::vector<Partition> Partitions;

@@ -80,10 +80,16 @@ sim::SimTime Injector::extraLatency(int, int) {
 net::FaultHook::Verdict Injector::onDeliver(int Src, int Dst,
                                             std::vector<uint8_t> &Payload) {
   // Fixed adjudication order keeps the Rng draw sequence (and therefore
-  // the whole run) a pure function of the delivery sequence: structural
-  // checks first (no draws), then one draw per active loss clause, then
-  // one draw (plus one position draw on a hit) per active corruption
-  // clause.
+  // the whole run) a pure function of the delivery sequence: the
+  // every-Nth pattern and structural checks first (no draws), then one
+  // draw per active loss clause, then one draw (plus one position draw on
+  // a hit) per active corruption clause.
+  ++Judged;
+  if (Plan.DropEveryNth > 0 &&
+      Judged % static_cast<uint64_t>(Plan.DropEveryNth) == 0) {
+    ++Stats.LossDropped;
+    return Verdict::DropLoss;
+  }
   if (!nodeAlive(Dst)) {
     ++Stats.NodeDownDropped;
     return Verdict::DropNodeDown;

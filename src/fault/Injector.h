@@ -6,9 +6,10 @@
 ///
 /// \file
 /// The Injector turns a FaultPlan into simulator events and implements the
-/// fabric's FaultHook: it schedules node crashes/restarts against the
-/// cluster and adjudicates every non-loopback delivery (partition drop,
-/// probabilistic loss, bit corruption, latency degradation).  All random
+/// fabric's FaultHook, the fabric's one fault evaluator: it schedules node
+/// crashes/restarts against the cluster and adjudicates every non-loopback
+/// delivery (every-Nth drop, partition drop, probabilistic loss, bit
+/// corruption, latency degradation).  All random
 /// draws come from one support/Random stream seeded by the plan, and the
 /// single-threaded simulator serialises deliveries, so identical
 /// (plan, workload) pairs fault identically -- chaos runs replay
@@ -73,6 +74,8 @@ private:
   vm::Cluster *Cluster = nullptr;
   net::Network *Net = nullptr;
   Counters Stats;
+  /// Deliveries judged so far; the dropnth clause loses every Nth.
+  uint64_t Judged = 0;
 };
 
 } // namespace parcs::fault

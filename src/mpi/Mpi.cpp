@@ -77,7 +77,6 @@ sim::Task<void> MpiWorld::sendImpl(int SrcRank, int DstRank, int Tag,
   Packed.writeRaw(Data);
   Bytes Wire =
       serial::encodeEnvelope(serial::WireFormat::MpiPack, "", Packed.bytes());
-  BytesSent += Data.size();
   co_await Cluster.node(SrcNode).compute(mpiSideCost(Wire.size()));
   Net.send(SrcNode, DstNode, DstPort, std::move(Wire));
 }

@@ -133,9 +133,6 @@ public:
   /// Ranks whose main returned so far.
   int finishedRanks() const { return Finished; }
 
-  /// Total payload bytes moved through send() so far (for benches).
-  uint64_t bytesSent() const { return BytesSent; }
-
 private:
   friend class MpiComm;
 
@@ -171,7 +168,6 @@ private:
   net::Network &Net;
   std::vector<RankState> Ranks;
   int Finished = 0;
-  uint64_t BytesSent = 0;
 };
 
 } // namespace parcs::mpi

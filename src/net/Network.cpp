@@ -220,18 +220,6 @@ void Network::arrive(int Dst) {
     Msg.TraceCtx = WireCtx;
   }
 
-  // Fault injection: the message occupied the wire but is lost before
-  // delivery.
-  ++TransferCount;
-  if (Config.DropEveryNth > 0 &&
-      TransferCount % static_cast<uint64_t>(Config.DropEveryNth) == 0) {
-    ++Dropped;
-    trace::instant(Msg.Dst, 0, "net.drop", DoneNs);
-    LogNodeScope Scope(Msg.Dst);
-    PARCS_LOG(Debug, "net: dropped msg " << Msg.Id << " (fault injection)");
-    return;
-  }
-
   // Seeded fault injection (src/fault): extra latency first, then the
   // delivery verdict.
   if (Hook) {

@@ -70,17 +70,13 @@ struct NetConfig {
   int FrameOverheadBytes = calib::FrameOverheadBytes;
   int MaxSegmentBytes = calib::MaxSegmentBytes;
   sim::SimTime SwitchLatency = calib::SwitchLatency;
-  /// Fault injection: when positive, every Nth non-loopback message is
-  /// lost after occupying the wire (deterministic drop pattern).  Layers
-  /// above must cope (e.g. RPC call timeouts).
-  int DropEveryNth = 0;
 };
 
-/// Interface the fault-injection subsystem (src/fault) implements.  The
-/// fabric consults the installed hook at well-defined points; a null hook
-/// (the default) leaves the event stream and wire bytes exactly as before,
-/// which is what keeps the determinism golden trace valid for fault-free
-/// runs.
+/// Interface the fault-injection subsystem (src/fault) implements; it is
+/// the fabric's only source of faults.  The fabric consults the installed
+/// hook at well-defined points; a null hook (the default) leaves the event
+/// stream and wire bytes exactly as before, which is what keeps the
+/// determinism golden trace valid for fault-free runs.
 class FaultHook {
 public:
   virtual ~FaultHook();
@@ -88,7 +84,7 @@ public:
   /// Why a message did (or did not) reach its destination port.
   enum class Verdict : uint8_t {
     Deliver,       ///< Pass through (possibly after payload corruption).
-    DropLoss,      ///< Probabilistic / burst loss clause fired.
+    DropLoss,      ///< Every-Nth, probabilistic or burst loss fired.
     DropPartition, ///< An active partition separates src and dst.
     DropNodeDown,  ///< The destination node is crashed.
   };
@@ -149,10 +145,6 @@ public:
   uint64_t payloadBytesDelivered() const { return PayloadBytes; }
   uint64_t wireBytesCarried() const { return WireBytes; }
   uint64_t messagesDropped() const { return Dropped; }
-  uint64_t framesCarried() const { return Frames; }
-  /// Subset of messagesDropped() caused by the fault hook (loss clauses,
-  /// partitions, dead nodes); DropEveryNth drops are not included.
-  uint64_t messagesFaultDropped() const { return FaultDropped; }
 
   /// Installs (or clears, with nullptr) the fault-injection hook.  The
   /// hook must outlive all traffic; layers above may key behaviour off a
@@ -218,8 +210,8 @@ private:
   uint64_t PayloadBytes = 0;
   uint64_t WireBytes = 0;
   uint64_t Dropped = 0;
+  /// Subset of Dropped caused by the fault hook.
   uint64_t FaultDropped = 0;
-  uint64_t TransferCount = 0;
   FaultHook *Hook = nullptr;
   /// Ethernet frames carried (packetised segments of non-loopback sends).
   uint64_t Frames = 0;

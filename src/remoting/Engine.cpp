@@ -639,8 +639,10 @@ sim::Task<ErrorOr<Bytes>> RpcEndpoint::callReliable(int DstNode, int DstPort,
     sim::SimTime Jitter = sim::SimTime::nanoseconds(static_cast<int64_t>(
         RetryRng.nextBelow(static_cast<uint64_t>(HalfNs) + 1)));
     sim::SimTime Wait = Backoff + Jitter;
-    sim::SimTime Next = sim::SimTime::fromSecondsF(Backoff.toSecondsF() *
-                                                   Retry.BackoffFactor);
+    // The backoff doubles per retry, up to MaxBackoff.
+    constexpr double BackoffFactor = 2.0;
+    sim::SimTime Next =
+        sim::SimTime::fromSecondsF(Backoff.toSecondsF() * BackoffFactor);
     Backoff = Next < Retry.MaxBackoff ? Next : Retry.MaxBackoff;
     if (Retry.TimeoutFactor > 1.0) {
       sim::SimTime Grown = sim::SimTime::fromSecondsF(
@@ -868,16 +870,17 @@ sim::Task<void> RpcEndpoint::rejectOverloaded(net::Message Msg) {
   telemetry::count(Host.id(), "rpc.overload_rejected", NowNs);
   trace::instant(Host.id(), 0, "rpc.overload_reject", NowNs);
   // Deterministic retry-after: linear in how deep past budget the backlog
-  // sits, clamped to the policy's band.  Depth-proportional hints spread
-  // a burst of rejected callers over time instead of re-synchronising
-  // them onto one future instant.
+  // sits, clamped to [RetryAfterBase, RetryAfterMax].  Depth-proportional
+  // hints spread a burst of rejected callers over time instead of
+  // re-synchronising them onto one future instant.
+  constexpr sim::SimTime RetryAfterMax = sim::SimTime::milliseconds(50);
   size_t Overflow = AdmittedBacklog - Admission.MaxPending + 1;
   int64_t BaseNs = Admission.RetryAfterBase.nanosecondsCount();
-  int64_t MaxNs = Admission.RetryAfterMax.nanosecondsCount();
+  int64_t MaxNs = RetryAfterMax.nanosecondsCount();
   int64_t HintNs = BaseNs * static_cast<int64_t>(Overflow);
   if (HintNs < BaseNs)
     HintNs = BaseNs;
-  if (MaxNs > 0 && HintNs > MaxNs)
+  if (HintNs > MaxNs)
     HintNs = MaxNs;
   uint8_t Hint[8];
   serial::detail::storeLittleEndian(Hint, static_cast<uint64_t>(HintNs));

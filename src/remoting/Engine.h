@@ -104,12 +104,10 @@ struct RetryPolicy {
   /// once the original execution finishes.
   double TimeoutFactor = 1.0;
   sim::SimTime MaxAttemptTimeout;
+  /// Backoff before the first retry; it doubles per retry up to
+  /// MaxBackoff.
   sim::SimTime BaseBackoff = sim::SimTime::milliseconds(2);
-  double BackoffFactor = 2.0;
   sim::SimTime MaxBackoff = sim::SimTime::milliseconds(200);
-  /// Seed for the jitter stream; mixed with the endpoint's (node, port)
-  /// so endpoints don't retry in lockstep.
-  uint64_t JitterSeed = 0x7e57ab1eULL;
   /// How many StatusOverloaded rejections one logical call absorbs before
   /// callReliable() gives up with ErrorCode::Overloaded.  Rejections wait
   /// out the server's retry-after hint instead of burning MaxAttempts:
@@ -134,11 +132,10 @@ struct AdmissionPolicy {
   /// Calls admitted concurrently (queued + executing).  0 disables.
   size_t MaxPending = 0;
   /// Retry-after hint = clamp(RetryAfterBase * overflow, RetryAfterBase,
-  /// RetryAfterMax), where overflow = backlog - MaxPending + 1: the deeper
-  /// past budget the arrival, the further out it is pushed.  Integer
+  /// 50 ms), where overflow = backlog - MaxPending + 1: the deeper past
+  /// budget the arrival, the further out it is pushed.  Integer
   /// arithmetic on simulation state only -- the hint replays exactly.
   sim::SimTime RetryAfterBase = sim::SimTime::milliseconds(1);
-  sim::SimTime RetryAfterMax = sim::SimTime::milliseconds(50);
 
   bool enabled() const { return MaxPending > 0; }
 };
@@ -232,11 +229,15 @@ public:
                                          std::string Method, Bytes Args,
                                          uint64_t ParentCtx = 0);
 
+  /// Seed of every endpoint's retry jitter stream; setRetryPolicy mixes
+  /// in the endpoint's (node, port) so endpoints don't retry in lockstep.
+  static constexpr uint64_t JitterSeed = 0x7e57ab1eULL;
+
   /// Installs the retry policy used by callReliable() and reseeds the
   /// jitter stream (mixed with this endpoint's node:port).
   void setRetryPolicy(const RetryPolicy &Policy) {
     Retry = Policy;
-    RetryRng.reseed(Policy.JitterSeed ^
+    RetryRng.reseed(JitterSeed ^
                     (static_cast<uint64_t>(static_cast<uint32_t>(Host.id()))
                      << 32) ^
                     static_cast<uint64_t>(static_cast<uint32_t>(Port)));
@@ -248,7 +249,6 @@ public:
   void setAdmissionPolicy(const AdmissionPolicy &Policy) {
     Admission = Policy;
   }
-  const AdmissionPolicy &admissionPolicy() const { return Admission; }
   /// Current dispatch backlog (queued + executing calls): the quantity the
   /// admission budget bounds.
   size_t backlog() const { return AdmittedBacklog; }
@@ -283,11 +283,6 @@ public:
     const NameRecord *Rec = findName(Name);
     return Rec ? Rec->InFlight : 0;
   }
-  /// Calls parked against \p Name so far.
-  size_t parkedCalls(const std::string &Name) const {
-    const NameRecord *Rec = findName(Name);
-    return Rec ? Rec->ParkedCalls.size() : 0;
-  }
 
   /// Atomically (no suspension) finishes a migration: drops the park,
   /// installs the moved tombstone and forwards every parked call -- and,
@@ -301,12 +296,6 @@ public:
   /// locally over the loopback so the still-published source copy serves
   /// them as if the park never happened.
   void cancelPark(const std::string &Name);
-
-  /// The moved tombstone for \p Name (null when it never migrated away).
-  const MovedRoute *movedRoute(const std::string &Name) const {
-    const NameRecord *Rec = findName(Name);
-    return Rec && Rec->Moved ? &*Rec->Moved : nullptr;
-  }
 
   /// One-way (asynchronous, no result) call: returns once the message has
   /// been handed to the NIC; remote faults are dropped, as with .Net

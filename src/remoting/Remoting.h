@@ -51,7 +51,6 @@ public:
         Name(std::move(Name)) {}
 
   bool valid() const { return Local != nullptr; }
-  int dstNode() const { return DstNode; }
   const std::string &name() const { return Name; }
 
   /// Raw two-way invocation with pre-encoded arguments.  \p ParentCtx is

@@ -354,15 +354,6 @@ public:
     return std::span<const uint8_t>(Data + Pos, Size - Pos);
   }
 
-  /// Convenience: read-or-default for use in expression contexts; check
-  /// ok() afterwards.
-  template <typename T> T readOr(T Default) {
-    T Value{};
-    if (!read(Value))
-      return Default;
-    return Value;
-  }
-
 private:
   bool require(size_t Count) {
     if (Failed || Count > Size - Pos) {

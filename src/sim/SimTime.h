@@ -44,7 +44,6 @@ public:
 
   constexpr int64_t nanosecondsCount() const { return Ns; }
   constexpr double toSecondsF() const { return static_cast<double>(Ns) * 1e-9; }
-  constexpr double toMillisF() const { return static_cast<double>(Ns) * 1e-6; }
   constexpr double toMicrosF() const { return static_cast<double>(Ns) * 1e-3; }
 
   constexpr bool isZero() const { return Ns == 0; }

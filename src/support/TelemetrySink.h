@@ -49,8 +49,6 @@ extern Sink *ActiveSink;
 /// the previous sink so tests can restore it.
 Sink *setSink(Sink *S);
 
-inline bool sinkActive() { return detail::ActiveSink != nullptr; }
-
 /// Counts \p N events of \p Series on \p Node at sim-time \p AtNs.
 inline void count(int Node, const char *Series, int64_t AtNs,
                   uint64_t N = 1) {

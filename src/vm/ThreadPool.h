@@ -52,10 +52,6 @@ public:
   size_t queueDepth() const { return Queue.size(); }
   /// Items posted over the pool's lifetime.
   uint64_t posted() const { return Posted; }
-  /// High-water mark of the backlog (items queued behind busy workers).
-  uint64_t peakQueueDepth() const { return PeakQueue; }
-  /// Workers respawned after node restarts (0 in fault-free runs).
-  uint64_t workersRespawned() const { return Respawned; }
 
 private:
   sim::Task<void> workerLoop();
@@ -65,12 +61,14 @@ private:
   sim::Channel<WorkItem> Queue;
   sim::WaitGroup Pending;
   uint64_t Posted = 0;
+  /// High-water mark of the backlog (items queued behind busy workers).
   uint64_t PeakQueue = 0;
   /// Workers between recv() and done() right now.  On a crash these are
   /// lost (parked in compute) or zombies (resume later and see a newer
   /// node epoch); the restart hook settles their accounting and respawns
   /// replacements.
   int Running = 0;
+  /// Workers respawned after node restarts (0 in fault-free runs).
   uint64_t Respawned = 0;
   uint64_t RestartHookId = 0;
 };

@@ -5,9 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Failure-path behaviour: deterministic packet loss in the fabric, call
-/// deadlines in the RPC engine, connection-setup costs, and retry logic
-/// built from the two.
+/// Failure-path behaviour: deterministic packet loss (the injector's
+/// dropnth clause), call deadlines in the RPC engine, connection-setup
+/// costs, and retry logic built from the two.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -75,19 +75,24 @@ public:
   Simulator &Sim;
 };
 
+/// Two nodes with an echo server on node 1.  A positive \p DropEveryNth
+/// attaches an injector whose plan is dropnth(DropEveryNth); \p Hooked
+/// attaches one that drops nothing.  Any attached hook makes every frame
+/// carry the CRC trailer.
 struct FaultWorld {
-  explicit FaultWorld(int DropEveryNth = 0)
-      : Machines(2, vm::VmKind::MonoVm117),
-        Net(Machines.sim(), 2, [DropEveryNth] {
-          net::NetConfig Config;
-          Config.DropEveryNth = DropEveryNth;
-          return Config;
-        }()),
+  explicit FaultWorld(int DropEveryNth = 0, bool Hooked = false)
+      : Machines(2, vm::VmKind::MonoVm117), Net(Machines.sim(), 2),
         Client(Machines.node(0), Net,
                stackProfile(StackKind::MonoRemotingTcp117), 1050),
         Server(Machines.node(1), Net,
                stackProfile(StackKind::MonoRemotingTcp117), 1050),
         Echo(std::make_shared<EchoHandler>()) {
+    if (DropEveryNth > 0 || Hooked) {
+      fault::FaultPlan Plan;
+      Plan.DropEveryNth = DropEveryNth;
+      Chaos = std::make_unique<fault::Injector>(Machines.sim(), Plan);
+      Chaos->attach(Machines, Net);
+    }
     Server.publish("echo", Echo);
   }
 
@@ -95,6 +100,7 @@ struct FaultWorld {
 
   vm::Cluster Machines;
   net::Network Net;
+  std::unique_ptr<fault::Injector> Chaos;
   RpcEndpoint Client;
   RpcEndpoint Server;
   std::shared_ptr<EchoHandler> Echo;
@@ -511,8 +517,10 @@ TEST(FaultTest, LaterCallWithShorterTimeoutTimesOutFirst) {
 
 /// One call's virtual duration after a warm-up call has connected.  With
 /// every message lost, a call lasts exactly its send cost plus timeout.
+/// The world is hooked even without drops, so lossy and clean runs frame
+/// alike (CRC trailer included).
 SimTime warmCallTime(int DropEveryNth, SimTime Timeout) {
-  FaultWorld W(DropEveryNth);
+  FaultWorld W(DropEveryNth, /*Hooked=*/true);
   SimTime Took;
   struct Proc {
     static Task<void> run(FaultWorld &W, SimTime Timeout, SimTime &Took) {
@@ -541,7 +549,8 @@ struct TieRun {
 /// the timer armed for A (stale by then) fires first and arms B's deadline
 /// after B's reply is already queued at that instant.
 TieRun runDeadlineTie(SimTime SendCost, SimTime RoundTrip, SimTime Slack) {
-  FaultWorld W;
+  // Hooked like warmCallTime's worlds, whose costs it replays.
+  FaultWorld W(/*DropEveryNth=*/0, /*Hooked=*/true);
   TieRun R;
   struct Proc {
     static Task<void> run(FaultWorld &W, SimTime SendCost, SimTime RoundTrip,

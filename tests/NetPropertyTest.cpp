@@ -12,6 +12,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "fault/Injector.h"
 #include "net/Network.h"
 #include "support/Random.h"
 
@@ -72,12 +73,17 @@ struct TrafficLog {
   uint64_t Total = 0;
 };
 
+/// A positive \p DropEveryNth installs an injector with that dropnth
+/// clause as the fabric's fault hook.
 TrafficLog runRandomTraffic(uint64_t Seed, int Nodes, int Messages,
                             int DropEveryNth = 0) {
   Simulator Sim;
-  NetConfig Config;
-  Config.DropEveryNth = DropEveryNth;
-  Network Net(Sim, Nodes, Config);
+  Network Net(Sim, Nodes);
+  fault::FaultPlan Plan;
+  Plan.DropEveryNth = DropEveryNth;
+  fault::Injector Chaos(Sim, Plan);
+  if (DropEveryNth > 0)
+    Net.setFaultHook(&Chaos);
   TrafficLog Log;
 
   // One drain loop per node.

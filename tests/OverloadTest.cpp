@@ -395,7 +395,7 @@ TEST(BackpressureTest, SaturatedNodeSkippedUntilTtlExpires) {
         EXPECT_NE(P.ref().Node, 1) << "placement ignored saturation";
       }
       // Past the TTL the node is a candidate again.
-      co_await W.sim().delay(W.Runtime.config().SaturationTtl + ms(1));
+      co_await W.sim().delay(scoopp::ScooppRuntime::SaturationTtl + ms(1));
       EXPECT_FALSE(W.Runtime.nodeSaturated(1));
       for (int I = 0; I < 4; ++I) {
         MigCounterProxy P(W.Runtime, 0);
