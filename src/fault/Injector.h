@@ -9,11 +9,10 @@
 /// fabric's FaultHook, the fabric's one fault evaluator: it schedules node
 /// crashes/restarts against the cluster and adjudicates every non-loopback
 /// delivery (every-Nth drop, partition drop, probabilistic loss, bit
-/// corruption, latency degradation).  All random
-/// draws come from one support/Random stream seeded by the plan, and the
-/// single-threaded simulator serialises deliveries, so identical
-/// (plan, workload) pairs fault identically -- chaos runs replay
-/// bit-for-bit.
+/// corruption, latency degradation).  All random draws come from one
+/// support/Random stream seeded by the plan, and the single-threaded
+/// simulator serialises deliveries, so identical (plan, workload) pairs
+/// fault identically -- chaos runs replay bit-for-bit.
 ///
 //===----------------------------------------------------------------------===//
 

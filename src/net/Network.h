@@ -209,9 +209,9 @@ private:
   uint64_t Delivered = 0;
   uint64_t PayloadBytes = 0;
   uint64_t WireBytes = 0;
+  /// Messages the fault hook lost (crashed sender or receiver, or a drop
+  /// verdict).
   uint64_t Dropped = 0;
-  /// Subset of Dropped caused by the fault hook.
-  uint64_t FaultDropped = 0;
   FaultHook *Hook = nullptr;
   /// Ethernet frames carried (packetised segments of non-loopback sends).
   uint64_t Frames = 0;
