@@ -159,17 +159,6 @@ RpcEndpoint::~RpcEndpoint() {
   Reg.counter(MetricsPrefix + ".calls_forwarded").add(Stats.CallsForwarded);
 }
 
-void RpcEndpoint::setRetryPolicy(const RetryPolicy &Policy) {
-  // One seed for every endpoint; mixing in (node, port) keeps endpoints
-  // from retrying in lockstep.
-  constexpr uint64_t JitterSeed = 0x7e57ab1eULL;
-  Retry = Policy;
-  RetryRng.reseed(JitterSeed ^
-                  (static_cast<uint64_t>(static_cast<uint32_t>(Host.id()))
-                   << 32) ^
-                  static_cast<uint64_t>(static_cast<uint32_t>(Port)));
-}
-
 void RpcEndpoint::publish(const std::string &Name,
                           std::shared_ptr<CallHandler> Object) {
   assert(Object && "publishing a null object");

@@ -229,9 +229,19 @@ public:
                                          std::string Method, Bytes Args,
                                          uint64_t ParentCtx = 0);
 
+  /// Seed of every endpoint's retry jitter stream; setRetryPolicy mixes
+  /// in the endpoint's (node, port) so endpoints don't retry in lockstep.
+  static constexpr uint64_t JitterSeed = 0x7e57ab1eULL;
+
   /// Installs the retry policy used by callReliable() and reseeds the
   /// jitter stream (mixed with this endpoint's node:port).
-  void setRetryPolicy(const RetryPolicy &Policy);
+  void setRetryPolicy(const RetryPolicy &Policy) {
+    Retry = Policy;
+    RetryRng.reseed(JitterSeed ^
+                    (static_cast<uint64_t>(static_cast<uint32_t>(Host.id()))
+                     << 32) ^
+                    static_cast<uint64_t>(static_cast<uint32_t>(Port)));
+  }
   const RetryPolicy &retryPolicy() const { return Retry; }
 
   /// Installs the admission budget consulted by the dispatch loop.  The
