@@ -15,12 +15,12 @@
 
 #include "model/DataSet.h"
 #include "prof/Prof.h"
+#include "support/File.h"
 #include "support/Trace.h"
 
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <initializer_list>
 #include <string>
 #include <utility>
@@ -130,11 +130,8 @@ public:
   bool write(const std::string &Path) const {
     if (Path.empty())
       return true;
-    std::ofstream Out(Path, std::ios::binary);
-    if (Out)
-      Out << model::writeSweepJson(Data);
-    if (!Out) {
-      std::fprintf(stderr, "bench: cannot write sweep %s\n", Path.c_str());
+    if (Error E = writeFile(Path, model::writeSweepJson(Data))) {
+      std::fprintf(stderr, "bench: %s\n", E.message().c_str());
       return false;
     }
     std::printf("sweep: wrote %s (%zu points)\n", Path.c_str(),

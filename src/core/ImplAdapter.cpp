@@ -6,7 +6,6 @@
 
 #include "core/ImplAdapter.h"
 
-#include "support/StringUtils.h"
 #include "support/Trace.h"
 
 using namespace parcs;
@@ -54,7 +53,7 @@ parcs::scoopp::decodePackedCalls(const Bytes &Payload) {
 
 sim::Task<ErrorOr<Bytes>> ImplAdapter::handleCall(std::string_view Method,
                                                   const Bytes &Args) {
-  if (startsWith(Method, PackedMethodPrefix))
+  if (Method.starts_with(PackedMethodPrefix))
     return serve<ErrorOr<Bytes>>([this, Method, &Args](uint64_t DispatchCtx) {
       return runPacked(
           Method.substr(std::string_view(PackedMethodPrefix).size()), Args,

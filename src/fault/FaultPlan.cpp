@@ -6,86 +6,47 @@
 
 #include "fault/FaultPlan.h"
 
+#include "support/StringUtils.h"
+
 #include <cstdio>
-#include <cstdlib>
 
 using namespace parcs;
 using namespace parcs::fault;
 
 namespace {
 
-std::string_view trim(std::string_view S) {
-  while (!S.empty() && (S.front() == ' ' || S.front() == '\t'))
-    S.remove_prefix(1);
-  while (!S.empty() && (S.back() == ' ' || S.back() == '\t'))
-    S.remove_suffix(1);
-  return S;
+Error parseError(const std::string &What) {
+  return Error(ErrorCode::ParseError, "fault plan: " + What);
 }
 
-std::vector<std::string_view> split(std::string_view S, char Sep) {
-  std::vector<std::string_view> Parts;
-  while (true) {
-    size_t Pos = S.find(Sep);
-    if (Pos == std::string_view::npos) {
-      Parts.push_back(trim(S));
-      return Parts;
-    }
-    Parts.push_back(trim(S.substr(0, Pos)));
-    S.remove_prefix(Pos + 1);
-  }
+/// Reads a node id or count; \p Negative names a value below zero.
+Error readCount(std::string_view S, int &Out, const char *Negative) {
+  if (!parseInt(S, Out))
+    return parseError("bad integer '" + std::string(S) + "'");
+  return Out < 0 ? parseError(Negative) : Error();
 }
 
-ErrorOr<double> parseDouble(std::string_view S) {
-  std::string Buf(S);
-  char *End = nullptr;
-  double Value = std::strtod(Buf.c_str(), &End);
-  if (Buf.empty() || End != Buf.c_str() + Buf.size())
-    return Error(ErrorCode::ParseError,
-                 "fault plan: bad number '" + Buf + "'");
-  return Value;
+/// Reads a time; bare numbers are seconds.
+Error readTime(std::string_view S, sim::SimTime &Out) {
+  int64_t Ns = 0;
+  if (!parseDurationNs(S, "s", Ns))
+    return parseError("bad number '" + std::string(S) + "'");
+  Out = sim::SimTime::nanoseconds(Ns);
+  return Error();
 }
 
-ErrorOr<int64_t> parseInt(std::string_view S) {
-  std::string Buf(S);
-  char *End = nullptr;
-  long long Value = std::strtoll(Buf.c_str(), &End, 10);
-  if (Buf.empty() || End != Buf.c_str() + Buf.size())
-    return Error(ErrorCode::ParseError,
-                 "fault plan: bad integer '" + Buf + "'");
-  return static_cast<int64_t>(Value);
-}
-
-/// Times take s/ms/us/ns suffixes; bare numbers are seconds.
-ErrorOr<sim::SimTime> parseTime(std::string_view S) {
-  double Scale = 1.0;
-  if (S.size() > 2 && S.substr(S.size() - 2) == "ns") {
-    Scale = 1e-9;
-    S.remove_suffix(2);
-  } else if (S.size() > 2 && S.substr(S.size() - 2) == "us") {
-    Scale = 1e-6;
-    S.remove_suffix(2);
-  } else if (S.size() > 2 && S.substr(S.size() - 2) == "ms") {
-    Scale = 1e-3;
-    S.remove_suffix(2);
-  } else if (S.size() > 1 && S.back() == 's') {
-    S.remove_suffix(1);
-  }
-  ErrorOr<double> Value = parseDouble(S);
-  if (!Value)
-    return Value.error();
-  if (*Value < 0)
-    return Error(ErrorCode::ParseError, "fault plan: negative time");
-  return sim::SimTime::fromSecondsF(*Value * Scale);
-}
-
-ErrorOr<double> parseProbability(std::string_view S) {
-  ErrorOr<double> P = parseDouble(S);
-  if (!P)
-    return P.error();
-  if (*P < 0.0 || *P > 1.0)
-    return Error(ErrorCode::ParseError,
-                 "fault plan: probability out of [0,1]");
-  return P;
+/// Reads Args[First] and, when present, Args[First + 1] as a window's
+/// start and end; a zero end means "never".  \p Backwards names an end
+/// that is not after the start.
+Error readWindow(const std::vector<std::string_view> &Args, size_t First,
+                 sim::SimTime &From, sim::SimTime &Until,
+                 const char *Backwards) {
+  for (size_t I = First; I < Args.size() && I < First + 2; ++I)
+    if (Error E = readTime(Args[I], I == First ? From : Until))
+      return E;
+  if (!Until.isZero() && Until <= From)
+    return parseError(Backwards);
+  return Error();
 }
 
 std::string timeStr(sim::SimTime T) {
@@ -132,147 +93,82 @@ std::string FaultPlan::str() const {
 ErrorOr<FaultPlan> FaultPlan::parse(std::string_view Spec) {
   FaultPlan Plan;
   for (std::string_view Clause : split(Spec, ';')) {
+    Clause = trim(Clause);
     if (Clause.empty())
       continue;
     size_t Open = Clause.find('(');
-    if (Open == std::string_view::npos || Clause.back() != ')')
-      return Error(ErrorCode::ParseError,
-                   "fault plan: clause '" + std::string(Clause) +
-                       "' is not name(args)");
+    if (Open == std::string_view::npos || !Clause.ends_with(')'))
+      return parseError("clause '" + std::string(Clause) +
+                        "' is not name(args)");
     std::string_view Name = trim(Clause.substr(0, Open));
     std::vector<std::string_view> Args =
         split(Clause.substr(Open + 1, Clause.size() - Open - 2), ',');
-
-    auto wantArgs = [&](size_t Lo, size_t Hi) -> bool {
+    for (std::string_view &A : Args)
+      A = trim(A);
+    auto WantArgs = [&](size_t Lo, size_t Hi) {
       return Args.size() >= Lo && Args.size() <= Hi;
     };
 
     if (Name == "seed") {
-      if (!wantArgs(1, 1))
-        return Error(ErrorCode::ParseError, "fault plan: seed(N)");
-      ErrorOr<int64_t> N = parseInt(Args[0]);
-      if (!N)
-        return N.error();
-      Plan.Seed = static_cast<uint64_t>(*N);
+      if (!WantArgs(1, 1))
+        return parseError("seed(N)");
+      if (!parseInt(Args[0], Plan.Seed))
+        return parseError("bad integer '" + std::string(Args[0]) + "'");
     } else if (Name == "dropnth") {
-      if (!wantArgs(1, 1))
-        return Error(ErrorCode::ParseError, "fault plan: dropnth(N)");
-      ErrorOr<int64_t> N = parseInt(Args[0]);
-      if (!N)
-        return N.error();
-      if (*N < 0)
-        return Error(ErrorCode::ParseError, "fault plan: dropnth < 0");
-      Plan.DropEveryNth = static_cast<int>(*N);
+      if (!WantArgs(1, 1))
+        return parseError("dropnth(N)");
+      if (Error E = readCount(Args[0], Plan.DropEveryNth, "dropnth < 0"))
+        return E;
     } else if (Name == "crash") {
-      if (!wantArgs(2, 3))
-        return Error(ErrorCode::ParseError,
-                     "fault plan: crash(node,at[,restartAt])");
-      ErrorOr<int64_t> Node = parseInt(Args[0]);
-      if (!Node)
-        return Node.error();
-      ErrorOr<sim::SimTime> At = parseTime(Args[1]);
-      if (!At)
-        return At.error();
+      if (!WantArgs(2, 3))
+        return parseError("crash(node,at[,restartAt])");
       CrashEvent C;
-      C.Node = static_cast<int>(*Node);
-      C.At = *At;
-      if (C.Node < 0)
-        return Error(ErrorCode::ParseError, "fault plan: crash node < 0");
-      if (Args.size() == 3) {
-        ErrorOr<sim::SimTime> Restart = parseTime(Args[2]);
-        if (!Restart)
-          return Restart.error();
-        if (!Restart->isZero() && *Restart <= C.At)
-          return Error(ErrorCode::ParseError,
-                       "fault plan: restart not after crash");
-        C.RestartAt = *Restart;
-      }
+      if (Error E = readCount(Args[0], C.Node, "crash node < 0"))
+        return E;
+      if (Error E = readWindow(Args, 1, C.At, C.RestartAt,
+                               "restart not after crash"))
+        return E;
       Plan.Crashes.push_back(C);
     } else if (Name == "partition") {
-      if (!wantArgs(3, 4))
-        return Error(ErrorCode::ParseError,
-                     "fault plan: partition(a,b,from[,until])");
-      ErrorOr<int64_t> A = parseInt(Args[0]);
-      if (!A)
-        return A.error();
-      ErrorOr<int64_t> B = parseInt(Args[1]);
-      if (!B)
-        return B.error();
-      ErrorOr<sim::SimTime> From = parseTime(Args[2]);
-      if (!From)
-        return From.error();
+      if (!WantArgs(3, 4))
+        return parseError("partition(a,b,from[,until])");
       Partition P;
-      P.NodeA = static_cast<int>(*A);
-      P.NodeB = static_cast<int>(*B);
-      P.From = *From;
-      if (P.NodeA < 0 || P.NodeB < 0)
-        return Error(ErrorCode::ParseError, "fault plan: partition node < 0");
-      if (Args.size() == 4) {
-        ErrorOr<sim::SimTime> Until = parseTime(Args[3]);
-        if (!Until)
-          return Until.error();
-        if (!Until->isZero() && *Until <= P.From)
-          return Error(ErrorCode::ParseError,
-                       "fault plan: partition heals before it starts");
-        P.Until = *Until;
-      }
+      if (Error E = readCount(Args[0], P.NodeA, "partition node < 0"))
+        return E;
+      if (Error E = readCount(Args[1], P.NodeB, "partition node < 0"))
+        return E;
+      if (Error E = readWindow(Args, 2, P.From, P.Until,
+                               "partition heals before it starts"))
+        return E;
       Plan.Partitions.push_back(P);
     } else if (Name == "loss" || Name == "corrupt") {
-      if (!wantArgs(1, 3))
-        return Error(ErrorCode::ParseError,
-                     "fault plan: " + std::string(Name) +
-                         "(p[,from[,until]])");
-      ErrorOr<double> P = parseProbability(Args[0]);
-      if (!P)
-        return P.error();
+      if (!WantArgs(1, 3))
+        return parseError(std::string(Name) + "(p[,from[,until]])");
+      double P = 0;
+      if (!parseDecimal(Args[0], P))
+        return parseError("bad number '" + std::string(Args[0]) + "'");
+      if (P < 0.0 || P > 1.0)
+        return parseError("probability out of [0,1]");
       sim::SimTime From, Until;
-      if (Args.size() >= 2) {
-        ErrorOr<sim::SimTime> F = parseTime(Args[1]);
-        if (!F)
-          return F.error();
-        From = *F;
-      }
-      if (Args.size() == 3) {
-        ErrorOr<sim::SimTime> U = parseTime(Args[2]);
-        if (!U)
-          return U.error();
-        if (!U->isZero() && *U <= From)
-          return Error(ErrorCode::ParseError,
-                       "fault plan: window ends before it starts");
-        Until = *U;
-      }
+      if (Error E =
+              readWindow(Args, 1, From, Until, "window ends before it starts"))
+        return E;
       if (Name == "loss")
-        Plan.Losses.push_back({*P, From, Until});
+        Plan.Losses.push_back({P, From, Until});
       else
-        Plan.Corruptions.push_back({*P, From, Until});
+        Plan.Corruptions.push_back({P, From, Until});
     } else if (Name == "latency") {
-      if (!wantArgs(1, 3))
-        return Error(ErrorCode::ParseError,
-                     "fault plan: latency(extra[,from[,until]])");
-      ErrorOr<sim::SimTime> Extra = parseTime(Args[0]);
-      if (!Extra)
-        return Extra.error();
+      if (!WantArgs(1, 3))
+        return parseError("latency(extra[,from[,until]])");
       LatencyClause L;
-      L.Extra = *Extra;
-      if (Args.size() >= 2) {
-        ErrorOr<sim::SimTime> F = parseTime(Args[1]);
-        if (!F)
-          return F.error();
-        L.From = *F;
-      }
-      if (Args.size() == 3) {
-        ErrorOr<sim::SimTime> U = parseTime(Args[2]);
-        if (!U)
-          return U.error();
-        if (!U->isZero() && *U <= L.From)
-          return Error(ErrorCode::ParseError,
-                       "fault plan: window ends before it starts");
-        L.Until = *U;
-      }
+      if (Error E = readTime(Args[0], L.Extra))
+        return E;
+      if (Error E = readWindow(Args, 1, L.From, L.Until,
+                               "window ends before it starts"))
+        return E;
       Plan.Latencies.push_back(L);
     } else {
-      return Error(ErrorCode::ParseError,
-                   "fault plan: unknown clause '" + std::string(Name) + "'");
+      return parseError("unknown clause '" + std::string(Name) + "'");
     }
   }
   return Plan;

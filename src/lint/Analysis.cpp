@@ -369,7 +369,7 @@ std::vector<Finding> Program::analyzeDeadlocks(const FactsDb &Facts) const {
     }
   }
 
-  // Inline suppressions.
+  // Inline suppressions; survivors carry their line's hash for baselines.
   std::vector<Finding> Kept;
   for (Finding &F : Out) {
     const FileUnit *U = nullptr;
@@ -380,6 +380,8 @@ std::vector<Finding> Program::analyzeDeadlocks(const FactsDb &Facts) const {
       }
     if (U && isSuppressedAt(*U, F.Line, rules::SyncCallDeadlock))
       continue;
+    if (U)
+      F.LineHash = flaggedLineHash(U->Source, F.Line);
     Kept.push_back(std::move(F));
   }
   return Kept;
@@ -618,6 +620,7 @@ private:
         Fd.File = U.RelPath;
         Fd.Line = C.Line;
         Fd.Col = C.Col;
+        Fd.LineHash = flaggedLineHash(U.Source, C.Line);
         if (IsUnordered)
           Fd.Message = "unordered container '" + std::string(T.Text) +
                        "' passed to export sink '" + C.Qualifier +

@@ -6,6 +6,8 @@
 
 #include "lint/CppScanner.h"
 
+#include "support/StringUtils.h"
+
 #include <cctype>
 
 using namespace parcs;
@@ -27,14 +29,6 @@ constexpr std::string_view TwoCharPuncts[] = {
     "::", "->", "++", "--", "<<", ">>", "<=", ">=", "==", "!=",
     "&&", "||", "+=", "-=", "*=", "/=", "%=", "|=", "&=", "^=",
 };
-
-std::string_view trimmed(std::string_view S) {
-  while (!S.empty() && std::isspace(static_cast<unsigned char>(S.front())))
-    S.remove_prefix(1);
-  while (!S.empty() && std::isspace(static_cast<unsigned char>(S.back())))
-    S.remove_suffix(1);
-  return S;
-}
 
 } // namespace
 
@@ -66,7 +60,7 @@ void CppScanner::skipTrivia(std::vector<CppComment> &Comments) {
       size_t Begin = Pos;
       while (!atEnd() && peek() != '\n')
         advance();
-      Comment.Text = trimmed(Source.substr(Begin, Pos - Begin));
+      Comment.Text = trim(Source.substr(Begin, Pos - Begin));
       Comments.push_back(Comment);
       continue;
     }
@@ -89,7 +83,7 @@ void CppScanner::skipTrivia(std::vector<CppComment> &Comments) {
         advance();
         End = Pos;
       }
-      Comment.Text = trimmed(Source.substr(Begin, End - Begin));
+      Comment.Text = trim(Source.substr(Begin, End - Begin));
       Comments.push_back(Comment);
       continue;
     }

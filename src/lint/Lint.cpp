@@ -10,13 +10,12 @@
 #include "lint/CppScanner.h"
 #include "lint/Dataflow.h"
 #include "support/Json.h"
+#include "support/StringUtils.h"
 
 #include <algorithm>
 #include <climits>
 #include <cstdio>
-#include <fstream>
 #include <map>
-#include <sstream>
 
 using namespace parcs;
 using namespace parcs::lint;
@@ -27,23 +26,10 @@ using namespace parcs::lint;
 
 namespace {
 
-std::string_view trimView(std::string_view S) {
-  while (!S.empty() && (S.front() == ' ' || S.front() == '\t'))
-    S.remove_prefix(1);
-  while (!S.empty() && (S.back() == ' ' || S.back() == '\t' ||
-                        S.back() == '\r'))
-    S.remove_suffix(1);
-  return S;
-}
-
-bool startsWith(std::string_view S, std::string_view Prefix) {
-  return S.size() >= Prefix.size() && S.substr(0, Prefix.size()) == Prefix;
-}
-
 bool matchesAnyPrefix(std::string_view Path,
                       const std::vector<std::string> &Prefixes) {
   for (const std::string &P : Prefixes)
-    if (startsWith(Path, P))
+    if (Path.starts_with(P))
       return true;
   return false;
 }
@@ -134,11 +120,12 @@ void parseDirectives(FileCtx &Ctx) {
   for (const CppComment &C : Ctx.Comments) {
     std::string_view T = C.Text;
 
-    if (startsWith(T, "parcs-lint:")) {
+    if (T.starts_with("parcs-lint:")) {
       // collectSuppressions recorded the well-formed ones; only diagnose
       // malformed directives here.
-      std::string_view Rest = trimView(T.substr(std::string_view("parcs-lint:").size()));
-      if (!startsWith(Rest, "allow(")) {
+      std::string_view Rest =
+          trim(T.substr(std::string_view("parcs-lint:").size()));
+      if (!Rest.starts_with("allow(")) {
         Ctx.report(rules::HotPathRegion, C.Line, C.Col,
                    "malformed parcs-lint directive (expected "
                    "'parcs-lint: allow(<rule>[, <rule>...])')");
@@ -149,19 +136,19 @@ void parseDirectives(FileCtx &Ctx) {
       continue;
     }
 
-    if (startsWith(T, "PARCS_HOT_BEGIN")) {
+    if (T.starts_with("PARCS_HOT_BEGIN")) {
       std::string Name;
       std::string_view Rest = T.substr(std::string_view("PARCS_HOT_BEGIN").size());
-      if (startsWith(Rest, "(")) {
+      if (Rest.starts_with("(")) {
         size_t Close = Rest.find(')');
         if (Close != std::string_view::npos)
-          Name = std::string(trimView(Rest.substr(1, Close - 1)));
+          Name = std::string(trim(Rest.substr(1, Close - 1)));
       }
       OpenRegions.emplace_back(C.Line, std::move(Name));
       continue;
     }
 
-    if (startsWith(T, "PARCS_HOT_END")) {
+    if (T.starts_with("PARCS_HOT_END")) {
       if (OpenRegions.empty()) {
         Ctx.report(rules::HotPathRegion, C.Line, C.Col,
                    "PARCS_HOT_END without a matching PARCS_HOT_BEGIN");
@@ -551,11 +538,11 @@ parcs::lint::collectSuppressions(const std::vector<CppToken> &Toks,
   std::map<int, std::set<std::string>> Out;
   for (const CppComment &C : Comments) {
     std::string_view T = C.Text;
-    if (!startsWith(T, "parcs-lint:"))
+    if (!T.starts_with("parcs-lint:"))
       continue;
     std::string_view Rest =
-        trimView(T.substr(std::string_view("parcs-lint:").size()));
-    if (!startsWith(Rest, "allow("))
+        trim(T.substr(std::string_view("parcs-lint:").size()));
+    if (!Rest.starts_with("allow("))
       continue; // Malformed; parseDirectives diagnoses it.
     size_t Close = Rest.find(')');
     if (Close == std::string_view::npos)
@@ -566,7 +553,7 @@ parcs::lint::collectSuppressions(const std::vector<CppToken> &Toks,
                      : C.Line;
     while (!List.empty()) {
       size_t Comma = List.find(',');
-      std::string_view Rule = trimView(List.substr(0, Comma));
+      std::string_view Rule = trim(List.substr(0, Comma));
       if (!Rule.empty())
         Out[Target].insert(std::string(Rule));
       if (Comma == std::string_view::npos)
@@ -602,7 +589,7 @@ uint32_t parcs::lint::flaggedLineHash(std::string_view Source, int Line) {
   std::string_view Content = Source.substr(
       Begin, Eol == std::string_view::npos ? std::string_view::npos
                                            : Eol - Begin);
-  return fnv1a(trimView(Content));
+  return fnv1a(trim(Content));
 }
 
 bool Finding::operator<(const Finding &O) const {
@@ -670,23 +657,6 @@ std::vector<Finding> parcs::lint::lintSource(std::string_view RelPath,
   return Kept;
 }
 
-bool parcs::lint::lintFile(const std::string &AbsPath, std::string_view RelPath,
-                           const LintConfig &Config,
-                           std::vector<Finding> &FindingsOut,
-                           std::string &ErrorOut) {
-  std::ifstream In(AbsPath, std::ios::binary);
-  if (!In) {
-    ErrorOut = "cannot open '" + AbsPath + "'";
-    return false;
-  }
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  std::string Source = Buf.str();
-  std::vector<Finding> Found = lintSource(RelPath, Source, Config);
-  FindingsOut.insert(FindingsOut.end(), Found.begin(), Found.end());
-  return true;
-}
-
 //===----------------------------------------------------------------------===//
 // Baseline
 //===----------------------------------------------------------------------===//
@@ -700,44 +670,12 @@ std::string hash8(uint32_t H) {
   return Buf;
 }
 
-bool parseUint(std::string_view S, int &Out) {
-  if (S.empty())
-    return false;
-  long V = 0;
-  for (char C : S) {
-    if (C < '0' || C > '9')
-      return false;
-    V = V * 10 + (C - '0');
-    if (V > INT_MAX)
-      return false;
-  }
-  Out = static_cast<int>(V);
-  return true;
-}
-
-bool parseHash8(std::string_view S, uint32_t &Out) {
-  if (S.size() != 8)
-    return false;
-  uint32_t V = 0;
-  for (char C : S) {
-    V <<= 4;
-    if (C >= '0' && C <= '9')
-      V |= static_cast<uint32_t>(C - '0');
-    else if (C >= 'a' && C <= 'f')
-      V |= static_cast<uint32_t>(C - 'a' + 10);
-    else
-      return false;
-  }
-  Out = V;
-  return true;
-}
-
-/// One baseline entry matches one finding: exact (rule, file, line) first
-/// (hashes must agree when both sides carry one), then shift-resilient
-/// (rule, file, hash) with the nearest line as tiebreaker.  Returns, for
-/// each finding (in the given order), the index of its consumed entry or
-/// -1.  Findings are visited in sorted order so the result is independent
-/// of caller ordering.
+/// One baseline entry matches one finding with the same rule, file and
+/// line hash: an entry on the finding's own line first, then the entry
+/// nearest to it (a pure line shift).  Returns, for each finding (in the
+/// given order), the index of its consumed entry or -1.  Findings are
+/// visited in sorted order so the result is independent of caller
+/// ordering.
 std::vector<int> matchEntries(const std::vector<Finding> &Findings,
                               const std::vector<Baseline::Entry> &Entries) {
   std::vector<int> Matched(Findings.size(), -1);
@@ -750,46 +688,33 @@ std::vector<int> matchEntries(const std::vector<Finding> &Findings,
     return Findings[A] < Findings[B];
   });
 
-  // Pass 1: exact line.
-  for (size_t FI : Order) {
-    const Finding &F = Findings[FI];
-    for (size_t E = 0; E < Entries.size(); ++E) {
-      const Baseline::Entry &En = Entries[E];
-      if (Consumed[E] || En.Rule != F.Rule || En.File != F.File ||
-          En.Line != F.Line)
+  // Pass 0 takes same-line entries, pass 1 the nearest shifted ones.
+  for (int Pass = 0; Pass < 2; ++Pass) {
+    for (size_t FI : Order) {
+      if (Matched[FI] >= 0)
         continue;
-      if (En.HasHash && F.LineHash != 0 && En.Hash != F.LineHash)
-        continue; // Same line, different content: the code changed.
-      Consumed[E] = 1;
-      Matched[FI] = static_cast<int>(E);
-      break;
-    }
-  }
-
-  // Pass 2: same content, shifted line.
-  for (size_t FI : Order) {
-    if (Matched[FI] >= 0)
-      continue;
-    const Finding &F = Findings[FI];
-    if (F.LineHash == 0)
-      continue;
-    int Best = -1;
-    long BestDist = 0;
-    for (size_t E = 0; E < Entries.size(); ++E) {
-      const Baseline::Entry &En = Entries[E];
-      if (Consumed[E] || !En.HasHash || En.Hash != F.LineHash ||
-          En.Rule != F.Rule || En.File != F.File)
-        continue;
-      long Dist = En.Line > F.Line ? En.Line - F.Line : F.Line - En.Line;
-      if (Best < 0 || Dist < BestDist ||
-          (Dist == BestDist && En.Line < Entries[static_cast<size_t>(Best)].Line)) {
-        Best = static_cast<int>(E);
-        BestDist = Dist;
+      const Finding &F = Findings[FI];
+      int Best = -1;
+      long BestDist = 0;
+      for (size_t E = 0; E < Entries.size(); ++E) {
+        const Baseline::Entry &En = Entries[E];
+        if (Consumed[E] || En.Hash != F.LineHash || En.Rule != F.Rule ||
+            En.File != F.File)
+          continue;
+        long Dist = En.Line > F.Line ? En.Line - F.Line : F.Line - En.Line;
+        if (Pass == 0 && Dist != 0)
+          continue;
+        if (Best < 0 || Dist < BestDist ||
+            (Dist == BestDist &&
+             En.Line < Entries[static_cast<size_t>(Best)].Line)) {
+          Best = static_cast<int>(E);
+          BestDist = Dist;
+        }
       }
-    }
-    if (Best >= 0) {
-      Consumed[static_cast<size_t>(Best)] = 1;
-      Matched[FI] = Best;
+      if (Best >= 0) {
+        Consumed[static_cast<size_t>(Best)] = 1;
+        Matched[FI] = Best;
+      }
     }
   }
   return Matched;
@@ -804,8 +729,7 @@ Baseline Baseline::parse(std::string_view Text,
   std::vector<std::string> Pending; // Comment block being accumulated.
   while (!Text.empty()) {
     size_t Eol = Text.find('\n');
-    std::string_view Raw = Text.substr(0, Eol);
-    std::string_view Line = trimView(Raw);
+    std::string_view Line = trim(Text.substr(0, Eol));
     Text.remove_prefix(Eol == std::string_view::npos ? Text.size() : Eol + 1);
     ++LineNo;
     if (Line.empty()) {
@@ -816,34 +740,20 @@ Baseline Baseline::parse(std::string_view Text,
       Pending.emplace_back(Line);
       continue;
     }
-    size_t P1 = Line.find('|');
-    size_t P2 = P1 == std::string_view::npos ? std::string_view::npos
-                                             : Line.find('|', P1 + 1);
-    if (P2 == std::string_view::npos) {
-      Errors.push_back("baseline line " + std::to_string(LineNo) +
-                       ": expected '<rule>|<file>|<line>[|<hash8>]'");
-      Pending.clear();
-      continue;
-    }
-    size_t P3 = Line.find('|', P2 + 1);
+    std::vector<std::string_view> Fields = split(Line, '|');
+    for (std::string_view &F : Fields)
+      F = trim(F);
     Entry En;
-    En.Rule = std::string(trimView(Line.substr(0, P1)));
-    En.File = std::string(trimView(Line.substr(P1 + 1, P2 - P1 - 1)));
-    std::string_view Num = trimView(
-        Line.substr(P2 + 1, P3 == std::string_view::npos ? std::string_view::npos
-                                                         : P3 - P2 - 1));
-    bool Ok = parseUint(Num, En.Line) && En.Line > 0 && !En.Rule.empty() &&
-              !En.File.empty();
-    if (Ok && P3 != std::string_view::npos) {
-      En.HasHash = parseHash8(trimView(Line.substr(P3 + 1)), En.Hash);
-      Ok = En.HasHash;
-    }
-    if (!Ok) {
+    if (Fields.size() != 4 || Fields[0].empty() || Fields[1].empty() ||
+        !parseInt(Fields[2], En.Line, 1) || Fields[3].size() != 8 ||
+        !parseInt(Fields[3], En.Hash, 0, UINT32_MAX, 16)) {
       Errors.push_back("baseline line " + std::to_string(LineNo) +
-                       ": expected '<rule>|<file>|<line>[|<hash8>]'");
+                       ": expected '<rule>|<file>|<line>|<hash8>'");
       Pending.clear();
       continue;
     }
+    En.Rule = std::string(Fields[0]);
+    En.File = std::string(Fields[1]);
     En.Comments = std::move(Pending);
     Pending.clear();
     B.Entries.push_back(std::move(En));
@@ -852,24 +762,15 @@ Baseline Baseline::parse(std::string_view Text,
 }
 
 std::string Baseline::write(const std::vector<Finding> &Findings) {
-  std::vector<Finding> Sorted = Findings;
-  std::sort(Sorted.begin(), Sorted.end());
-  std::string Out;
-  Out += "# parcs-lint baseline: grandfathered findings.\n";
-  Out += "# Format: <rule>|<file>|<line>|<hash8>, where <hash8> is the\n";
-  Out += "# FNV-1a hash of the trimmed flagged source line.  Entries match\n";
-  Out += "# on (rule, file, hash), so pure line shifts keep matching, while\n";
-  Out += "# any edit to the flagged line itself forces a re-audit.  Keep\n";
-  Out += "# the justification comment above each entry up to date; refresh\n";
-  Out += "# lines and hashes with `parcs-lint --update-baseline <file>`.\n";
-  for (const Finding &F : Sorted) {
-    Out += "\n# JUSTIFY: " + F.Message + "\n";
-    Out += F.Rule + "|" + F.File + "|" + std::to_string(F.Line);
-    if (F.LineHash != 0)
-      Out += "|" + hash8(F.LineHash);
-    Out += "\n";
-  }
-  return Out;
+  return update(
+      "# parcs-lint baseline: grandfathered findings.\n"
+      "# Format: <rule>|<file>|<line>|<hash8>, where <hash8> is the\n"
+      "# FNV-1a hash of the trimmed flagged source line.  Entries match\n"
+      "# on (rule, file, hash), so pure line shifts keep matching, while\n"
+      "# any edit to the flagged line itself forces a re-audit.  Keep\n"
+      "# the justification comment above each entry up to date; refresh\n"
+      "# lines and hashes with `parcs-lint --update-baseline <file>`.\n",
+      Findings);
 }
 
 std::string Baseline::update(std::string_view OldText,
@@ -877,44 +778,30 @@ std::string Baseline::update(std::string_view OldText,
   std::vector<std::string> Errors;
   Baseline Old = parse(OldText, Errors);
 
-  // The file header: everything before the first entry's comment block.
-  // Reconstruct it by walking the text again with the same state machine.
+  // The file header: every line above the first entry's comment block
+  // (all of the old text when it has no entry).
   std::string Header;
-  {
-    std::string_view Text = OldText;
-    std::vector<std::string_view> Pending;
-    bool Done = Old.Entries.empty();
-    std::string Acc;
-    while (!Text.empty() && !Done) {
-      size_t Eol = Text.find('\n');
-      std::string_view Raw = Text.substr(0, Eol);
-      std::string_view Line = trimView(Raw);
-      Text.remove_prefix(Eol == std::string_view::npos ? Text.size()
-                                                       : Eol + 1);
-      if (Line.empty()) {
-        for (std::string_view P : Pending)
-          Acc += std::string(P) + "\n";
-        Pending.clear();
-        Acc += std::string(Raw) + "\n";
-        continue;
-      }
-      if (Line.front() == '#') {
-        Pending.push_back(Raw);
-        continue;
-      }
-      // First non-comment, non-blank line: the first entry (or junk);
-      // either way the header ends before its pending comment block.
-      Done = true;
+  std::string Pending; // Comment block that may belong to an entry.
+  while (!OldText.empty()) {
+    size_t Eol = OldText.find('\n');
+    std::string_view Raw = OldText.substr(0, Eol);
+    std::string_view Line = trim(Raw);
+    OldText.remove_prefix(Eol == std::string_view::npos ? OldText.size()
+                                                        : Eol + 1);
+    if (!Line.empty() && Line.front() != '#') {
+      Pending.clear(); // The first entry (or junk) owns the block above it.
+      break;
     }
-    if (!Done) // No entries: the whole old text is header.
-      for (std::string_view P : Pending)
-        Acc += std::string(P) + "\n";
-    Header = std::move(Acc);
-    // Drop trailing blank lines; entry blocks add their own separation.
-    while (Header.size() >= 2 && Header[Header.size() - 1] == '\n' &&
-           Header[Header.size() - 2] == '\n')
-      Header.pop_back();
+    Pending += std::string(Raw) + "\n";
+    if (Line.empty()) {
+      Header += Pending;
+      Pending.clear();
+    }
   }
+  Header += Pending;
+  // Drop trailing blank lines; entry blocks add their own separation.
+  while (Header.ends_with("\n\n"))
+    Header.pop_back();
 
   std::vector<Finding> Sorted = Findings;
   std::sort(Sorted.begin(), Sorted.end());
@@ -932,27 +819,10 @@ std::string Baseline::update(std::string_view OldText,
     } else {
       Out += "# JUSTIFY: " + F.Message + "\n";
     }
-    Out += F.Rule + "|" + F.File + "|" + std::to_string(F.Line);
-    if (F.LineHash != 0)
-      Out += "|" + hash8(F.LineHash);
-    Out += "\n";
+    Out += F.Rule + "|" + F.File + "|" + std::to_string(F.Line) + "|" +
+           hash8(F.LineHash) + "\n";
   }
   return Out;
-}
-
-bool Baseline::contains(const Finding &F) const {
-  for (const Entry &En : Entries) {
-    if (En.Rule != F.Rule || En.File != F.File)
-      continue;
-    if (En.HasHash && F.LineHash != 0) {
-      if (En.Hash == F.LineHash)
-        return true;
-      continue;
-    }
-    if (En.Line == F.Line)
-      return true;
-  }
-  return false;
 }
 
 void Baseline::add(const Finding &F) {
@@ -961,7 +831,6 @@ void Baseline::add(const Finding &F) {
   En.File = F.File;
   En.Line = F.Line;
   En.Hash = F.LineHash;
-  En.HasHash = F.LineHash != 0;
   Entries.push_back(std::move(En));
 }
 

@@ -26,9 +26,9 @@
 ///   // parcs-lint: allow(<rule>[, <rule>...]): <justification>
 /// on the offending line (or on the line above when the comment stands
 /// alone), or grandfathered through a committed baseline file.  The
-/// library is filesystem-free except for lintFile(); the CLI in
-/// tools/parcs_lint owns directory walking, so every rule is unit-testable
-/// on in-memory sources.
+/// library is filesystem-free; the CLI in tools/parcs_lint owns directory
+/// walking and file IO, so every rule is unit-testable on in-memory
+/// sources.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -147,12 +147,6 @@ std::vector<Finding> lintSource(std::string_view RelPath,
                                 std::string_view Source,
                                 const LintConfig &Config);
 
-/// Reads and lints one file.  Returns false (with \p ErrorOut set) when the
-/// file cannot be read.
-bool lintFile(const std::string &AbsPath, std::string_view RelPath,
-              const LintConfig &Config, std::vector<Finding> &FindingsOut,
-              std::string &ErrorOut);
-
 /// Inline-suppression map for a scanned file: line -> rules suppressed
 /// there via `// parcs-lint: allow(...)`.  Exposed for the program-level
 /// (interprocedural) analyses in lint/Analysis.h, which filter their own
@@ -171,8 +165,7 @@ collectSuppressions(const std::vector<CppToken> &Toks,
 /// trimmed flagged source line.  Entries key on (rule, file, hash): a pure
 /// line shift keeps matching (the line number is a tiebreaker when the
 /// same content appears more than once), while any edit to the flagged
-/// line changes the hash and forces a re-audit.  Legacy 3-field entries
-/// (`<rule>|<file>|<line>`) stay line-exact.  '#' starts a comment; the
+/// line changes the hash and forces a re-audit.  '#' starts a comment; the
 /// comment block immediately above an entry is its justification and is
 /// preserved by Baseline::update.
 class Baseline {
@@ -182,7 +175,6 @@ public:
     std::string File;
     int Line = 0;
     uint32_t Hash = 0;
-    bool HasHash = false;
     /// Contiguous '#' lines immediately above the entry (verbatim,
     /// including the leading '#'), preserved across --update-baseline.
     std::vector<std::string> Comments;
@@ -205,10 +197,6 @@ public:
   static std::string update(std::string_view OldText,
                             const std::vector<Finding> &Findings);
 
-  /// True when some entry matches \p F (exact line for legacy entries,
-  /// hash with any line for hashed ones).  Non-consuming; applyBaseline
-  /// does the one-entry-per-finding consumption matching.
-  bool contains(const Finding &F) const;
   size_t size() const { return Entries.size(); }
   void add(const Finding &F);
   const std::vector<Entry> &entries() const { return Entries; }
@@ -220,9 +208,9 @@ private:
 };
 
 /// Removes findings matched by \p B; returns the survivors (order kept).
-/// Matching consumes entries (one finding per entry): exact
-/// (rule, file, line) first -- requiring the hash to agree when both sides
-/// have one -- then (rule, file, hash) with the nearest line as tiebreak.
+/// Matching consumes entries (one finding per entry) and needs the rule,
+/// file and hash to agree: an entry on the finding's line first, then the
+/// one on the nearest line.
 std::vector<Finding> applyBaseline(const std::vector<Finding> &Findings,
                                    const Baseline &B);
 

@@ -8,9 +8,6 @@
 
 #include "support/Json.h"
 
-#include <fstream>
-#include <sstream>
-
 namespace parcs::model {
 
 namespace {
@@ -105,20 +102,14 @@ ErrorOr<DataSet> pointsFromTelemetryExport(std::string_view Json) {
   return Out;
 }
 
-ErrorOr<DataSet> loadSweepFile(const std::string &Path) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return Error(ErrorCode::InvalidArgument, "cannot open " + Path);
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  std::string Body = Buf.str();
+ErrorOr<DataSet> loadSweep(std::string_view Json, const std::string &Path) {
   Value Root;
-  if (!json::parse(Body, Root) || !Root.isObject())
+  if (!json::parse(Json, Root) || !Root.isObject())
     return malformed(Path + ": not a JSON object");
   if (Root.field("points"))
-    return parseSweepJson(Body);
+    return parseSweepJson(Json);
   if (Root.field("window_ns") && Root.field("series"))
-    return pointsFromTelemetryExport(Body);
+    return pointsFromTelemetryExport(Json);
   return malformed(Path + ": neither a sweep file (\"points\") nor a "
                           "telemetry export (\"series\")");
 }

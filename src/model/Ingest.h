@@ -17,7 +17,7 @@
 ///    summaries, not buckets; the plane's own `model=` hook emits exact
 ///    whole-run percentiles and should be preferred when available).
 ///
-/// loadSweepFile dispatches on the document shape, so the CLI accepts
+/// loadSweep dispatches on the document shape, so the CLI accepts
 /// either format anywhere a sweep is expected.
 ///
 //===----------------------------------------------------------------------===//
@@ -40,9 +40,10 @@ ErrorOr<DataSet> parseSweepJson(std::string_view Json);
 /// one data point (see file comment for the metric synthesis).
 ErrorOr<DataSet> pointsFromTelemetryExport(std::string_view Json);
 
-/// Reads \p Path and dispatches on the document shape: sweep files parse
-/// via parseSweepJson, telemetry exports via pointsFromTelemetryExport.
-ErrorOr<DataSet> loadSweepFile(const std::string &Path);
+/// Dispatches \p Json, the contents of \p Path (named in errors), on its
+/// document shape: sweep files parse via parseSweepJson, telemetry
+/// exports via pointsFromTelemetryExport.
+ErrorOr<DataSet> loadSweep(std::string_view Json, const std::string &Path);
 
 } // namespace parcs::model
 

@@ -6,6 +6,8 @@
 
 #include "model/Legs.h"
 
+#include "support/File.h"
+
 namespace parcs::model {
 
 DataPoint pointFromProfAnalysis(const prof::Analysis &A,
@@ -21,7 +23,10 @@ DataPoint pointFromProfAnalysis(const prof::Analysis &A,
 
 ErrorOr<DataPoint> pointFromTraceFile(const std::string &Path,
                                       const NumberMap &Params) {
-  ErrorOr<prof::TraceData> Trace = prof::loadTraceFile(Path);
+  ErrorOr<std::string> Text = readFile(Path);
+  if (!Text)
+    return Text.error();
+  ErrorOr<prof::TraceData> Trace = prof::loadTrace(*Text);
   if (!Trace)
     return Trace.error();
   return pointFromProfAnalysis(prof::analyze(*Trace), Params);

@@ -6,11 +6,7 @@
 
 #include "model/Report.h"
 
-#include "model/Ingest.h"
 #include "support/Json.h"
-
-#include <fstream>
-#include <sstream>
 
 namespace parcs::model {
 
@@ -160,23 +156,6 @@ ErrorOr<ModelSet> parseModelJson(std::string_view Json) {
   if (Set.Models.empty())
     return Error(ErrorCode::MalformedMessage, "model file has no models");
   return Set;
-}
-
-ErrorOr<ModelSet> loadModelFile(const std::string &Path) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return Error(ErrorCode::InvalidArgument, "cannot open " + Path);
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  std::string Body = Buf.str();
-  ErrorOr<ModelSet> Parsed = parseModelJson(Body);
-  if (Parsed)
-    return Parsed;
-  // Not a model file: fit it as a sweep (fresh-baseline workflows).
-  ErrorOr<DataSet> Sweep = loadSweepFile(Path);
-  if (!Sweep)
-    return Parsed.error();
-  return fitAll(*Sweep, "");
 }
 
 } // namespace parcs::model

@@ -47,10 +47,6 @@ std::string modelJson(const ModelSet &Set);
 /// Parses modelJson output.
 ErrorOr<ModelSet> parseModelJson(std::string_view Json);
 
-/// Reads \p Path and calls parseModelJson; falls back to fitting the file
-/// as a sweep when it has no model section but is a loadable sweep.
-ErrorOr<ModelSet> loadModelFile(const std::string &Path);
-
 } // namespace parcs::model
 
 #endif // PARCS_MODEL_REPORT_H

@@ -18,9 +18,8 @@ FaultHook::~FaultHook() = default;
 Network::~Network() {
   metrics::Registry &Reg = metrics::Registry::global();
   Reg.counter("net.messages_delivered").add(Delivered);
-  // Every drop is the fault hook's, so both names report one count.
+  // Every drop is the fault hook's.
   Reg.counter("net.messages_dropped").add(Dropped);
-  Reg.counter("net.messages_fault_dropped").add(Dropped);
   Reg.counter("net.payload_bytes").add(PayloadBytes);
   Reg.counter("net.wire_bytes").add(WireBytes);
   Reg.counter("net.frames").add(Frames);

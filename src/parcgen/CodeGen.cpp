@@ -17,10 +17,10 @@ using namespace parcs::pcc;
 namespace {
 
 /// "examples.prime" -> {"examples", "prime"}; empty -> {"parcsgen"}.
-std::vector<std::string> namespaceParts(const ModuleDecl &Module) {
+std::vector<std::string_view> namespaceParts(const ModuleDecl &Module) {
   if (Module.Name.empty())
     return {"parcsgen"};
-  return splitString(Module.Name, '.');
+  return split(Module.Name, '.');
 }
 
 std::string includeGuard(const ModuleDecl &Module) {
@@ -430,8 +430,8 @@ std::string parcs::pcc::generateCpp(const ModuleDecl &Module) {
   Os << "#include <utility>\n";
   Os << "#include <vector>\n\n";
 
-  std::vector<std::string> Parts = namespaceParts(Module);
-  for (const std::string &Part : Parts)
+  std::vector<std::string_view> Parts = namespaceParts(Module);
+  for (std::string_view Part : Parts)
     Os << "namespace " << Part << " {\n";
   Os << "\n";
 

@@ -10,11 +10,10 @@
 #include "parcgen/CodeGen.h"
 #include "parcgen/Parser.h"
 #include "parcgen/Sema.h"
+#include "support/File.h"
 #include "support/Json.h"
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 
 using namespace parcs;
 using namespace parcs::pcc;
@@ -89,17 +88,13 @@ CompileResult parcs::pcc::compilePci(std::string_view Source) {
 int parcs::pcc::runParcgenTool(const std::string &InputPath,
                                const std::string &OutputPath,
                                ToolMode Mode) {
-  std::ifstream In(InputPath);
-  if (!In) {
-    std::fprintf(stderr, "parcgen: cannot open input '%s'\n",
-                 InputPath.c_str());
+  ErrorOr<std::string> Source = readFile(InputPath);
+  if (!Source) {
+    std::fprintf(stderr, "parcgen: %s\n", Source.error().message().c_str());
     return 1;
   }
-  std::ostringstream Buffer;
-  Buffer << In.rdbuf();
-  std::string Source = Buffer.str();
 
-  CompileResult Result = compilePci(Source);
+  CompileResult Result = compilePci(*Source);
   std::string Rendered = Result.Diags.render(InputPath);
   if (!Rendered.empty())
     std::fputs(Rendered.c_str(), stderr);
@@ -114,13 +109,11 @@ int parcs::pcc::runParcgenTool(const std::string &InputPath,
   if (Mode == ToolMode::Check)
     return 0;
 
-  std::ofstream Out(OutputPath);
-  if (!Out) {
-    std::fprintf(stderr, "parcgen: cannot open output '%s'\n",
-                 OutputPath.c_str());
+  if (Error E = writeFile(OutputPath, Mode == ToolMode::Facts
+                                          ? renderFactsJson(Result.Module)
+                                          : Result.Code)) {
+    std::fprintf(stderr, "parcgen: %s\n", E.message().c_str());
     return 1;
   }
-  Out << (Mode == ToolMode::Facts ? renderFactsJson(Result.Module)
-                                  : Result.Code);
-  return Out ? 0 : 1;
+  return 0;
 }

@@ -11,9 +11,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <unordered_map>
 
 using namespace parcs;
@@ -270,15 +268,6 @@ ErrorOr<TraceData> parcs::prof::loadTrace(std::string_view Json) {
     }
   }
   return Out;
-}
-
-ErrorOr<TraceData> parcs::prof::loadTraceFile(const std::string &Path) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return Error(ErrorCode::InvalidArgument, "cannot open " + Path);
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  return loadTrace(Buf.str());
 }
 
 double Analysis::coverage() const {

@@ -94,9 +94,6 @@ struct TraceData {
 /// their pid-scoped ids; halves marked truncated produce truncated nodes.
 ErrorOr<TraceData> loadTrace(std::string_view Json);
 
-/// Convenience: reads \p Path and calls loadTrace.
-ErrorOr<TraceData> loadTraceFile(const std::string &Path);
-
 /// One attributed slice of the critical path, in increasing time order.
 /// Gap segments (time the path crosses without a covering node) carry the
 /// name "<gap>" and class Compute.

@@ -8,54 +8,19 @@
 
 #include "support/StringUtils.h"
 
-#include <cstdlib>
-
 using namespace parcs;
 using namespace parcs::remoting;
 
 ErrorOr<ObjectUri> parcs::remoting::parseObjectUri(const std::string &Uri) {
-  ObjectUri Result;
-  std::string Rest;
-  if (startsWith(Uri, "tcp://")) {
-    Result.Channel = ChannelKind::Tcp;
-    Rest = Uri.substr(6);
-  } else if (startsWith(Uri, "http://")) {
-    Result.Channel = ChannelKind::Http;
-    Rest = Uri.substr(7);
-  } else {
+  bool Http = Uri.starts_with("http://");
+  if (!Http && !Uri.starts_with("tcp://"))
     return Error(ErrorCode::InvalidArgument,
                  "uri must start with tcp:// or http://: " + Uri);
-  }
-
-  size_t Slash = Rest.find('/');
-  if (Slash == std::string::npos || Slash + 1 >= Rest.size())
-    return Error(ErrorCode::InvalidArgument,
-                 "uri missing /objectName: " + Uri);
-  Result.Name = Rest.substr(Slash + 1);
-
-  std::string HostPort = Rest.substr(0, Slash);
-  size_t Colon = HostPort.find(':');
-  if (Colon == std::string::npos)
-    return Error(ErrorCode::InvalidArgument, "uri missing :port: " + Uri);
-  std::string Host = HostPort.substr(0, Colon);
-  std::string PortText = HostPort.substr(Colon + 1);
-  if (PortText.empty() ||
-      PortText.find_first_not_of("0123456789") != std::string::npos)
-    return Error(ErrorCode::InvalidArgument, "bad port in uri: " + Uri);
-  Result.Port = std::atoi(PortText.c_str());
-
-  if (Host == "localhost") {
-    Result.Node = 0;
-  } else if (startsWith(Host, "node")) {
-    std::string Id = Host.substr(4);
-    if (Id.empty() || Id.find_first_not_of("0123456789") != std::string::npos)
-      return Error(ErrorCode::InvalidArgument, "bad host in uri: " + Uri);
-    Result.Node = std::atoi(Id.c_str());
-  } else {
-    return Error(ErrorCode::InvalidArgument,
-                 "hosts are node<K> or localhost: " + Uri);
-  }
-  return Result;
+  ErrorOr<NodeUri> Address = parseNodeUri(Uri, Http ? 7 : 6, -1);
+  if (!Address)
+    return Address.error();
+  return ObjectUri{Http ? ChannelKind::Http : ChannelKind::Tcp,
+                   Address->Node, Address->Port, std::move(Address->Name)};
 }
 
 std::string parcs::remoting::makeObjectUri(ChannelKind Channel, int Node,

@@ -6,47 +6,16 @@
 
 #include "rmi/Rmi.h"
 
-#include "support/StringUtils.h"
 #include "vm/Calibration.h"
-
-#include <cstdlib>
 
 using namespace parcs;
 using namespace parcs::rmi;
 
 ErrorOr<RmiUri> parcs::rmi::parseRmiUri(const std::string &Uri) {
-  if (!startsWith(Uri, "rmi://"))
+  if (!Uri.starts_with("rmi://"))
     return Error(ErrorCode::InvalidArgument,
                  "rmi uri must start with rmi://: " + Uri);
-  std::string Rest = Uri.substr(6);
-  size_t Slash = Rest.find('/');
-  if (Slash == std::string::npos || Slash + 1 >= Rest.size())
-    return Error(ErrorCode::InvalidArgument, "rmi uri missing /name: " + Uri);
-  RmiUri Result;
-  Result.Name = Rest.substr(Slash + 1);
-  std::string HostPort = Rest.substr(0, Slash);
-  size_t Colon = HostPort.find(':');
-  std::string Host =
-      Colon == std::string::npos ? HostPort : HostPort.substr(0, Colon);
-  if (Colon != std::string::npos) {
-    std::string PortText = HostPort.substr(Colon + 1);
-    if (PortText.empty() ||
-        PortText.find_first_not_of("0123456789") != std::string::npos)
-      return Error(ErrorCode::InvalidArgument, "bad rmi port: " + Uri);
-    Result.Port = std::atoi(PortText.c_str());
-  }
-  if (Host == "localhost") {
-    Result.Node = 0;
-  } else if (startsWith(Host, "node")) {
-    std::string Id = Host.substr(4);
-    if (Id.empty() || Id.find_first_not_of("0123456789") != std::string::npos)
-      return Error(ErrorCode::InvalidArgument, "bad rmi host: " + Uri);
-    Result.Node = std::atoi(Id.c_str());
-  } else {
-    return Error(ErrorCode::InvalidArgument,
-                 "rmi hosts are node<K> or localhost: " + Uri);
-  }
-  return Result;
+  return parseNodeUri(Uri, 6, RegistryPort);
 }
 
 sim::Task<ErrorOr<Bytes>> RegistryServer::handleCall(std::string_view Method,

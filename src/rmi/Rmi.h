@@ -25,6 +25,7 @@
 
 #include "remoting/Engine.h"
 #include "remoting/Remoting.h"
+#include "support/StringUtils.h"
 
 #include <map>
 
@@ -41,12 +42,9 @@ using UnicastRemoteObject = remoting::CallHandler;
 /// Default registry port, as in the JDK.
 inline constexpr int RegistryPort = 1099;
 
-/// A parsed "rmi://node<K>:<port>/<name>" URI.
-struct RmiUri {
-  int Node = 0;
-  int Port = RegistryPort;
-  std::string Name;
-};
+/// A parsed "rmi://node<K>[:<port>]/<name>" URI; the port defaults to
+/// RegistryPort.
+using RmiUri = NodeUri;
 
 ErrorOr<RmiUri> parseRmiUri(const std::string &Uri);
 

@@ -6,8 +6,9 @@
 
 #include "support/Json.h"
 
+#include "support/StringUtils.h"
+
 #include <cstdio>
-#include <cstdlib>
 
 namespace parcs::json {
 
@@ -162,21 +163,14 @@ private:
     }
     if (C == 'n')
       return literal("null");
-    // Number.
+    // Number: the run of number characters, which must read whole.
     size_t Start = Pos;
-    if (C == '-')
-      ++Pos;
     while (Pos < Text.size() &&
-           ((Text[Pos] >= '0' && Text[Pos] <= '9') || Text[Pos] == '.' ||
-            Text[Pos] == 'e' || Text[Pos] == 'E' || Text[Pos] == '+' ||
-            Text[Pos] == '-'))
+           std::string_view("0123456789.eE+-").find(Text[Pos]) !=
+               std::string_view::npos)
       ++Pos;
-    if (Pos == Start)
-      return false;
     Out.K = Value::Kind::Number;
-    Out.Num = std::strtod(std::string(Text.substr(Start, Pos - Start)).c_str(),
-                          nullptr);
-    return true;
+    return parseDecimal(Text.substr(Start, Pos - Start), Out.Num);
   }
 
   std::string_view Text;

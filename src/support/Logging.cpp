@@ -6,20 +6,27 @@
 
 #include "support/Logging.h"
 
+#include "support/EnvSpec.h"
+
 #include <cstdio>
-#include <cstdlib>
 
 using namespace parcs;
 
 namespace {
 
+/// PARCS_LOG is a bare level, 0 (off) to 4 (debug).
+bool parseLevel(std::string_view Text, LogLevel &Out, std::string *BadToken) {
+  int Value = 0;
+  if (!parseInt(Text, Value, 0, 4))
+    return envspec::reject(Text, BadToken);
+  Out = static_cast<LogLevel>(Value);
+  return true;
+}
+
 LogLevel readInitialLevel() {
-  if (const char *Env = std::getenv("PARCS_LOG")) {
-    int Value = std::atoi(Env);
-    if (Value >= 0 && Value <= 4)
-      return static_cast<LogLevel>(Value);
-  }
-  return LogLevel::Off;
+  LogLevel Level = LogLevel::Off;
+  envspec::readKnob("PARCS_LOG", Level, parseLevel);
+  return Level;
 }
 
 LogLevel &currentLevel() {

@@ -7,7 +7,8 @@
 /// \file
 /// A tiny leveled logger.  Logging is off by default so tests and benches
 /// stay quiet; set the level with \c setLogLevel or the PARCS_LOG environment
-/// variable (0=off, 1=error, 2=warn, 3=info, 4=debug).
+/// variable (0=off, 1=error, 2=warn, 3=info, 4=debug; anything else is
+/// ignored with the usual malformed-knob warning, support/EnvSpec.h).
 ///
 //===----------------------------------------------------------------------===//
 

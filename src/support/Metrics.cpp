@@ -7,12 +7,12 @@
 #include "support/Metrics.h"
 
 #include "support/EnvSpec.h"
+#include "support/File.h"
 #include "support/Json.h"
 
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
 namespace parcs::metrics {
@@ -124,28 +124,19 @@ std::string Histogram::str() const {
 
 bool parseMetricsSpec(std::string_view Spec, ReportSpec &Out,
                       std::string *BadToken) {
-  std::string_view Path;
-  std::vector<envspec::Option> Opts;
-  if (!envspec::split(Spec, Path, Opts, BadToken))
+  ReportSpec S;
+  std::string_view Format;
+  if (!envspec::parse(
+          Spec, S.Path,
+          [&](std::string_view Key, std::string_view Value) {
+            Format = Value;
+            return Key == "format" && (Value == "json" || Value == "text");
+          },
+          BadToken))
     return false;
-  auto Fail = [&](std::string_view Token) {
-    if (BadToken)
-      *BadToken = std::string(Token);
-    return false;
-  };
-  bool Json = Path.size() >= 5 && Path.substr(Path.size() - 5) == ".json";
-  for (const envspec::Option &O : Opts) {
-    if (O.Key != "format")
-      return Fail(O.Token);
-    if (O.Value == "json")
-      Json = true;
-    else if (O.Value == "text")
-      Json = false;
-    else
-      return Fail(O.Token);
-  }
-  Out.Path = std::string(Path);
-  Out.Json = Json;
+  // The format defaults from the path's extension.
+  S.Json = Format.empty() ? S.Path.ends_with(".json") : Format == "json";
+  Out = std::move(S);
   return true;
 }
 
@@ -164,23 +155,16 @@ struct EnvReporter {
 
   EnvReporter() {
     Registry::global(); // Ensure the registry outlives this reporter.
-    if (const char *Env = std::getenv("PARCS_METRICS")) {
-      std::string BadToken;
-      Active = parseMetricsSpec(Env, Spec, &BadToken);
-      if (!Active)
-        std::fprintf(stderr,
-                     "[parcs:metrics] ignoring malformed PARCS_METRICS "
-                     "\"%s\": bad token \"%s\"\n",
-                     Env, BadToken.c_str());
-    }
+    Active = envspec::readKnob("PARCS_METRICS", Spec, parseMetricsSpec);
   }
 
   ~EnvReporter() {
     if (!Active)
       return;
-    if (!Registry::global().writeReport(Spec))
-      std::fprintf(stderr, "[parcs:metrics] cannot write %s\n",
-                   Spec.Path.c_str());
+    const Registry &R = Registry::global();
+    if (Error E = writeFile(Spec.Path,
+                            Spec.Json ? R.jsonReport() : R.textReport()))
+      std::fprintf(stderr, "[parcs:metrics] %s\n", E.message().c_str());
   }
 };
 
@@ -294,18 +278,6 @@ std::string Registry::jsonReport() const {
   }
   Out += "}\n";
   return Out;
-}
-
-bool Registry::writeReport(const ReportSpec &Spec) const {
-  std::FILE *F = std::fopen(Spec.Path.c_str(), "w");
-  if (!F)
-    return false;
-  std::string Body = Spec.Json ? jsonReport() : textReport();
-  size_t Written = std::fwrite(Body.data(), 1, Body.size(), F);
-  bool Ok = Written == Body.size() && std::fclose(F) == 0;
-  if (!Ok && Written != Body.size())
-    std::fclose(F);
-  return Ok;
 }
 
 } // namespace parcs::metrics

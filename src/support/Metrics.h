@@ -153,8 +153,6 @@ public:
   std::string textReport() const;
   /// {"counters":{...},"gauges":{...},"histograms":{name:{n,mean,...}}}.
   std::string jsonReport() const;
-  /// Renders per \p Spec and writes the file; returns false on I/O error.
-  bool writeReport(const ReportSpec &Spec) const;
 
   /// Drops every metric (tests).
   void reset() { Metrics.clear(); }

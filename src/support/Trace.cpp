@@ -7,11 +7,11 @@
 #include "support/Trace.h"
 
 #include "support/EnvSpec.h"
+#include "support/File.h"
 #include "support/Json.h"
 
 #include <cassert>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <vector>
 
@@ -319,15 +319,7 @@ struct EnvTracer {
 
   EnvTracer() {
     Recorder::instance();
-    if (const char *Env = std::getenv("PARCS_TRACE")) {
-      std::string BadToken;
-      Active = parseTraceSpec(Env, Spec, &BadToken);
-      if (!Active)
-        std::fprintf(stderr,
-                     "[parcs:trace] ignoring malformed PARCS_TRACE \"%s\": "
-                     "bad token \"%s\"\n",
-                     Env, BadToken.c_str());
-    }
+    Active = envspec::readKnob("PARCS_TRACE", Spec, parseTraceSpec);
     if (Active) {
       Recorder::instance().setCapacity(Spec.RingCapacity);
       detail::Mode |= detail::ModeTrace;
@@ -337,9 +329,8 @@ struct EnvTracer {
   ~EnvTracer() {
     if (!Active)
       return;
-    if (!writeJson(Spec.Path))
-      std::fprintf(stderr, "[parcs:trace] cannot write %s\n",
-                   Spec.Path.c_str());
+    if (Error E = writeFile(Spec.Path, exportJson()))
+      std::fprintf(stderr, "[parcs:trace] %s\n", E.message().c_str());
   }
 };
 
@@ -413,19 +404,6 @@ std::string exportFlightJson() {
   return Recorder::instance().exportFlightJson();
 }
 
-bool writeJson(const std::string &Path) {
-  std::FILE *F = std::fopen(Path.c_str(), "w");
-  if (!F)
-    return false;
-  std::string Body = exportJson();
-  size_t Written = std::fwrite(Body.data(), 1, Body.size(), F);
-  if (Written != Body.size()) {
-    std::fclose(F);
-    return false;
-  }
-  return std::fclose(F) == 0;
-}
-
 void reset() {
   Recorder::instance().reset();
   detail::LastCausalId = 0;
@@ -434,24 +412,15 @@ void reset() {
 
 bool parseTraceSpec(std::string_view Spec, TraceSpec &Out,
                     std::string *BadToken) {
-  std::string_view Path;
-  std::vector<envspec::Option> Opts;
-  if (!envspec::split(Spec, Path, Opts, BadToken))
+  TraceSpec S;
+  if (!envspec::parse(
+          Spec, S.Path,
+          [&](std::string_view Key, std::string_view Value) {
+            return Key == "cap" && parseInt(Value, S.RingCapacity, 1);
+          },
+          BadToken))
     return false;
-  auto Fail = [&](std::string_view Token) {
-    if (BadToken)
-      *BadToken = std::string(Token);
-    return false;
-  };
-  size_t Cap = TraceSpec{}.RingCapacity;
-  for (const envspec::Option &O : Opts) {
-    uint64_t N = 0;
-    if (O.Key != "cap" || !envspec::parseUint(O.Value, N) || N == 0)
-      return Fail(O.Token);
-    Cap = static_cast<size_t>(N);
-  }
-  Out.Path = std::string(Path);
-  Out.RingCapacity = Cap;
+  Out = std::move(S);
   return true;
 }
 

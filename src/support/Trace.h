@@ -40,7 +40,7 @@
 /// "truncated" marker), and all timestamps are virtual sim-time
 /// nanoseconds, so two identical runs export byte-identical traces.
 ///
-/// Enable programmatically (setEnabled / exportJson / writeJson) or with
+/// Enable programmatically (setEnabled / exportJson) or with
 ///
 ///   PARCS_TRACE=<file>[,cap=<events-per-node>]
 ///
@@ -225,9 +225,6 @@ std::string exportJson();
 /// printed, though async halves whose partner fell off the ring still
 /// carry the "truncated" marker.
 std::string exportFlightJson();
-
-/// exportJson() to a file; returns false on I/O error.
-bool writeJson(const std::string &Path);
 
 /// Discards all recorded events and tracks and rewinds the causal-id
 /// counter (keeps the enabled flag).

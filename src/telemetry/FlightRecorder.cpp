@@ -6,6 +6,8 @@
 
 #include "telemetry/FlightRecorder.h"
 
+#include "support/File.h"
+#include "support/Json.h"
 #include "support/Metrics.h"
 #include "support/PostMortem.h"
 #include "support/Trace.h"
@@ -29,20 +31,18 @@ FlightRecorder::~FlightRecorder() {
 
 void FlightRecorder::onFatal(void *Self, const char *Reason, int Node,
                              int64_t AtNs) {
-  static_cast<FlightRecorder *>(Self)->writeDump(Reason, Node, AtNs);
+  FlightRecorder &R = *static_cast<FlightRecorder *>(Self);
+  ++R.Dumps;
+  if (Error E = writeFile(R.Path, R.dumpJson(Reason, Node, AtNs)))
+    std::fprintf(stderr, "[parcs:flight] %s\n", E.message().c_str());
 }
 
 std::string FlightRecorder::dumpJson(const char *Reason, int Node,
                                      int64_t AtNs) const {
-  std::string Out = "{\n  \"reason\": \"";
-  Out += Reason;
-  Out += "\",\n  \"node\": ";
-  char Buf[32];
-  std::snprintf(Buf, sizeof(Buf), "%d", Node);
-  Out += Buf;
-  Out += ",\n  \"at_ns\": ";
-  std::snprintf(Buf, sizeof(Buf), "%lld", static_cast<long long>(AtNs));
-  Out += Buf;
+  std::string Out = "{\n  \"reason\": ";
+  json::appendString(Out, Reason);
+  Out += ",\n  \"node\": " + std::to_string(Node);
+  Out += ",\n  \"at_ns\": " + std::to_string(AtNs);
   // Both sub-documents are complete JSON objects rendered by their own
   // deterministic exporters, embedded verbatim.
   Out += ",\n  \"trace\": ";
@@ -51,19 +51,6 @@ std::string FlightRecorder::dumpJson(const char *Reason, int Node,
   Out += metrics::Registry::global().jsonReport();
   Out += "\n}\n";
   return Out;
-}
-
-void FlightRecorder::writeDump(const char *Reason, int Node, int64_t AtNs) {
-  ++Dumps;
-  std::string Body = dumpJson(Reason, Node, AtNs);
-  std::FILE *F = std::fopen(Path.c_str(), "w");
-  if (!F) {
-    std::fprintf(stderr, "[parcs:flight] cannot write %s\n", Path.c_str());
-    return;
-  }
-  size_t Written = std::fwrite(Body.data(), 1, Body.size(), F);
-  if (std::fclose(F) != 0 || Written != Body.size())
-    std::fprintf(stderr, "[parcs:flight] cannot write %s\n", Path.c_str());
 }
 
 } // namespace parcs::telemetry

@@ -49,9 +49,9 @@ public:
   uint64_t dumps() const { return Dumps; }
 
 private:
+  /// Writes the dump; the postmortem handler.
   static void onFatal(void *Self, const char *Reason, int Node,
                       int64_t AtNs);
-  void writeDump(const char *Reason, int Node, int64_t AtNs);
 
   std::string Path;
   uint64_t Dumps = 0;

@@ -10,95 +10,31 @@
 
 namespace parcs::telemetry {
 
-namespace {
-
-std::string_view trim(std::string_view S) {
-  while (!S.empty() && (S.front() == ' ' || S.front() == '\t'))
-    S.remove_prefix(1);
-  while (!S.empty() && (S.back() == ' ' || S.back() == '\t'))
-    S.remove_suffix(1);
-  return S;
-}
-
-/// "p99" / "p99.9" -> 99.0 / 99.9.  Integer-and-tenths only, matching the
-/// duration grammar's integer spirit (no locale-dependent strtod).
-bool parsePercentile(std::string_view Text, double &Out) {
-  if (Text.empty() || Text.front() != 'p')
-    return false;
-  Text.remove_prefix(1);
-  std::string_view Whole = Text;
-  std::string_view Frac;
-  if (size_t Dot = Text.find('.'); Dot != std::string_view::npos) {
-    Whole = Text.substr(0, Dot);
-    Frac = Text.substr(Dot + 1);
-    if (Frac.empty())
-      return false;
-  }
-  uint64_t W = 0;
-  if (!envspec::parseUint(Whole, W) || W > 100)
-    return false;
-  double Value = double(W);
-  double Scale = 0.1;
-  for (char C : Frac) {
-    if (C < '0' || C > '9')
-      return false;
-    Value += double(C - '0') * Scale;
-    Scale *= 0.1;
-  }
-  if (Value > 100.0)
-    return false;
-  Out = Value;
-  return true;
-}
-
-} // namespace
-
 bool parseSloSpec(std::string_view Text, SloSpec &Out) {
   std::string_view S = trim(Text);
-  constexpr std::string_view Head = "slo(";
-  if (S.substr(0, Head.size()) != Head || S.empty() || S.back() != ')')
+  if (!S.starts_with("slo(") || !S.ends_with(')'))
     return false;
-  std::string_view Body = S.substr(Head.size(), S.size() - Head.size() - 1);
-
   // Three comma-separated clauses: series, "pP < dur", "window=dur".
-  std::string_view Parts[3];
-  size_t Count = 0;
-  while (Count < 3) {
-    size_t Comma = Body.find(',');
-    Parts[Count++] = trim(Body.substr(0, Comma));
-    if (Comma == std::string_view::npos)
-      break;
-    Body.remove_prefix(Comma + 1);
-  }
-  if (Count != 3 || Body.find(',') != std::string_view::npos)
+  std::vector<std::string_view> Parts = split(S.substr(4, S.size() - 5), ',');
+  if (Parts.size() != 3)
     return false;
-
   SloSpec Spec;
-  Spec.Series = std::string(Parts[0]);
-  if (Spec.Series.empty())
-    return false;
-
-  std::string_view Objective = Parts[1];
+  Spec.Series = std::string(trim(Parts[0]));
+  std::string_view Objective = trim(Parts[1]);
   size_t Lt = Objective.find('<');
-  if (Lt == std::string_view::npos)
-    return false;
-  if (!parsePercentile(trim(Objective.substr(0, Lt)), Spec.Percentile))
-    return false;
-  if (!envspec::parseDurationNs(trim(Objective.substr(Lt + 1)),
-                                Spec.ThresholdNs) ||
-      Spec.ThresholdNs <= 0)
-    return false;
-
-  std::string_view Window = Parts[2];
-  constexpr std::string_view Key = "window=";
-  if (Window.substr(0, Key.size()) != Key)
-    return false;
-  if (!envspec::parseDurationNs(trim(Window.substr(Key.size())),
-                                Spec.WindowNs) ||
+  std::string_view Percentile = trim(Objective.substr(0, Lt));
+  std::string_view Window = trim(Parts[2]);
+  if (Spec.Series.empty() || Lt == std::string_view::npos ||
+      !Percentile.starts_with('p') ||
+      !parseDecimal(Percentile.substr(1), Spec.Percentile) ||
+      Spec.Percentile < 0 || Spec.Percentile > 100 ||
+      !parseDurationNs(trim(Objective.substr(Lt + 1)), "ns",
+                       Spec.ThresholdNs) ||
+      Spec.ThresholdNs <= 0 || !Window.starts_with("window=") ||
+      !parseDurationNs(trim(Window.substr(7)), "ns", Spec.WindowNs) ||
       Spec.WindowNs <= 0)
     return false;
-
-  Spec.Text = std::string(trim(Text));
+  Spec.Text = std::string(S);
   Out = std::move(Spec);
   return true;
 }
@@ -106,21 +42,15 @@ bool parseSloSpec(std::string_view Text, SloSpec &Out) {
 bool parseSloSpecs(std::string_view Text, std::vector<SloSpec> &Out,
                    std::string *BadToken) {
   size_t Before = Out.size();
-  while (true) {
-    size_t Semi = Text.find(';');
-    std::string_view One = Text.substr(0, Semi);
+  for (std::string_view One : split(Text, ';')) {
     SloSpec Spec;
     if (!parseSloSpec(One, Spec)) {
-      if (BadToken)
-        *BadToken = std::string(trim(One));
       Out.resize(Before);
-      return false;
+      return envspec::reject(trim(One), BadToken);
     }
     Out.push_back(std::move(Spec));
-    if (Semi == std::string_view::npos)
-      return true;
-    Text.remove_prefix(Semi + 1);
   }
+  return true;
 }
 
 } // namespace parcs::telemetry

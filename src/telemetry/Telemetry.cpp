@@ -8,13 +8,13 @@
 
 #include "serial/Archive.h"
 #include "support/EnvSpec.h"
+#include "support/File.h"
 #include "support/Json.h"
 #include "support/Trace.h"
 
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 
 namespace parcs::telemetry {
@@ -25,63 +25,30 @@ namespace parcs::telemetry {
 
 bool parseTelemetrySpec(std::string_view SpecText, TelemetrySpec &Out,
                         std::string *BadToken) {
-  std::string_view Path;
-  std::vector<envspec::Option> Opts;
-  if (!envspec::split(SpecText, Path, Opts, BadToken))
-    return false;
-  auto Fail = [&](std::string_view Token) {
-    if (BadToken)
-      *BadToken = std::string(Token);
-    return false;
-  };
   TelemetrySpec Spec;
-  Spec.Path = std::string(Path);
-  for (const envspec::Option &O : Opts) {
-    uint64_t N = 0;
-    if (O.Key == "window") {
-      if (!envspec::parseDurationNs(O.Value, Spec.WindowNs) ||
-          Spec.WindowNs <= 0)
-        return Fail(O.Token);
-    } else if (O.Key == "flush") {
-      if (!envspec::parseDurationNs(O.Value, Spec.FlushNs) ||
-          Spec.FlushNs <= 0)
-        return Fail(O.Token);
-    } else if (O.Key == "collector") {
-      if (!envspec::parseUint(O.Value, N))
-        return Fail(O.Token);
-      Spec.CollectorNode = int(N);
-    } else if (O.Key == "port") {
-      if (!envspec::parseUint(O.Value, N) || N == 0 || N > 65535)
-        return Fail(O.Token);
-      Spec.Port = int(N);
-    } else if (O.Key == "model") {
-      if (O.Value.empty())
-        return Fail(O.Token);
-      Spec.ModelPath = std::string(O.Value);
-    } else if (O.Key == "slo") {
-      std::string BadSlo;
-      if (!parseSloSpecs(O.Value, Spec.Slos, &BadSlo))
-        return Fail(O.Token);
-    } else {
-      return Fail(O.Token);
+  auto Option = [&](std::string_view Key, std::string_view Value) {
+    if (Key == "window")
+      return parseDurationNs(Value, "ns", Spec.WindowNs) && Spec.WindowNs > 0;
+    if (Key == "flush")
+      return parseDurationNs(Value, "ns", Spec.FlushNs) && Spec.FlushNs > 0;
+    if (Key == "collector")
+      return parseInt(Value, Spec.CollectorNode, 0);
+    if (Key == "port")
+      return parseInt(Value, Spec.Port, 1, 65535);
+    if (Key == "model") {
+      Spec.ModelPath = std::string(Value);
+      return !Value.empty();
     }
-  }
+    return Key == "slo" && parseSloSpecs(Value, Spec.Slos);
+  };
+  if (!envspec::parse(SpecText, Spec.Path, Option, BadToken))
+    return false;
   Out = std::move(Spec);
   return true;
 }
 
 bool envTelemetrySpec(TelemetrySpec &Out) {
-  const char *Env = std::getenv("PARCS_TELEMETRY");
-  if (!Env)
-    return false;
-  std::string BadToken;
-  if (parseTelemetrySpec(Env, Out, &BadToken))
-    return true;
-  std::fprintf(stderr,
-               "[parcs:telemetry] ignoring malformed PARCS_TELEMETRY "
-               "\"%s\": bad token \"%s\"\n",
-               Env, BadToken.c_str());
-  return false;
+  return envspec::readKnob("PARCS_TELEMETRY", Out, parseTelemetrySpec);
 }
 
 //===----------------------------------------------------------------------===//
@@ -387,22 +354,14 @@ void Plane::finish() {
     Reg.counter("slo.breaches").add(Breaches);
   }
 
-  auto WriteFile = [](const std::string &Path, const std::string &Body) {
-    std::FILE *F = std::fopen(Path.c_str(), "w");
-    if (!F) {
-      std::fprintf(stderr, "[parcs:telemetry] cannot write %s\n",
-                   Path.c_str());
-      return;
-    }
-    size_t Written = std::fwrite(Body.data(), 1, Body.size(), F);
-    if (std::fclose(F) != 0 || Written != Body.size())
-      std::fprintf(stderr, "[parcs:telemetry] cannot write %s\n",
-                   Path.c_str());
+  auto Write = [](const std::string &Path, const std::string &Body) {
+    if (Error E = writeFile(Path, Body))
+      std::fprintf(stderr, "[parcs:telemetry] %s\n", E.message().c_str());
   };
   if (!Spec.Path.empty())
-    WriteFile(Spec.Path, exportJson());
+    Write(Spec.Path, exportJson());
   if (!Spec.ModelPath.empty())
-    WriteFile(Spec.ModelPath, modelPointsJson());
+    Write(Spec.ModelPath, modelPointsJson());
 }
 
 std::string Plane::exportJson() {

@@ -79,8 +79,9 @@ struct TelemetrySpec {
 };
 
 /// Parses "<path>[,window=dur][,flush=dur][,collector=N][,port=N]
-/// [,slo=...]...".  Durations use the fault-plan grammar ("2ms", "50us",
-/// bare ns).  Returns false leaving \p Out untouched on malformation;
+/// [,slo=...]...".  Durations use the shared grammar ("2ms", "50us",
+/// bare numbers in ns; parcs::parseDurationNs).  Returns false leaving
+/// \p Out untouched on malformation;
 /// \p BadToken (when non-null) receives the offending token.
 bool parseTelemetrySpec(std::string_view Spec, TelemetrySpec &Out,
                         std::string *BadToken = nullptr);

@@ -849,14 +849,34 @@ TEST(FaultTest, FaultPlanParsesAndRoundTrips) {
   ErrorOr<fault::FaultPlan> Again = fault::FaultPlan::parse(Plan->str());
   ASSERT_TRUE(Again.hasValue()) << Again.error().str();
   EXPECT_EQ(Again->str(), Plan->str());
+
+  // Bare times are seconds; windows keep their values.
+  Plan = fault::FaultPlan::parse(
+      "crash(1,5);loss(0.01,0,5s);corrupt(1.0,0,5ms);"
+      "seed(18446744073709551615)");
+  ASSERT_TRUE(Plan.hasValue()) << Plan.error().str();
+  EXPECT_EQ(Plan->Crashes[0].At, SimTime::seconds(5));
+  EXPECT_EQ(Plan->Losses[0].Probability, 0.01);
+  EXPECT_EQ(Plan->Losses[0].Until, SimTime::seconds(5));
+  EXPECT_EQ(Plan->Corruptions[0].Probability, 1.0);
+  EXPECT_EQ(Plan->Corruptions[0].Until, SimTime::milliseconds(5));
+  EXPECT_EQ(Plan->Seed, UINT64_MAX);
+  Again = fault::FaultPlan::parse(Plan->str());
+  ASSERT_TRUE(Again.hasValue()) << Again.error().str();
+  EXPECT_EQ(Again->str(), Plan->str());
 }
 
 TEST(FaultTest, FaultPlanRejectsNonsense) {
-  EXPECT_FALSE(fault::FaultPlan::parse("loss(1.5)").hasValue());
-  EXPECT_FALSE(fault::FaultPlan::parse("crash(-1,10s)").hasValue());
-  EXPECT_FALSE(fault::FaultPlan::parse("crash(1,10s,5s)").hasValue());
-  EXPECT_FALSE(fault::FaultPlan::parse("partition(0,1,5s,2s)").hasValue());
-  EXPECT_FALSE(fault::FaultPlan::parse("wibble(3)").hasValue());
+  for (const char *Bad : {
+           "loss(1.5)", "crash(-1,10s)", "crash(1,10s,5s)",
+           "partition(0,1,5s,2s)", "wibble(3)",
+           // Out of range: these used to wrap or saturate.
+           "dropnth(4294967297)", "crash(4294967297,1ms)", "crash(1,1e300)",
+           // Not finite.
+           "crash(1,nan)", "latency(inf)", "loss(nan)",
+           // Hex and '+'-signed numbers.
+           "loss(0x1p-3)", "latency(+2ms)"})
+    EXPECT_FALSE(fault::FaultPlan::parse(Bad).hasValue()) << Bad;
   EXPECT_TRUE(fault::FaultPlan::parse("").hasValue());
   EXPECT_TRUE(fault::FaultPlan::parse("")->empty());
 }

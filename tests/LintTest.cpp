@@ -38,10 +38,7 @@ std::string readWholeFile(const std::string &Path) {
 std::vector<Finding> lintFixture(const std::string &RelPath,
                                  const LintConfig &Config = LintConfig()) {
   std::string Abs = std::string(PARCS_LINT_FIXTURE_DIR) + "/" + RelPath;
-  std::vector<Finding> Findings;
-  std::string Error;
-  EXPECT_TRUE(lintFile(Abs, RelPath, Config, Findings, Error)) << Error;
-  return Findings;
+  return lintSource(RelPath, readWholeFile(Abs), Config);
 }
 
 bool hasFinding(const std::vector<Finding> &Findings, const std::string &Rule,
@@ -646,23 +643,6 @@ TEST(LintBaselineTest, EditedLineForcesReaudit) {
       << "an edited flagged line must stop matching its baseline entry";
 }
 
-TEST(LintBaselineTest, LegacyEntriesStayLineExact) {
-  std::vector<Finding> Findings =
-      lintSource("src/x.cpp", "int a = rand();\n", LintConfig());
-  ASSERT_EQ(Findings.size(), 1u);
-
-  std::vector<std::string> Errors;
-  Baseline Exact =
-      Baseline::parse("determinism-wall-clock|src/x.cpp|1\n", Errors);
-  EXPECT_TRUE(Errors.empty());
-  EXPECT_TRUE(applyBaseline(Findings, Exact).empty());
-
-  Baseline Shifted =
-      Baseline::parse("determinism-wall-clock|src/x.cpp|2\n", Errors);
-  EXPECT_EQ(applyBaseline(Findings, Shifted).size(), 1u)
-      << "3-field entries have no hash to follow the code with";
-}
-
 TEST(LintBaselineTest, ConsumptionIsOneEntryPerFinding) {
   std::vector<Finding> Findings = lintSource(
       "src/x.cpp", "int a = rand();\nint b = rand();\n", LintConfig());
@@ -688,7 +668,6 @@ TEST(LintBaselineTest, WriteEmitsHashesAndJustifyStubs) {
   Baseline B = Baseline::parse(Text, Errors);
   EXPECT_TRUE(Errors.empty());
   ASSERT_EQ(B.size(), 1u);
-  EXPECT_TRUE(B.entries()[0].HasHash);
   EXPECT_EQ(B.entries()[0].Hash, Findings[0].LineHash);
 }
 
@@ -744,12 +723,14 @@ TEST(LintBaselineTest, UpdatePreservesJustificationComments) {
 TEST(LintBaselineTest, MalformedLinesAreReported) {
   std::vector<std::string> Errors;
   Baseline B = Baseline::parse("# a comment\n"
-                               "determinism-wall-clock|src/a.cpp|12\n"
+                               "determinism-wall-clock|src/a.cpp|12|0badf00d\n"
                                "not-an-entry\n"
-                               "rule|file|not-a-number\n",
+                               "rule|file|not-a-number\n"
+                               "determinism-wall-clock|src/a.cpp|12\n"
+                               "rule|file|12|0BADF00\n",
                                Errors);
   EXPECT_EQ(B.size(), 1u);
-  EXPECT_EQ(Errors.size(), 2u);
+  EXPECT_EQ(Errors.size(), 4u) << "entries carry all four fields";
 }
 
 //===----------------------------------------------------------------------===//

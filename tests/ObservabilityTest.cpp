@@ -26,6 +26,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <set>
@@ -266,6 +267,8 @@ TEST(SpecParsingTest, TraceSpec) {
   EXPECT_FALSE(trace::parseTraceSpec("t.json,cap=0", S));
   EXPECT_FALSE(trace::parseTraceSpec("t.json,cap=abc", S));
   EXPECT_FALSE(trace::parseTraceSpec("t.json,bogus=1", S));
+  // Out of range: used to wrap to a one-event ring.
+  EXPECT_FALSE(trace::parseTraceSpec("t.json,cap=18446744073709551617", S));
 }
 
 TEST(SpecParsingTest, TraceSpecNamesBadToken) {
@@ -283,6 +286,17 @@ TEST(SpecParsingTest, TraceSpecNamesBadToken) {
 // Log-prefix hooks (output formatting is visual; here we pin the
 // save/restore contracts the Simulator and call sites rely on).
 //===----------------------------------------------------------------------===//
+
+TEST(LogContextTest, MalformedLevelWarnsAndStaysOff) {
+  // PARCS_LOG is read once per process, so read it in a fresh one.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  ::setenv("PARCS_LOG", "bogus", 1);
+  EXPECT_EXIT(std::exit(logLevel() == LogLevel::Off ? 0 : 1),
+              ::testing::ExitedWithCode(0),
+              "\\[parcs:log\\] ignoring malformed PARCS_LOG \"bogus\": bad "
+              "token \"bogus\"");
+  ::unsetenv("PARCS_LOG");
+}
 
 TEST(LogContextTest, ClockAndNodeSaveRestore) {
   LogClock Prev = setLogClock(LogClock{});

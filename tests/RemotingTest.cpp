@@ -108,6 +108,8 @@ TEST(UriTest, RejectsMalformed) {
   EXPECT_FALSE(parseObjectUri("tcp://node1:99").hasValue());
   EXPECT_FALSE(parseObjectUri("tcp://box:99/x").hasValue());
   EXPECT_FALSE(parseObjectUri("tcp://nodeX:99/x").hasValue());
+  // Out of range: used to wrap to node 1.
+  EXPECT_FALSE(parseObjectUri("tcp://node4294967297:1050/x").hasValue());
 }
 
 TEST(UriTest, RoundTripsThroughMake) {

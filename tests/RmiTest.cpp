@@ -80,6 +80,8 @@ TEST(RmiUriTest, RejectsMalformed) {
   EXPECT_FALSE(parseRmiUri("rmi://node0:1").hasValue());
   EXPECT_FALSE(parseRmiUri("rmi://host:1/x").hasValue());
   EXPECT_FALSE(parseRmiUri("rmi://node0:9x/x").hasValue());
+  // Out of range: used to wrap to port 1099.
+  EXPECT_FALSE(parseRmiUri("rmi://node1:4294968395/x").hasValue());
 }
 
 //===----------------------------------------------------------------------===//

@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "support/Error.h"
+#include "support/File.h"
 #include "support/Random.h"
 #include "support/Json.h"
 #include "support/StringUtils.h"
@@ -163,51 +164,118 @@ TEST(JsonWriterTest, NumbersPrintLikePercentSixG) {
 }
 
 //===----------------------------------------------------------------------===//
+// Json reader
+//===----------------------------------------------------------------------===//
+
+TEST(JsonReaderTest, NumbersReadWhole) {
+  json::Value V;
+  ASSERT_TRUE(json::parse("[-0.5, 1e3, 2E-2, 0, 12]", V));
+  ASSERT_EQ(V.Arr.size(), 5u);
+  EXPECT_EQ(V.Arr[0].Num, -0.5);
+  EXPECT_EQ(V.Arr[1].Num, 1000.0);
+  EXPECT_EQ(V.Arr[2].Num, 0.02);
+  EXPECT_EQ(V.Arr[4].Num, 12.0);
+
+  // Runs of number characters that are not one number.
+  for (const char *Bad : {"-", "[1-2]", "[1e]", "[--3]", "{\"a\": .}",
+                          "[+1]", "[1e999]"}) {
+    json::Value Out;
+    EXPECT_FALSE(json::parse(Bad, Out)) << Bad;
+  }
+}
+
+//===----------------------------------------------------------------------===//
 // StringUtils
 //===----------------------------------------------------------------------===//
 
 TEST(StringUtilsTest, SplitBasic) {
-  auto Parts = splitString("a,b,c", ',');
+  auto Parts = split("a,b,c", ',');
   ASSERT_EQ(Parts.size(), 3u);
   EXPECT_EQ(Parts[0], "a");
   EXPECT_EQ(Parts[2], "c");
 }
 
 TEST(StringUtilsTest, SplitKeepsEmptyParts) {
-  auto Parts = splitString("a,,c,", ',');
+  auto Parts = split("a,,c,", ',');
   ASSERT_EQ(Parts.size(), 4u);
   EXPECT_EQ(Parts[1], "");
   EXPECT_EQ(Parts[3], "");
 }
 
 TEST(StringUtilsTest, SplitEmptyString) {
-  auto Parts = splitString("", ',');
+  auto Parts = split("", ',');
   ASSERT_EQ(Parts.size(), 1u);
   EXPECT_EQ(Parts[0], "");
 }
 
 TEST(StringUtilsTest, Trim) {
-  EXPECT_EQ(trimString("  hi \t\n"), "hi");
-  EXPECT_EQ(trimString(""), "");
-  EXPECT_EQ(trimString("   "), "");
-  EXPECT_EQ(trimString("x"), "x");
+  EXPECT_EQ(trim("  hi \t\n"), "hi");
+  EXPECT_EQ(trim(""), "");
+  EXPECT_EQ(trim("   "), "");
+  EXPECT_EQ(trim("x"), "x");
 }
 
-TEST(StringUtilsTest, PrefixSuffix) {
-  EXPECT_TRUE(startsWith("tcp://host", "tcp://"));
-  EXPECT_FALSE(startsWith("tc", "tcp://"));
-  EXPECT_TRUE(endsWith("file.pci", ".pci"));
-  EXPECT_FALSE(endsWith("pci", ".pci"));
+TEST(StringUtilsTest, IntegersReadWholeAndInRange) {
+  int V = 7;
+  EXPECT_TRUE(parseInt("42", V));
+  EXPECT_EQ(V, 42);
+  EXPECT_TRUE(parseInt("-3", V));
+  EXPECT_EQ(V, -3);
+  for (const char *Bad : {"", " 1", "1 ", "+1", "0x10", "1.0", "4294967297"})
+    EXPECT_FALSE(parseInt(Bad, V)) << Bad;
+  EXPECT_EQ(V, -3) << "a failed read leaves the output alone";
+  EXPECT_FALSE(parseInt("0", V, 1, 65535));
+  EXPECT_FALSE(parseInt("65536", V, 1, 65535));
+  uint32_t H = 0;
+  EXPECT_TRUE(parseInt("deadbeef", H, 0, UINT32_MAX, 16));
+  EXPECT_EQ(H, 0xdeadbeefu);
 }
 
-TEST(StringUtilsTest, Join) {
-  EXPECT_EQ(joinStrings({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(joinStrings({}, ", "), "");
-  EXPECT_EQ(joinStrings({"solo"}, ","), "solo");
+TEST(StringUtilsTest, DecimalsAreFinite) {
+  double D = 0;
+  EXPECT_TRUE(parseDecimal("1e-3", D));
+  EXPECT_EQ(D, 1e-3);
+  EXPECT_TRUE(parseDecimal(".5", D));
+  EXPECT_EQ(D, 0.5);
+  for (const char *Bad :
+       {"", "nan", "inf", "-inf", "1e300000", "0x1p3", "+5", "5 ", "1,5"})
+    EXPECT_FALSE(parseDecimal(Bad, D)) << Bad;
 }
 
-TEST(StringUtilsTest, FormatBytes) {
-  EXPECT_EQ(formatBytes(512), "512 B");
-  EXPECT_EQ(formatBytes(1536), "1.5 KB");
-  EXPECT_EQ(formatBytes(3 * 1024 * 1024), "3.0 MB");
+TEST(StringUtilsTest, DurationsNameTheirBareUnit) {
+  int64_t Ns = 0;
+  ASSERT_TRUE(parseDurationNs("5", "s", Ns));
+  EXPECT_EQ(Ns, 5'000'000'000);
+  ASSERT_TRUE(parseDurationNs("5", "ns", Ns));
+  EXPECT_EQ(Ns, 5);
+  ASSERT_TRUE(parseDurationNs("2ms", "ns", Ns));
+  EXPECT_EQ(Ns, 2'000'000);
+  ASSERT_TRUE(parseDurationNs("1.5us", "s", Ns));
+  EXPECT_EQ(Ns, 1'500);
+  ASSERT_TRUE(parseDurationNs("9223372036854775807ns", "s", Ns));
+  EXPECT_EQ(Ns, INT64_MAX);
+  for (const char *Bad : {"", "ms", "-1ms", "nan", "inf", "1e300", "5 ms",
+                          "9223372036854775808", "18446744073709551617ns"})
+    EXPECT_FALSE(parseDurationNs(Bad, "ns", Ns)) << Bad;
+}
+
+//===----------------------------------------------------------------------===//
+// File IO
+//===----------------------------------------------------------------------===//
+
+TEST(FileTest, RoundTripsAndNamesThePathOnError) {
+  std::string Path = ::testing::TempDir() + "support_file_test.txt";
+  std::string Body("a\0b\nc", 5);
+  ASSERT_FALSE(writeFile(Path, Body));
+  ErrorOr<std::string> Back = readFile(Path);
+  ASSERT_TRUE(Back);
+  EXPECT_EQ(*Back, Body);
+  std::remove(Path.c_str());
+
+  Back = readFile("/nonexistent-dir/x.json");
+  ASSERT_FALSE(Back);
+  EXPECT_EQ(Back.error().message(), "cannot open /nonexistent-dir/x.json");
+  Error E = writeFile("/nonexistent-dir/x.json", "{}");
+  ASSERT_TRUE(E);
+  EXPECT_EQ(E.message(), "cannot write /nonexistent-dir/x.json");
 }

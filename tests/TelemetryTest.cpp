@@ -64,6 +64,9 @@ TEST(SloSpecTest, RejectsMalformedSpecs) {
   EXPECT_FALSE(telemetry::parseSloSpec("slo(x, p99 < 2ms)", S))
       << "window clause is mandatory";
   EXPECT_FALSE(telemetry::parseSloSpec("slo(, p99 < 2ms, window=1ms)", S));
+  // Out of range: used to wrap to a 1 ns threshold.
+  EXPECT_FALSE(telemetry::parseSloSpec(
+      "slo(x, p99 < 18446744073709551617ns, window=1ms)", S));
 }
 
 TEST(SloSpecTest, ParsesSemicolonSeparatedLists) {
@@ -97,6 +100,10 @@ TEST(TelemetrySpecTest, ParsesPathAndOptions) {
   EXPECT_EQ(S.CollectorNode, 1);
   EXPECT_EQ(S.Port, 800);
 
+  // A bare duration is nanoseconds here (seconds in a fault plan).
+  ASSERT_TRUE(telemetry::parseTelemetrySpec("t.json,window=5", S));
+  EXPECT_EQ(S.WindowNs, 5);
+
   // The slo() value contains commas; the paren-aware splitter must keep
   // them inside the option instead of splitting the spec apart.
   ASSERT_TRUE(telemetry::parseTelemetrySpec(
@@ -121,6 +128,15 @@ TEST(TelemetrySpecTest, NamesTheBadToken) {
   EXPECT_FALSE(telemetry::parseTelemetrySpec(
       "t.json,slo=slo(x, p99 < 2ms)", S, &Bad));
   EXPECT_EQ(Bad, "slo=slo(x, p99 < 2ms)");
+  // Out of range: these used to wrap to port 1, node 0 and 1 ns.
+  for (const char *Option : {"port=18446744073709551617",
+                             "collector=4294967296",
+                             "window=18446744073709551617ns"}) {
+    EXPECT_FALSE(
+        telemetry::parseTelemetrySpec(std::string("t.json,") + Option, S, &Bad))
+        << Option;
+    EXPECT_EQ(Bad, Option);
+  }
 }
 
 //===----------------------------------------------------------------------===//

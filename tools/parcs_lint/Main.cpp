@@ -33,13 +33,12 @@
 #include "lint/Analysis.h"
 #include "lint/Facts.h"
 #include "lint/Lint.h"
+#include "support/File.h"
 
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -62,14 +61,10 @@ int usageError(const char *Msg) {
   return 2;
 }
 
-bool readFile(const std::string &Path, std::string &Out) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return false;
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  Out = Buf.str();
-  return true;
+/// Reports an IO error and returns the IO exit code.
+int ioError(const Error &E) {
+  std::cerr << "parcs-lint: " << E.message() << "\n";
+  return 2;
 }
 
 } // namespace
@@ -182,13 +177,11 @@ int main(int Argc, char **Argv) {
 
   lint::FactsDb Facts;
   for (const std::string &FP : FactsPaths) {
-    std::string Text;
-    if (!readFile(FP, Text)) {
-      std::cerr << "parcs-lint: cannot open facts '" << FP << "'\n";
-      return 2;
-    }
+    ErrorOr<std::string> Text = readFile(FP);
+    if (!Text)
+      return ioError(Text.error());
     std::string Error;
-    if (!lint::parseFacts(Text, Facts, Error)) {
+    if (!lint::parseFacts(*Text, Facts, Error)) {
       std::cerr << "parcs-lint: " << FP << ": " << Error << "\n";
       return 2;
     }
@@ -200,15 +193,13 @@ int main(int Argc, char **Argv) {
   lint::Program Prog;
   std::vector<lint::Finding> Findings;
   for (const auto &[Rel, Abs] : Files) {
-    std::string Source;
-    if (!readFile(Abs.string(), Source)) {
-      std::cerr << "parcs-lint: cannot read '" << Abs.string() << "'\n";
-      return 2;
-    }
+    ErrorOr<std::string> Source = readFile(Abs.string());
+    if (!Source)
+      return ioError(Source.error());
     std::vector<lint::Finding> FileFindings =
-        lint::lintSource(Rel, Source, Config);
+        lint::lintSource(Rel, *Source, Config);
     Findings.insert(Findings.end(), FileFindings.begin(), FileFindings.end());
-    Prog.addFile(Rel, std::move(Source), Config);
+    Prog.addFile(Rel, Source.take(), Config);
   }
 
   if (DumpCfg || DumpCallGraph) {
@@ -225,12 +216,9 @@ int main(int Argc, char **Argv) {
   std::sort(Findings.begin(), Findings.end());
 
   if (!WriteBaselinePath.empty()) {
-    std::ofstream Out(WriteBaselinePath, std::ios::binary);
-    if (!Out) {
-      std::cerr << "parcs-lint: cannot write '" << WriteBaselinePath << "'\n";
-      return 2;
-    }
-    Out << lint::Baseline::write(Findings);
+    if (Error E =
+            writeFile(WriteBaselinePath, lint::Baseline::write(Findings)))
+      return ioError(E);
     std::cerr << "parcs-lint: wrote " << Findings.size() << " entr"
               << (Findings.size() == 1 ? "y" : "ies") << " to "
               << WriteBaselinePath << "\n";
@@ -238,18 +226,12 @@ int main(int Argc, char **Argv) {
   }
 
   if (!UpdateBaselinePath.empty()) {
-    std::string OldText;
-    if (!readFile(UpdateBaselinePath, OldText)) {
-      std::cerr << "parcs-lint: cannot open baseline '" << UpdateBaselinePath
-                << "'\n";
-      return 2;
-    }
-    std::ofstream Out(UpdateBaselinePath, std::ios::binary);
-    if (!Out) {
-      std::cerr << "parcs-lint: cannot write '" << UpdateBaselinePath << "'\n";
-      return 2;
-    }
-    Out << lint::Baseline::update(OldText, Findings);
+    ErrorOr<std::string> OldText = readFile(UpdateBaselinePath);
+    if (!OldText)
+      return ioError(OldText.error());
+    if (Error E = writeFile(UpdateBaselinePath,
+                            lint::Baseline::update(*OldText, Findings)))
+      return ioError(E);
     std::cerr << "parcs-lint: updated " << UpdateBaselinePath << " ("
               << Findings.size() << " entr"
               << (Findings.size() == 1 ? "y" : "ies") << ")\n";
@@ -257,14 +239,11 @@ int main(int Argc, char **Argv) {
   }
 
   if (!BaselinePath.empty()) {
-    std::string Text;
-    if (!readFile(BaselinePath, Text)) {
-      std::cerr << "parcs-lint: cannot open baseline '" << BaselinePath
-                << "'\n";
-      return 2;
-    }
+    ErrorOr<std::string> Text = readFile(BaselinePath);
+    if (!Text)
+      return ioError(Text.error());
     std::vector<std::string> Errors;
-    lint::Baseline B = lint::Baseline::parse(Text, Errors);
+    lint::Baseline B = lint::Baseline::parse(*Text, Errors);
     if (!Errors.empty()) {
       for (const std::string &E : Errors)
         std::cerr << "parcs-lint: " << BaselinePath << ": " << E << "\n";

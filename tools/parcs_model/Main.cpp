@@ -21,11 +21,11 @@
 #include "model/Ingest.h"
 #include "model/Legs.h"
 #include "model/Report.h"
+#include "support/File.h"
 #include "support/Json.h"
+#include "support/StringUtils.h"
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -59,19 +59,14 @@ int fail(const std::string &Msg) {
   return 1;
 }
 
-bool writeFile(const std::string &Path, const std::string &Body) {
-  std::ofstream Out(Path, std::ios::binary);
-  if (!Out)
-    return false;
-  Out << Body;
-  return bool(Out);
-}
-
 /// Loads and merges every path as a sweep / telemetry export.
 ErrorOr<DataSet> loadMerged(const std::vector<std::string> &Paths) {
   DataSet Merged;
   for (const std::string &Path : Paths) {
-    ErrorOr<DataSet> One = loadSweepFile(Path);
+    ErrorOr<std::string> Text = readFile(Path);
+    if (!Text)
+      return Text.error();
+    ErrorOr<DataSet> One = loadSweep(*Text, Path);
     if (!One)
       return One.error();
     Merged.append(*One);
@@ -79,12 +74,27 @@ ErrorOr<DataSet> loadMerged(const std::vector<std::string> &Paths) {
   return Merged;
 }
 
+/// A model file, or else a sweep fitted with its parameter inferred
+/// (fresh-baseline workflows).  Fails with the model parse error.
+ErrorOr<ModelSet> loadModel(const std::string &Path) {
+  ErrorOr<std::string> Text = readFile(Path);
+  if (!Text)
+    return Text.error();
+  ErrorOr<ModelSet> Parsed = parseModelJson(*Text);
+  if (Parsed)
+    return Parsed;
+  ErrorOr<DataSet> Sweep = loadSweep(*Text, Path);
+  if (!Sweep)
+    return Parsed.error();
+  return fitAll(*Sweep, "");
+}
+
 /// predict's model source: a single model file loads directly (sweep
 /// fallback included); several files merge as sweeps and fit fresh.
 ErrorOr<ModelSet> loadOrFit(const std::vector<std::string> &Paths,
                             std::string_view Param) {
   if (Paths.size() == 1) {
-    ErrorOr<ModelSet> Set = loadModelFile(Paths[0]);
+    ErrorOr<ModelSet> Set = loadModel(Paths[0]);
     if (Set || Param.empty())
       return Set;
   }
@@ -132,8 +142,8 @@ int cmdFit(const std::vector<std::string> &Args) {
   std::string Body = (Json || !OutPath.empty()) ? modelJson(*Set)
                                                 : textReport(*Set);
   if (!OutPath.empty()) {
-    if (!writeFile(OutPath, Body))
-      return fail("cannot write " + OutPath);
+    if (Error E = writeFile(OutPath, Body))
+      return fail(E.message());
     std::printf("parcs-model: wrote %s\n", OutPath.c_str());
     return 0;
   }
@@ -153,9 +163,7 @@ int cmdPredict(const std::vector<std::string> &Args) {
                I + 1 < Args.size()) {
       // Generic --<param> <value>: --nodes 1024, --threads 64, ...
       ParamName = Args[I].substr(2);
-      char *End = nullptr;
-      ParamValue = std::strtod(Args[I + 1].c_str(), &End);
-      if (!End || *End != '\0')
+      if (!parseDecimal(Args[I + 1], ParamValue))
         return usage();
       HaveValue = true;
       ++I;
@@ -239,9 +247,8 @@ int cmdLegs(const std::vector<std::string> &Args) {
       size_t Eq = Args[I].find('=');
       if (Eq == std::string::npos || Eq == 0 || Eq + 1 == Args[I].size())
         return usage();
-      char *EndP = nullptr;
-      double Value = std::strtod(Args[I].c_str(), &EndP);
-      if (!EndP || EndP != Args[I].c_str() + Eq)
+      double Value = 0;
+      if (!parseDecimal(std::string_view(Args[I]).substr(0, Eq), Value))
         return usage();
       Traces.emplace_back(Value, Args[I].substr(Eq + 1));
     }
@@ -263,8 +270,8 @@ int cmdLegs(const std::vector<std::string> &Args) {
     std::fputs(Body.c_str(), stdout);
     return 0;
   }
-  if (!writeFile(OutPath, Body))
-    return fail("cannot write " + OutPath);
+  if (Error E = writeFile(OutPath, Body))
+    return fail(E.message());
   std::printf("parcs-model: wrote %s (%zu points)\n", OutPath.c_str(),
               Sweep.Points.size());
   return 0;

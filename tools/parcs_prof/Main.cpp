@@ -17,11 +17,10 @@
 //===----------------------------------------------------------------------===//
 
 #include "prof/Prof.h"
+#include "support/File.h"
+#include "support/StringUtils.h"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <string>
 
 using namespace parcs;
@@ -48,7 +47,8 @@ int main(int Argc, char **Argv) {
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
     if (Arg == "--top" && I + 1 < Argc) {
-      Top = static_cast<size_t>(std::strtoull(Argv[++I], nullptr, 10));
+      if (!parseInt(Argv[++I], Top))
+        return usage(Argv[0]);
     } else if (Arg == "--flamegraph" && I + 1 < Argc) {
       FlamePath = Argv[++I];
     } else if (Arg == "--help" || Arg == "-h") {
@@ -67,7 +67,9 @@ int main(int Argc, char **Argv) {
   if (TracePath.empty())
     return usage(Argv[0]);
 
-  ErrorOr<prof::TraceData> Trace = prof::loadTraceFile(TracePath);
+  ErrorOr<std::string> Text = readFile(TracePath);
+  ErrorOr<prof::TraceData> Trace =
+      Text ? prof::loadTrace(*Text) : ErrorOr<prof::TraceData>(Text.error());
   if (!Trace) {
     std::fprintf(stderr, "parcs-prof: %s\n", Trace.error().str().c_str());
     return 1;
@@ -84,12 +86,10 @@ int main(int Argc, char **Argv) {
   std::fputs(prof::textReport(A, Top).c_str(), stdout);
 
   if (!FlamePath.empty()) {
-    std::ofstream Out(FlamePath, std::ios::binary);
-    if (!Out) {
-      std::fprintf(stderr, "parcs-prof: cannot write %s\n", FlamePath.c_str());
+    if (Error E = writeFile(FlamePath, prof::flamegraph(A))) {
+      std::fprintf(stderr, "parcs-prof: %s\n", E.message().c_str());
       return 1;
     }
-    Out << prof::flamegraph(A);
     std::printf("\nflamegraph: wrote %s\n", FlamePath.c_str());
   }
   return 0;

@@ -12,18 +12,11 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "support/File.h"
 #include "telemetry/TopReport.h"
 
 #include <cstdio>
 #include <string>
-
-static bool readAll(std::FILE *F, std::string &Out) {
-  char Buf[4096];
-  size_t N;
-  while ((N = std::fread(Buf, 1, sizeof(Buf), F)) > 0)
-    Out.append(Buf, N);
-  return !std::ferror(F);
-}
 
 int main(int Argc, char **Argv) {
   if (Argc != 2 || std::string_view(Argv[1]) == "--help" ||
@@ -38,22 +31,21 @@ int main(int Argc, char **Argv) {
 
   std::string Body;
   if (std::string_view(Argv[1]) == "-") {
-    if (!readAll(stdin, Body)) {
+    char Buf[4096];
+    size_t N;
+    while ((N = std::fread(Buf, 1, sizeof(Buf), stdin)) > 0)
+      Body.append(Buf, N);
+    if (std::ferror(stdin)) {
       std::fprintf(stderr, "parcs_top: error reading stdin\n");
       return 1;
     }
   } else {
-    std::FILE *F = std::fopen(Argv[1], "rb");
-    if (!F) {
-      std::fprintf(stderr, "parcs_top: cannot open %s\n", Argv[1]);
+    parcs::ErrorOr<std::string> Text = parcs::readFile(Argv[1]);
+    if (!Text) {
+      std::fprintf(stderr, "parcs_top: %s\n", Text.error().message().c_str());
       return 1;
     }
-    bool Ok = readAll(F, Body);
-    std::fclose(F);
-    if (!Ok) {
-      std::fprintf(stderr, "parcs_top: error reading %s\n", Argv[1]);
-      return 1;
-    }
+    Body = Text.take();
   }
 
   std::string Report;
