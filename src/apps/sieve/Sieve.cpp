@@ -57,6 +57,8 @@ private:
   metrics::Counter &Batches;
   metrics::Counter &TestsRun;
   std::vector<int32_t> Primes;
+  /// Divisors[I] tests divisibility by Primes[I].
+  std::vector<Divisor> Divisors;
   std::unique_ptr<PrimeFilterProxy> Next;
   /// Reorder machinery.
   int32_t ExpectedSeq = 0;
@@ -111,9 +113,9 @@ PrimeFilterImpl::processInOrder(std::vector<int32_t> Numbers) {
   uint64_t BatchTests = 0;
   for (int32_t N : Numbers) {
     bool Composite = false;
-    for (int32_t P : Primes) {
+    for (const Divisor &D : Divisors) {
       ++BatchTests;
-      if (N % P == 0) {
+      if (D.divides(N)) {
         Composite = true;
         break;
       }
@@ -124,6 +126,7 @@ PrimeFilterImpl::processInOrder(std::vector<int32_t> Numbers) {
       // Batches are processed in generation order, so a survivor that
       // fits here is prime.
       Primes.push_back(N);
+      Divisors.emplace_back(N);
       continue;
     }
     Numbers[Survivors++] = N;

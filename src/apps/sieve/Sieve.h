@@ -36,6 +36,8 @@
 
 #include "core/Scoopp.h"
 
+#include <cstdint>
+
 namespace parcs::apps::sieve {
 
 /// Tuning knobs of the pipeline workload.
@@ -45,6 +47,17 @@ struct SieveJob {
   int BatchSize = 16;      ///< Candidates per process() call.
   /// Reference-VM cost of one divisibility test.
   double NsPerTest = 40.0;
+};
+
+/// Divisibility by a fixed divisor with one multiply and no divide
+/// (Lemire, Kaser and Kurz, "Faster remainder by direct computation",
+/// 2019).  M is 2^64 / P rounded up, and N is a multiple of P exactly
+/// when the low 64 bits of N * M are below M.  Exact for every N < 2^32
+/// and every P >= 1; for P = 1, M wraps to 0 and every N passes.
+struct Divisor {
+  explicit Divisor(uint32_t P) : M(UINT64_MAX / P + 1) {}
+  bool divides(uint32_t N) const { return uint64_t(N) * M <= M - 1; }
+  uint64_t M;
 };
 
 /// Registers the PrimeFilter class backed by \p Job.

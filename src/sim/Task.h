@@ -29,6 +29,7 @@
 #define PARCS_SIM_TASK_H
 
 #include <cassert>
+#include <concepts>
 #include <coroutine>
 #include <cstddef>
 #include <cstdio>
@@ -204,7 +205,14 @@ public:
     Task get_return_object() {
       return Task(std::coroutine_handle<promise_type>::from_promise(*this));
     }
-    void return_value(T Value) { Result.emplace(std::move(Value)); }
+    /// Builds Result from the co_return operand itself, so a returned
+    /// local moves once on its way into the promise.  The constraint keeps
+    /// co_return to implicit conversions.
+    template <typename U = T>
+      requires std::convertible_to<U, T>
+    void return_value(U &&Value) {
+      Result.emplace(std::forward<U>(Value));
+    }
   };
 
   Task() = default;

@@ -16,9 +16,9 @@
 #define PARCS_SUPPORT_ERROR_H
 
 #include <cassert>
-#include <optional>
 #include <string>
 #include <utility>
+#include <variant>
 
 namespace parcs {
 
@@ -58,6 +58,24 @@ public:
     assert(Code != ErrorCode::None && "real errors need a real code");
   }
 
+  // A success's message is always empty, so moving one copies only the
+  // code: libstdc++ moves even an empty inline string with a memcpy call,
+  // and every simulated call returns through several moves of a success.
+  Error(Error &&Other) noexcept
+      : Code(Other.Code), Message(Code == ErrorCode::None
+                                      ? std::string()
+                                      : std::move(Other.Message)) {}
+  Error &operator=(Error &&Other) noexcept {
+    Code = Other.Code;
+    if (Code == ErrorCode::None)
+      Message.clear();
+    else
+      Message = std::move(Other.Message);
+    return *this;
+  }
+  Error(const Error &) = default;
+  Error &operator=(const Error &) = default;
+
   ErrorCode code() const { return Code; }
   const std::string &message() const { return Message; }
 
@@ -72,27 +90,28 @@ private:
   std::string Message;
 };
 
-/// Either a value of type \p T or an Error.  Modeled after llvm::ErrorOr.
+/// Either a value of type \p T or an Error, never both.  Modeled after
+/// llvm::ErrorOr.
 template <typename T> class ErrorOr {
 public:
-  ErrorOr(T Value) : Value(std::move(Value)) {}
-  ErrorOr(Error Err) : Err(std::move(Err)) {
-    assert(this->Err && "ErrorOr constructed from empty Error");
+  ErrorOr(T Value) : Storage(std::in_place_index<0>, std::move(Value)) {}
+  ErrorOr(Error Err) : Storage(std::in_place_index<1>, std::move(Err)) {
+    assert(error() && "ErrorOr constructed from empty Error");
   }
   ErrorOr(ErrorCode Code, std::string Message)
-      : Err(Code, std::move(Message)) {}
+      : Storage(std::in_place_index<1>, Code, std::move(Message)) {}
 
   /// True on success.
-  explicit operator bool() const { return Value.has_value(); }
-  bool hasValue() const { return Value.has_value(); }
+  explicit operator bool() const { return hasValue(); }
+  bool hasValue() const { return Storage.index() == 0; }
 
   T &get() {
-    assert(Value && "accessing value of failed ErrorOr");
-    return *Value;
+    assert(hasValue() && "accessing value of failed ErrorOr");
+    return *std::get_if<0>(&Storage);
   }
   const T &get() const {
-    assert(Value && "accessing value of failed ErrorOr");
-    return *Value;
+    assert(hasValue() && "accessing value of failed ErrorOr");
+    return *std::get_if<0>(&Storage);
   }
   T &operator*() { return get(); }
   const T &operator*() const { return get(); }
@@ -101,18 +120,17 @@ public:
 
   /// Moves the value out; only valid on success.
   T take() {
-    assert(Value && "taking value of failed ErrorOr");
-    return std::move(*Value);
+    assert(hasValue() && "taking value of failed ErrorOr");
+    return std::move(*std::get_if<0>(&Storage));
   }
 
   const Error &error() const {
-    assert(!Value && "accessing error of successful ErrorOr");
-    return Err;
+    assert(!hasValue() && "accessing error of successful ErrorOr");
+    return *std::get_if<1>(&Storage);
   }
 
 private:
-  std::optional<T> Value;
-  Error Err;
+  std::variant<T, Error> Storage;
 };
 
 } // namespace parcs

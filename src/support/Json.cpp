@@ -163,14 +163,40 @@ private:
     }
     if (C == 'n')
       return literal("null");
-    // Number: the run of number characters, which must read whole.
+    // Number: RFC 8259's grammar, read as a finite double.
     size_t Start = Pos;
-    while (Pos < Text.size() &&
-           std::string_view("0123456789.eE+-").find(Text[Pos]) !=
-               std::string_view::npos)
-      ++Pos;
+    if (!number())
+      return false;
     Out.K = Value::Kind::Number;
     return parseDecimal(Text.substr(Start, Pos - Start), Out.Num);
+  }
+
+  /// Advances over one number in RFC 8259's grammar: an optional minus,
+  /// an integer part with no leading zero, then an optional fraction and
+  /// an optional exponent, each with at least one digit.
+  bool number() {
+    auto Accept = [&](std::string_view Chars) {
+      bool Found = Pos < Text.size() &&
+                   Chars.find(Text[Pos]) != std::string_view::npos;
+      Pos += Found;
+      return Found;
+    };
+    auto Digits = [&] {
+      size_t From = Pos;
+      while (Accept("0123456789"))
+        ;
+      return Pos > From;
+    };
+    Accept("-");
+    if (!Accept("0") && !Digits())
+      return false;
+    if (Accept(".") && !Digits())
+      return false;
+    if (Accept("eE")) {
+      Accept("+-");
+      return Digits();
+    }
+    return true;
   }
 
   std::string_view Text;

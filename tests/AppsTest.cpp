@@ -240,6 +240,20 @@ TEST(SieveTest, SequentialSieveIsCorrect) {
   EXPECT_GT(Result.Seconds, 0.0);
 }
 
+TEST(SieveTest, DivisorAgreesWithRemainder) {
+  // 2^31 - 1 and 2^31 - 19 are the two largest primes below 2^31.
+  for (uint32_t P : {1u, 2u, 3u, 2147483629u, uint32_t(INT32_MAX)}) {
+    sieve::Divisor D(P);
+    for (uint32_t N : {0u, P - 1, P, P + 1, uint32_t(INT32_MAX)})
+      EXPECT_EQ(D.divides(N), N % P == 0) << N << " % " << P;
+  }
+  for (uint32_t P = 1; P <= 64; ++P) {
+    sieve::Divisor D(P);
+    for (uint32_t N = 0; N < 4096; ++N)
+      ASSERT_EQ(D.divides(N), N % P == 0) << N << " % " << P;
+  }
+}
+
 TEST(SieveTest, VmComparisonMatchesPaper) {
   // "running another application, a prime number sieve, the Mono
   // execution time is about the same as the JVM".

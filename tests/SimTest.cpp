@@ -9,6 +9,7 @@
 #include "sim/Simulator.h"
 #include "sim/Sync.h"
 #include "sim/Task.h"
+#include "support/Error.h"
 
 #include <gtest/gtest.h>
 
@@ -248,6 +249,87 @@ TEST(TaskTest, ValueReturningTasksChain) {
   Sim.run();
   EXPECT_EQ(Out, 3);
   EXPECT_EQ(Sim.now(), us(2));
+}
+
+/// Counts the moves and copies a result makes on its way from co_return
+/// to the awaiting frame.
+struct Counted {
+  int Moves = 0;
+  int Copies = 0;
+  Counted() = default;
+  Counted(const Counted &Other)
+      : Moves(Other.Moves), Copies(Other.Copies + 1) {}
+  Counted(Counted &&Other) noexcept
+      : Moves(Other.Moves + 1), Copies(Other.Copies) {}
+  Counted &operator=(const Counted &) = delete;
+  Counted &operator=(Counted &&) = delete;
+};
+
+Task<Counted> returnLocal() {
+  Counted Local;
+  co_return Local;
+}
+Task<Counted> returnMoved() {
+  Counted Local;
+  co_return std::move(Local);
+}
+Task<Counted> returnPrvalue() { co_return Counted(); }
+Task<Counted> returnBraced() { co_return {}; }
+
+Task<void> awaitCounted(Task<Counted> Child, int &Moves, int &Copies) {
+  Counted Result = co_await std::move(Child);
+  Moves = Result.Moves;
+  Copies = Result.Copies;
+}
+
+TEST(TaskTest, ResultReachesParentInAtMostTwoMoves) {
+  struct Case {
+    const char *Form;
+    Task<Counted> (*Make)();
+  };
+  for (Case C : {Case{"co_return local", returnLocal},
+                 Case{"co_return std::move(local)", returnMoved},
+                 Case{"co_return prvalue", returnPrvalue},
+                 Case{"co_return {}", returnBraced}}) {
+    Simulator Sim;
+    int Moves = -1, Copies = -1;
+    Sim.spawn(awaitCounted(C.Make(), Moves, Copies));
+    Sim.run();
+    EXPECT_GE(Moves, 0) << C.Form;
+    EXPECT_LE(Moves, 2) << C.Form;
+    EXPECT_EQ(Copies, 0) << C.Form;
+  }
+}
+
+Task<Error> refuse(Simulator &Sim, std::string Message) {
+  co_await Sim.delay(us(1));
+  co_return Error(ErrorCode::Overloaded, std::move(Message));
+}
+
+Task<ErrorOr<int>> relayRefusal(Simulator &Sim, std::string Message) {
+  Error E = co_await refuse(Sim, std::move(Message));
+  if (E)
+    co_return E;
+  co_return 0;
+}
+
+Task<void> collectRefusal(Simulator &Sim, std::string Message,
+                          ErrorOr<int> &Out) {
+  Out = co_await relayRefusal(Sim, std::move(Message));
+}
+
+TEST(TaskTest, FailureCrossesTwoNestedTasksIntact) {
+  // One message fits libstdc++'s inline string buffer, the other does not.
+  for (const std::string &Message :
+       {std::string("overloaded"), std::string(100, 'x')}) {
+    Simulator Sim;
+    ErrorOr<int> Out(0);
+    Sim.spawn(collectRefusal(Sim, Message, Out));
+    Sim.run();
+    ASSERT_FALSE(Out);
+    EXPECT_EQ(Out.error().code(), ErrorCode::Overloaded);
+    EXPECT_EQ(Out.error().message(), Message);
+  }
 }
 
 TEST(TaskTest, ManyConcurrentTasksInterleave) {

@@ -14,7 +14,9 @@
 
 #include <cmath>
 #include <cstdio>
+#include <memory>
 #include <set>
+#include <string>
 
 using namespace parcs;
 
@@ -38,8 +40,42 @@ TEST(ErrorTest, CarriesCodeAndMessage) {
 }
 
 TEST(ErrorTest, AllCodesHaveNames) {
-  for (int Code = 0; Code <= static_cast<int>(ErrorCode::TimedOut); ++Code)
-    EXPECT_NE(errorCodeName(static_cast<ErrorCode>(Code)), nullptr);
+  // Overloaded is the last code.
+  std::set<std::string> Names;
+  for (int Code = 0; Code <= static_cast<int>(ErrorCode::Overloaded);
+       ++Code) {
+    const char *Name = errorCodeName(static_cast<ErrorCode>(Code));
+    ASSERT_NE(Name, nullptr);
+    EXPECT_TRUE(Names.insert(Name).second) << Name;
+  }
+}
+
+// One message fits libstdc++'s inline string buffer, the other does not.
+const std::string ShortMessage = "overloaded";
+const std::string LongMessage(100, 'x');
+
+TEST(ErrorTest, FailureKeepsCodeAndMessageThroughMovesAndCopies) {
+  for (const std::string &Message : {ShortMessage, LongMessage}) {
+    Error Original(ErrorCode::Overloaded, Message);
+    Error Copy = Original;
+    EXPECT_EQ(Copy.code(), ErrorCode::Overloaded);
+    EXPECT_EQ(Copy.message(), Message);
+    Error Moved = std::move(Original);
+    EXPECT_EQ(Moved.code(), ErrorCode::Overloaded);
+    EXPECT_EQ(Moved.message(), Message);
+    Error Assigned;
+    Assigned = std::move(Moved);
+    EXPECT_EQ(Assigned.code(), ErrorCode::Overloaded);
+    EXPECT_EQ(Assigned.message(), Message);
+    Error CopyAssigned(ErrorCode::TimedOut, "other");
+    CopyAssigned = Assigned;
+    EXPECT_EQ(CopyAssigned.code(), ErrorCode::Overloaded);
+    EXPECT_EQ(CopyAssigned.message(), Message);
+    // A success moved over a failure leaves no message behind.
+    CopyAssigned = Error();
+    EXPECT_FALSE(CopyAssigned);
+    EXPECT_EQ(CopyAssigned.message(), "");
+  }
 }
 
 TEST(ErrorOrTest, HoldsValue) {
@@ -55,10 +91,35 @@ TEST(ErrorOrTest, HoldsError) {
   EXPECT_EQ(Failed.error().code(), ErrorCode::MalformedMessage);
 }
 
+TEST(ErrorOrTest, FailureKeepsCodeAndMessageThroughMovesAndCopies) {
+  for (const std::string &Message : {ShortMessage, LongMessage}) {
+    ErrorOr<std::string> Original(ErrorCode::ChecksumMismatch, Message);
+    ErrorOr<std::string> Copy = Original;
+    ASSERT_FALSE(Copy);
+    EXPECT_EQ(Copy.error().code(), ErrorCode::ChecksumMismatch);
+    EXPECT_EQ(Copy.error().message(), Message);
+    ErrorOr<std::string> Moved = std::move(Original);
+    ASSERT_FALSE(Moved);
+    EXPECT_EQ(Moved.error().code(), ErrorCode::ChecksumMismatch);
+    EXPECT_EQ(Moved.error().message(), Message);
+    // Move-assigned over a success, a failure replaces the value.
+    ErrorOr<std::string> Assigned(std::string("value"));
+    Assigned = std::move(Moved);
+    ASSERT_FALSE(Assigned);
+    EXPECT_EQ(Assigned.error().code(), ErrorCode::ChecksumMismatch);
+    EXPECT_EQ(Assigned.error().message(), Message);
+  }
+}
+
 TEST(ErrorOrTest, MovesNonCopyableValues) {
   ErrorOr<std::unique_ptr<int>> Value(std::make_unique<int>(7));
   ASSERT_TRUE(Value);
-  std::unique_ptr<int> Taken = Value.take();
+  ErrorOr<std::unique_ptr<int>> Moved = std::move(Value);
+  ASSERT_TRUE(Moved);
+  ErrorOr<std::unique_ptr<int>> Assigned(ErrorCode::TimedOut, LongMessage);
+  Assigned = std::move(Moved);
+  ASSERT_TRUE(Assigned);
+  std::unique_ptr<int> Taken = Assigned.take();
   EXPECT_EQ(*Taken, 7);
 }
 
@@ -175,10 +236,18 @@ TEST(JsonReaderTest, NumbersReadWhole) {
   EXPECT_EQ(V.Arr[1].Num, 1000.0);
   EXPECT_EQ(V.Arr[2].Num, 0.02);
   EXPECT_EQ(V.Arr[4].Num, 12.0);
+  json::Value Edges;
+  ASSERT_TRUE(json::parse("[-0, 0.25e+1, 10E-1]", Edges));
+  ASSERT_EQ(Edges.Arr.size(), 3u);
+  EXPECT_EQ(Edges.Arr[1].Num, 2.5);
+  EXPECT_EQ(Edges.Arr[2].Num, 1.0);
 
-  // Runs of number characters that are not one number.
+  // Runs of number characters that are not one number, and numbers
+  // outside RFC 8259's grammar: a leading zero, or a fraction or exponent
+  // with no digits on one side of its mark.
   for (const char *Bad : {"-", "[1-2]", "[1e]", "[--3]", "{\"a\": .}",
-                          "[+1]", "[1e999]"}) {
+                          "[+1]", "[1e999]", "[01]", "[-01]", "[.5]", "[5.]",
+                          "[-.5]", "[1.e3]", "[1e+]"}) {
     json::Value Out;
     EXPECT_FALSE(json::parse(Bad, Out)) << Bad;
   }
