@@ -169,16 +169,19 @@ assignBlocks(const RayJob &Job, int Workers) {
 }
 
 int nodesFor(const FarmConfig &Config) {
-  return (Config.Processors + Config.CoresPerNode - 1) / Config.CoresPerNode;
+  return (Config.Processors + calib::CoresPerNode - 1) / calib::CoresPerNode;
 }
 
 //===----------------------------------------------------------------------===//
 // ParC# farm
 //===----------------------------------------------------------------------===//
 
+/// Upper bound on re-render rounds for rows lost to worker crashes.
+constexpr int MaxRecoveryRounds = 3;
+
 sim::Task<void> scooppMaster(scoopp::ScooppRuntime &Runtime,
                              std::shared_ptr<const RayJob> Job, int Workers,
-                             int MaxRecoveryRounds, FarmResult &Out) {
+                             FarmResult &Out) {
   sim::Simulator &Sim = Runtime.sim();
   sim::SimTime Start = Sim.now();
   // The master drives everything from node 0; its phases get their own
@@ -341,8 +344,12 @@ FarmResult parcs::apps::ray::runScooppRayFarm(std::shared_ptr<const RayJob> Job,
                                               FarmConfig Config,
                                               scoopp::GrainPolicy Grain) {
   assert(Config.Processors >= 1 && "need at least one processor");
-  vm::Cluster Machines(nodesFor(Config), Config.Vm, Config.CoresPerNode);
+  vm::Cluster Machines(nodesFor(Config), Config.Vm);
   net::Network Net(Machines.sim(), Machines.nodeCount());
+  scoopp::ScooppConfig ScooppCfg;
+  ScooppCfg.Stack = Config.Stack;
+  ScooppCfg.Grain = Grain;
+  ScooppCfg.DispatchWorkers = Config.DispatchWorkers;
   // The injector outlives the runtime teardown below; its destructor
   // detaches from the network before folding its counters.
   std::unique_ptr<fault::Injector> Chaos;
@@ -350,35 +357,27 @@ FarmResult parcs::apps::ray::runScooppRayFarm(std::shared_ptr<const RayJob> Job,
     Chaos = std::make_unique<fault::Injector>(Machines.sim(), Config.Faults);
     Chaos->attach(Machines, Net);
     // Faults without a retry policy would just hang the farm on the first
-    // lost call; default to an escalating-deadline policy unless the
-    // caller configured one.  The escalation matters: collect() is
-    // synchronous and legitimately waits behind the worker's whole queued
-    // render share, so a fixed 50 ms window would time out every attempt
-    // of a healthy call.  Growing windows keep loss detection fast while
-    // the cumulative schedule (~50 ms * 2^12) comfortably outlasts any
-    // farm's collect latency; once the execution finishes, the
-    // at-most-once window answers the next retry from the cached reply.
-    if (!Config.Retry.enabled()) {
-      Config.Retry.MaxAttempts = 12;
-      Config.Retry.AttemptTimeout = sim::SimTime::milliseconds(50);
-      Config.Retry.TimeoutFactor = 2.0;
-      Config.Retry.MaxAttemptTimeout = sim::SimTime::seconds(60);
-      Config.Retry.BaseBackoff = sim::SimTime::milliseconds(2);
-      Config.Retry.MaxBackoff = sim::SimTime::milliseconds(50);
-    }
+    // lost call.  The escalation matters: collect() is synchronous and
+    // legitimately waits behind the worker's whole queued render share,
+    // so a fixed 50 ms window would time out every attempt of a healthy
+    // call.  Growing windows keep loss detection fast while the
+    // cumulative schedule (~50 ms * 2^12) comfortably outlasts any farm's
+    // collect latency; once the execution finishes, the at-most-once
+    // window answers the next retry from the cached reply.
+    constexpr remoting::RetryPolicy FaultRetry{
+        .MaxAttempts = 12,
+        .AttemptTimeout = sim::SimTime::milliseconds(50),
+        .TimeoutFactor = 2.0,
+        .MaxAttemptTimeout = sim::SimTime::seconds(60),
+        .MaxBackoff = sim::SimTime::milliseconds(50)};
+    ScooppCfg.Retry = FaultRetry;
   }
   scoopp::ParallelClassRegistry Registry;
   registerRayWorker(Registry, Job);
-  scoopp::ScooppConfig ScooppCfg;
-  ScooppCfg.Stack = Config.Stack;
-  ScooppCfg.Grain = Grain;
-  ScooppCfg.DispatchWorkers = Config.DispatchWorkers;
-  ScooppCfg.Retry = Config.Retry;
   scoopp::ScooppRuntime Runtime(Machines, Net, std::move(Registry),
                                 ScooppCfg);
   FarmResult Out;
-  Machines.sim().spawn(scooppMaster(Runtime, Job, Config.Processors,
-                                    Config.MaxRecoveryRounds, Out));
+  Machines.sim().spawn(scooppMaster(Runtime, Job, Config.Processors, Out));
   Machines.sim().run();
   return Out;
 }
@@ -386,8 +385,7 @@ FarmResult parcs::apps::ray::runScooppRayFarm(std::shared_ptr<const RayJob> Job,
 FarmResult parcs::apps::ray::runRmiRayFarm(std::shared_ptr<const RayJob> Job,
                                            FarmConfig Config) {
   assert(Config.Processors >= 1 && "need at least one processor");
-  vm::Cluster Machines(nodesFor(Config), vm::VmKind::SunJvm142,
-                       Config.CoresPerNode);
+  vm::Cluster Machines(nodesFor(Config), vm::VmKind::SunJvm142);
   net::Network Net(Machines.sim(), Machines.nodeCount());
   std::vector<std::unique_ptr<remoting::RpcEndpoint>> Endpoints;
   for (int I = 0; I < Machines.nodeCount(); ++I)
@@ -398,7 +396,7 @@ FarmResult parcs::apps::ray::runRmiRayFarm(std::shared_ptr<const RayJob> Job,
   // One worker per processor, two per dual-CPU node.
   std::vector<remoting::RemoteHandle> Workers;
   for (int W = 0; W < Config.Processors; ++W) {
-    int NodeId = W / Config.CoresPerNode;
+    int NodeId = W / calib::CoresPerNode;
     std::string Name = "worker" + std::to_string(W);
     Endpoints[static_cast<size_t>(NodeId)]->publish(
         Name, std::make_shared<RayWorkerImpl>(Machines.node(NodeId), Job));
@@ -492,10 +490,10 @@ FarmResult parcs::apps::ray::runMpiRayFarm(std::shared_ptr<const RayJob> Job,
                                            FarmConfig Config) {
   assert(Config.Processors >= 1 && "need at least one processor");
   int Ranks = Config.Processors + 1; // Master + workers.
-  int Nodes = (Ranks + Config.CoresPerNode - 1) / Config.CoresPerNode;
-  vm::Cluster Machines(Nodes, vm::VmKind::NativeCpp, Config.CoresPerNode);
+  int Nodes = (Ranks + calib::CoresPerNode - 1) / calib::CoresPerNode;
+  vm::Cluster Machines(Nodes, vm::VmKind::NativeCpp);
   net::Network Net(Machines.sim(), Nodes);
-  mpi::MpiWorld World(Machines, Net, Ranks, Config.CoresPerNode);
+  mpi::MpiWorld World(Machines, Net, Ranks, calib::CoresPerNode);
   FarmResult Out;
   World.launch([Job, &Out](mpi::MpiComm Comm) -> sim::Task<void> {
     return mpiFarmRank(Comm, Job, &Out);

@@ -75,7 +75,6 @@ struct FarmConfig {
   /// "Processors" on the paper's x-axis; workers = processors, two per
   /// dual-CPU node.
   int Processors = 1;
-  int CoresPerNode = 2;
   /// Dispatch-pool worker cap per endpoint (0 = the VM's default; the
   /// Mono pool cap is what Section 4 blames for lost overlap).
   int DispatchWorkers = 0;
@@ -84,15 +83,11 @@ struct FarmConfig {
   vm::VmKind Vm = vm::VmKind::MonoVm117;
   remoting::StackKind Stack = remoting::StackKind::MonoRemotingTcp117;
   /// Fault plan injected into the SCOOPP farm's network (empty = no
-  /// injector attached; the fault-free event stream is untouched).
+  /// injector attached and no retry policy; the fault-free event stream
+  /// is untouched).  A non-empty plan also installs an escalating-deadline
+  /// retry policy (12 attempts from a 50 ms window, doubling), so the farm
+  /// survives loss and crashes without starving long collect() calls.
   fault::FaultPlan Faults{};
-  /// Endpoint retry policy for the SCOOPP farm.  Left disabled with a
-  /// non-empty fault plan, an escalating-deadline default (12 attempts
-  /// from a 50ms window, doubling) is applied so the farm survives loss
-  /// and crashes without starving long collect() calls.
-  remoting::RetryPolicy Retry{};
-  /// Upper bound on re-render rounds for rows lost to worker crashes.
-  int MaxRecoveryRounds = 3;
 };
 
 /// Runs the ParC# farm on a fresh Mono 1.1.7 cluster and returns the

@@ -9,6 +9,7 @@
 #include "PrimeFilterGen.h"
 #include "support/Metrics.h"
 #include "support/Trace.h"
+#include "vm/Calibration.h"
 #include "vm/VmKind.h"
 
 #include <map>
@@ -134,7 +135,7 @@ PrimeFilterImpl::processInOrder(std::vector<int32_t> Numbers) {
   Numbers.resize(Survivors);
   co_await Host.computeWork(
       vm::WorkKind::Integer,
-      sim::SimTime::fromSecondsF(Job->NsPerTest * 1e-9 *
+      sim::SimTime::fromSecondsF(calib::SieveNsPerTest * 1e-9 *
                                  static_cast<double>(BatchTests)));
   trace::complete(Host.id(), 0, "sieve.filter_batch", BatchStartNs,
                   Host.sim().now().nanosecondsCount() - BatchStartNs);
@@ -268,7 +269,7 @@ SequentialSieveResult parcs::apps::sieve::sequentialSieve(const SieveJob &Job,
     if (!Composite)
       Out.Primes.push_back(N);
   }
-  Out.Seconds = static_cast<double>(Out.Tests) * Job.NsPerTest * 1e-9 *
-                vm::vmCostModel(Vm).IntMultiplier;
+  Out.Seconds = static_cast<double>(Out.Tests) * calib::SieveNsPerTest *
+                1e-9 * vm::vmCostModel(Vm).IntMultiplier;
   return Out;
 }

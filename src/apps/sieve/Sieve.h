@@ -45,8 +45,6 @@ struct SieveJob {
   int32_t MaxN = 1000;     ///< Sieve primes in [2, MaxN].
   int FilterCapacity = 8;  ///< Primes stored per filter object.
   int BatchSize = 16;      ///< Candidates per process() call.
-  /// Reference-VM cost of one divisibility test.
-  double NsPerTest = 40.0;
 };
 
 /// Divisibility by a fixed divisor with one multiply and no divide

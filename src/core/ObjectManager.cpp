@@ -33,7 +33,7 @@ bool ObjectManager::shouldAgglomerate(const std::string &ClassName) const {
   auto It = Grains.find(ClassName);
   if (It == Grains.end() || !It->second.hasData())
     return false;
-  return It->second.average() < Grain.SmallGrainThreshold;
+  return It->second.average() < SmallGrainThreshold;
 }
 
 int ObjectManager::aggregationFactor(const std::string &ClassName) const {
@@ -44,11 +44,11 @@ int ObjectManager::aggregationFactor(const std::string &ClassName) const {
   if (It == Grains.end() || !It->second.hasData())
     return 1;
   sim::SimTime Avg = It->second.average();
-  if (Avg >= Grain.SmallGrainThreshold)
+  if (Avg >= SmallGrainThreshold)
     return 1;
   // Pack enough calls that one packed message amortises to the threshold,
   // bounded by the configured maximum.
-  double Ratio = Grain.SmallGrainThreshold.toSecondsF() /
+  double Ratio = SmallGrainThreshold.toSecondsF() /
                  std::max(Avg.toSecondsF(), 1e-9);
   int Factor = static_cast<int>(std::ceil(Ratio));
   if (Factor < 1)
@@ -65,7 +65,7 @@ int ObjectManager::loadMetric() const {
 
 sim::Task<int> ObjectManager::probeLoad(int Peer, int Fallback) {
   remoting::RemoteHandle Handle(Runtime.endpoint(NodeId), Peer,
-                                Runtime.config().Port, ScooppRuntime::OmName);
+                                ScooppRuntime::Port, ScooppRuntime::OmName);
   ErrorOr<int32_t> Load = co_await Handle.invokeTyped<int32_t>("getLoad");
   if (!Load) {
     if (ScooppRuntime::transportError(Load.error().code()))
@@ -130,25 +130,17 @@ sim::Task<int> ObjectManager::placeObject(std::string ClassName) {
     co_return NodeId;
   case PlacementPolicy::LeastLoaded: {
     // Cooperate with peer OMs: small getLoad RPCs, self answered locally.
+    // An unreachable peer reads INT32_MAX, which never beats our own load,
+    // so it is skipped.
     int Best = NodeId;
     int BestLoad = loadMetric();
     for (int Peer = 0; Peer < Nodes; ++Peer) {
       if (Peer == NodeId || !Usable(Peer))
         continue;
-      remoting::RemoteHandle Handle(Runtime.endpoint(NodeId), Peer,
-                                    Runtime.config().Port,
-                                    ScooppRuntime::OmName);
-      ErrorOr<int32_t> Load =
-          co_await Handle.invokeTyped<int32_t>("getLoad");
-      if (!Load) {
-        if (ScooppRuntime::transportError(Load.error().code()))
-          Runtime.noteCallOutcome(Peer, false);
-        continue; // Unreachable peers are simply skipped.
-      }
-      Runtime.noteCallOutcome(Peer, true);
-      if (*Load < BestLoad || (*Load == BestLoad && Peer < Best)) {
+      int Load = co_await probeLoad(Peer, INT32_MAX);
+      if (Load < BestLoad || (Load == BestLoad && Peer < Best)) {
         Best = Peer;
-        BestLoad = *Load;
+        BestLoad = Load;
       }
     }
     co_return Best;
@@ -264,7 +256,7 @@ sim::Task<ErrorOr<ParallelRef>> ObjectManager::migrate(std::string Name,
   //    machinery) to its factory, which instantiates the class and
   //    hydrates it from the snapshot before replying with the new name.
   ErrorOr<Bytes> Raw = co_await Runtime.endpoint(NodeId).callReliable(
-      DstNode, Runtime.config().Port, ScooppRuntime::FactoryName,
+      DstNode, ScooppRuntime::Port, ScooppRuntime::FactoryName,
       "create_migrated",
       serial::encodeValues(Adapter->className(), StateBytes));
   if (Died())
@@ -289,7 +281,7 @@ sim::Task<ErrorOr<ParallelRef>> ObjectManager::migrate(std::string Name,
   //    refresh their refs through the route table on their next call.
   RpcEndpoint &Src = Runtime.endpoint(NodeId);
   Src.completeMove(Name, RpcEndpoint::MovedRoute{
-                             DstNode, Runtime.config().Port, NewName});
+                             DstNode, ScooppRuntime::Port, NewName});
   Src.unpublish(Name);
   Runtime.noteMigrated(ParallelRef{NodeId, Name},
                        ParallelRef{DstNode, NewName});

@@ -69,6 +69,12 @@ public:
     return Grains[ClassName];
   }
 
+  /// Under GrainPolicy::Adaptive, a class whose average method execution
+  /// time falls below this is fine-grained: its calls are aggregated and
+  /// its new instances agglomerated.
+  static constexpr sim::SimTime SmallGrainThreshold =
+      sim::SimTime::microseconds(500);
+
   /// Decides whether a new object of \p ClassName should be created
   /// locally (object agglomeration).
   bool shouldAgglomerate(const std::string &ClassName) const;

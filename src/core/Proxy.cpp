@@ -127,7 +127,7 @@ sim::Task<Error> ProxyBase::create(std::string ClassName) {
     trace::instantCtx(Home, 0, "scoopp.create",
                       node().sim().now().nanosecondsCount(), CreateCtx, 0);
   ErrorOr<Bytes> Raw = co_await Runtime.endpoint(Home).callReliable(
-      Target, Runtime.config().Port, ScooppRuntime::FactoryName, "create",
+      Target, ScooppRuntime::Port, ScooppRuntime::FactoryName, "create",
       serial::encodeValues(Class), CreateCtx);
   if (!Raw) {
     bool Transport = ScooppRuntime::transportError(Raw.error().code());
@@ -199,24 +199,25 @@ sim::Task<void> ProxyBase::invokeAsync(std::string Method, Bytes Args) {
   if (Factor <= 1) {
     const ParallelRef &To = route();
     co_await Runtime.endpoint(Home).callOneWay(
-        To.Node, Runtime.config().Port, To.Name, std::move(Method),
+        To.Node, ScooppRuntime::Port, To.Name, std::move(Method),
         std::move(Args), InvokeCtx);
     co_return;
   }
   // Method call aggregation: "(delay and) combine a series of
   // asynchronous method calls into a single aggregate call message".
-  std::vector<BufferedCall> &Buffer = PendingByMethod[Method];
-  if (Buffer.empty())
-    PendingOrder.push_back(Method);
+  auto It = std::find_if(Pending.begin(), Pending.end(), [&](const auto &E) {
+    return E.first == Method;
+  });
+  if (It == Pending.end())
+    It = Pending.emplace(Pending.end(), Method, std::vector<BufferedCall>());
+  std::vector<BufferedCall> &Buffer = It->second;
   Buffer.push_back(BufferedCall{std::move(Args), InvokeCtx});
   trace::counter(Home, "scoopp.agg_buffered_calls",
                  node().sim().now().nanosecondsCount(),
                  static_cast<int64_t>(pendingCalls()));
   if (static_cast<int>(Buffer.size()) >= Factor) {
     std::vector<BufferedCall> Calls = std::move(Buffer);
-    PendingByMethod.erase(Method);
-    PendingOrder.erase(
-        std::find(PendingOrder.begin(), PendingOrder.end(), Method));
+    Pending.erase(It);
     co_await shipPacked(std::move(Method), std::move(Calls));
   }
 }
@@ -227,7 +228,7 @@ sim::Task<ErrorOr<Bytes>> ProxyBase::invokeSync(std::string Method,
   if (Local) {
     // Nothing is ever buffered for a local object: aggregation applies to
     // remote calls only.
-    assert(PendingOrder.empty() && "aggregated calls on a local object");
+    assert(Pending.empty() && "aggregated calls on a local object");
     co_return co_await invokeLocal<ErrorOr<Bytes>>(
         Method, [&Io = Local->inner(), &Method, &Args] {
           return Io.handleCall(Method, Args);
@@ -235,7 +236,7 @@ sim::Task<ErrorOr<Bytes>> ProxyBase::invokeSync(std::string Method,
   }
   // Program order: everything buffered must leave before a synchronous
   // call observes state.
-  if (!PendingOrder.empty())
+  if (!Pending.empty())
     co_await flush();
   uint64_t InvokeCtx = beginInvoke();
   co_await node().compute(calib::ProxyRemoteCallCost);
@@ -244,7 +245,7 @@ sim::Task<ErrorOr<Bytes>> ProxyBase::invokeSync(std::string Method,
   // (disabled) policy it is exactly one plain call, same wire bytes.
   const ParallelRef &To = route();
   ErrorOr<Bytes> Result = co_await Runtime.endpoint(Home).callReliable(
-      To.Node, Runtime.config().Port, To.Name, std::move(Method),
+      To.Node, ScooppRuntime::Port, To.Name, std::move(Method),
       std::move(Args), InvokeCtx);
   // Feed the health tracker: a transport error (even after the endpoint's
   // retries) counts against the hosting node; anything else proves it up.
@@ -260,13 +261,10 @@ sim::Task<ErrorOr<Bytes>> ProxyBase::invokeSync(std::string Method,
 }
 
 sim::Task<void> ProxyBase::flush() {
-  while (!PendingOrder.empty()) {
-    std::string Method = PendingOrder.front();
-    PendingOrder.erase(PendingOrder.begin());
-    auto It = PendingByMethod.find(Method);
-    assert(It != PendingByMethod.end() && "order/buffer mismatch");
-    std::vector<BufferedCall> Calls = std::move(It->second);
-    PendingByMethod.erase(It);
+  while (!Pending.empty()) {
+    std::string Method = std::move(Pending.front().first);
+    std::vector<BufferedCall> Calls = std::move(Pending.front().second);
+    Pending.erase(Pending.begin());
     co_await shipPacked(std::move(Method), std::move(Calls));
   }
 }
@@ -289,7 +287,7 @@ sim::Task<Error> ProxyBase::destroy() {
   }
   // Remote IO: request destruction from the hosting node's RTS factory.
   ErrorOr<Bytes> Raw = co_await Runtime.endpoint(Home).callReliable(
-      Victim.Node, Runtime.config().Port, ScooppRuntime::FactoryName,
+      Victim.Node, ScooppRuntime::Port, ScooppRuntime::FactoryName,
       "destroy", serial::encodeValues(Victim.Name));
   if (!Raw)
     co_return Raw.error();
@@ -298,7 +296,7 @@ sim::Task<Error> ProxyBase::destroy() {
 
 size_t ProxyBase::pendingCalls() const {
   size_t Total = 0;
-  for (const auto &[Method, Calls] : PendingByMethod)
+  for (const auto &[Method, Calls] : Pending)
     Total += Calls.size();
   return Total;
 }
@@ -321,7 +319,7 @@ sim::Task<void> ProxyBase::shipPacked(std::string Method,
   if (Calls.size() == 1) {
     // No point wrapping a single call.
     co_await Runtime.endpoint(Home).callOneWay(
-        To.Node, Runtime.config().Port, To.Name, std::move(Method),
+        To.Node, ScooppRuntime::Port, To.Name, std::move(Method),
         std::move(Calls.front().Args), Calls.front().Ctx);
     co_return;
   }
@@ -334,6 +332,6 @@ sim::Task<void> ProxyBase::shipPacked(std::string Method,
       .histogram("scoopp.packed_msg_bytes")
       .record(static_cast<int64_t>(Payload.size()));
   co_await Runtime.endpoint(Home).callOneWay(
-      To.Node, Runtime.config().Port, To.Name, PackedMethodPrefix + Method,
+      To.Node, ScooppRuntime::Port, To.Name, PackedMethodPrefix + Method,
       std::move(Payload), ShipCtx);
 }

@@ -36,8 +36,9 @@
 #include "core/Scoopp.h"
 #include "vm/Calibration.h"
 
-#include <map>
+#include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace parcs::scoopp {
@@ -152,15 +153,8 @@ private:
   template <typename Ret>
   static sim::Task<ErrorOr<Ret>>
   invokeSyncTypedImpl(ProxyBase *Self, std::string Method, Bytes Encoded) {
-    ErrorOr<Bytes> Raw =
-        co_await Self->invokeSync(std::move(Method), std::move(Encoded));
-    if (!Raw)
-      co_return Raw.error();
-    Ret Value{};
-    if (!serial::decodeValues(*Raw, Value))
-      co_return Error(ErrorCode::MalformedMessage,
-                      "result bytes did not decode");
-    co_return Value;
+    co_return serial::decodeResult<Ret>(
+        co_await Self->invokeSync(std::move(Method), std::move(Encoded)));
   }
 
   /// Mints the invocation's causal id (0 on untraced runs), the root of
@@ -181,13 +175,11 @@ private:
   ParallelRef Ref;
   /// Non-null when the IO is agglomerated (the intra-grain path).
   std::shared_ptr<ImplAdapter> Local;
-  /// Aggregation buffers, one per method, in insertion order per method.
-  /// Each buffered call keeps the causal id minted at its invokeAsync, so
-  /// aggregation never collapses causality.
-  std::map<std::string, std::vector<BufferedCall>> PendingByMethod;
-  /// Methods in first-buffered order, so flush preserves program order
-  /// across methods.
-  std::vector<std::string> PendingOrder;
+  /// Aggregation buffers, one per method with calls in insertion order,
+  /// and the methods in first-buffered order, so flush preserves program
+  /// order across methods.  Each buffered call keeps the causal id minted
+  /// at its invokeAsync, so aggregation never collapses causality.
+  std::vector<std::pair<std::string, std::vector<BufferedCall>>> Pending;
 };
 
 } // namespace parcs::scoopp

@@ -17,8 +17,8 @@ using namespace parcs;
 using namespace parcs::scoopp;
 
 SloRebalancer::SloRebalancer(ScooppRuntime &Runtime, telemetry::Plane &Plane,
-                             Policy Pol)
-    : Runtime(Runtime), Plane(Plane), Pol(Pol) {
+                             int MaxMigrations)
+    : Runtime(Runtime), Plane(Plane), MaxMigrations(MaxMigrations) {
   Plane.onSloEdge([this](const telemetry::SloSpec &Spec, bool Breach,
                          int64_t AtNs) { onEdge(Spec, Breach, AtNs); });
 }
@@ -31,9 +31,9 @@ void SloRebalancer::onEdge(const telemetry::SloSpec &Spec, bool Breach,
     return;
   ++Breaches;
   metrics::Registry::global().counter("om.rebalance_breaches").add(1);
-  if (Busy || Triggered >= static_cast<uint64_t>(Pol.MaxMigrations) ||
+  if (Busy || Triggered >= static_cast<uint64_t>(MaxMigrations) ||
       (LastMoveNs >= 0 &&
-       AtNs - LastMoveNs < Pol.Cooldown.nanosecondsCount())) {
+       AtNs - LastMoveNs < Cooldown.nanosecondsCount())) {
     ++Skipped;
     metrics::Registry::global().counter("om.rebalance_skipped").add(1);
     return;
@@ -71,7 +71,7 @@ sim::Task<void> SloRebalancer::rebalanceOnce() {
       ColdLoad = Load;
     }
   }
-  if (Hot < 0 || Cold < 0 || HotLoad - ColdLoad < Pol.MinLoadGap) {
+  if (Hot < 0 || Cold < 0 || HotLoad - ColdLoad < MinLoadGap) {
     ++Skipped;
     metrics::Registry::global().counter("om.rebalance_skipped").add(1);
     Busy = false;

@@ -34,19 +34,16 @@ namespace parcs::scoopp {
 /// spawned rebalance tasks reference it.
 class SloRebalancer {
 public:
-  struct Policy {
-    /// Lifetime cap on migrations this rebalancer may trigger.
-    int MaxMigrations = 8;
-    /// Minimum virtual time between two triggered migrations.
-    sim::SimTime Cooldown = sim::SimTime::milliseconds(5);
-    /// Required load-metric gap between the hottest and coldest node; a
-    /// smaller imbalance is not worth a state transfer.
-    int MinLoadGap = 2;
-  };
+  /// Minimum virtual time between two triggered migrations.
+  static constexpr sim::SimTime Cooldown = sim::SimTime::milliseconds(5);
+  /// Required load-metric gap between the hottest and coldest node; a
+  /// smaller imbalance is not worth a state transfer.
+  static constexpr int MinLoadGap = 2;
 
-  SloRebalancer(ScooppRuntime &Runtime, telemetry::Plane &Plane, Policy Pol);
-  SloRebalancer(ScooppRuntime &Runtime, telemetry::Plane &Plane)
-      : SloRebalancer(Runtime, Plane, Policy()) {}
+  /// \p MaxMigrations caps the migrations this rebalancer may trigger
+  /// over its lifetime.
+  SloRebalancer(ScooppRuntime &Runtime, telemetry::Plane &Plane,
+                int MaxMigrations = 8);
   ~SloRebalancer();
 
   SloRebalancer(const SloRebalancer &) = delete;
@@ -65,7 +62,7 @@ private:
 
   ScooppRuntime &Runtime;
   telemetry::Plane &Plane;
-  Policy Pol;
+  int MaxMigrations;
   int64_t LastMoveNs = -1;
   bool Busy = false; ///< At most one rebalance task in flight.
   uint64_t Breaches = 0;

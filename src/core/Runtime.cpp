@@ -117,7 +117,7 @@ ScooppRuntime::ScooppRuntime(vm::Cluster &Cluster, net::Network &Net,
   for (int I = 0; I < Nodes; ++I) {
     Endpoints.push_back(std::make_unique<RpcEndpoint>(
         Cluster.node(I), Net, remoting::stackProfile(Config.Stack),
-        Config.Port, Config.DispatchWorkers));
+        Port, Config.DispatchWorkers));
     if (Config.Retry.enabled())
       Endpoints.back()->setRetryPolicy(Config.Retry);
     if (Config.Admission.enabled())

@@ -114,16 +114,14 @@ struct GrainPolicy {
   /// Statically force object agglomeration (all creations local).
   bool AgglomerateObjects = false;
   /// Enable run-time adaptation: classes whose average method execution
-  /// time falls below SmallGrainThreshold get their calls aggregated (up
-  /// to MaxCallsPerMessage) and new instances agglomerated.
+  /// time falls below ObjectManager::SmallGrainThreshold get their calls
+  /// aggregated (up to MaxCallsPerMessage) and new instances agglomerated.
   bool Adaptive = false;
-  sim::SimTime SmallGrainThreshold = sim::SimTime::microseconds(500);
 };
 
 /// Runtime configuration.
 struct ScooppConfig {
   remoting::StackKind Stack = remoting::StackKind::MonoRemotingTcp117;
-  int Port = 1050;
   GrainPolicy Grain;
   PlacementPolicy Placement = PlacementPolicy::RoundRobin;
   /// Per-endpoint dispatch worker cap (0 = the VM's thread-pool cap).
@@ -289,6 +287,9 @@ public:
   /// when it never migrated).  Proxies refresh their cached refs through
   /// this, which is how callers never observe a move.
   const ParallelRef &resolveRoute(const ParallelRef &Ref) const;
+
+  /// Port of every node's runtime endpoint.
+  static constexpr int Port = 1050;
 
   /// Name under which each node's factory is published ("factory.soap" in
   /// the paper's Fig. 5/6).

@@ -26,15 +26,12 @@
 
 namespace parcs::scoopp {
 
-/// A ready-to-run ParC# world: cluster, fabric and runtime.
+/// A ready-to-run ParC# world: a Mono 1.1.7 cluster, fabric and runtime.
 class ScooppWorld {
 public:
   ScooppWorld(int Nodes, ParallelClassRegistry Registry,
-              ScooppConfig Config = ScooppConfig(),
-              vm::VmKind Vm = vm::VmKind::MonoVm117, int CoresPerNode = 2,
-              net::NetConfig NetCfg = net::NetConfig())
-      : Machines(Nodes, Vm, CoresPerNode), Fabric(Machines.sim(), Nodes,
-                                                  NetCfg),
+              ScooppConfig Config = ScooppConfig())
+      : Machines(Nodes, vm::VmKind::MonoVm117), Fabric(Machines.sim(), Nodes),
         Rts(Machines, Fabric, std::move(Registry), Config) {
     // Live telemetry rides in-band over the same fabric when the knob is
     // set; the flight recorder shadows it so chaos runs leave a dump.

@@ -27,8 +27,10 @@ sim::SimTime mpiSideCost(size_t WireBytes) {
 //===----------------------------------------------------------------------===//
 
 MpiWorld::MpiWorld(vm::Cluster &Cluster, net::Network &Net, int TotalRanks,
-                   int RanksPerNode, int BasePort)
+                   int RanksPerNode)
     : Cluster(Cluster), Net(Net) {
+  // A node's ranks listen on consecutive ports from here.
+  constexpr int BasePort = 2100;
   assert(TotalRanks > 0 && "world needs at least one rank");
   assert(RanksPerNode > 0 && "need at least one slot per node");
   assert(TotalRanks <= Cluster.nodeCount() * RanksPerNode &&

@@ -119,7 +119,7 @@ public:
   /// Places \p TotalRanks ranks block-wise over the cluster's nodes
   /// (\p RanksPerNode slots per node, like an MPICH machinefile).
   MpiWorld(vm::Cluster &Cluster, net::Network &Net, int TotalRanks,
-           int RanksPerNode = 2, int BasePort = 2100);
+           int RanksPerNode = 2);
   MpiWorld(const MpiWorld &) = delete;
   MpiWorld &operator=(const MpiWorld &) = delete;
 

@@ -26,11 +26,8 @@ Network::~Network() {
   Reg.gauge("net.peak_in_flight").noteMax(PeakInFlight);
 }
 
-Network::Network(sim::Simulator &Sim, int NodeCount, NetConfig Config)
-    : Sim(Sim), Config(Config) {
+Network::Network(sim::Simulator &Sim, int NodeCount) : Sim(Sim) {
   assert(NodeCount > 0 && "network needs at least one node");
-  assert(Config.LinkBitsPerSecond > 0 && "link rate must be positive");
-  assert(Config.MaxSegmentBytes > 0 && "MSS must be positive");
   Nics.resize(static_cast<size_t>(NodeCount));
 }
 
@@ -55,23 +52,24 @@ bool Network::isBound(int NodeId, int Port) const {
 }
 
 sim::SimTime Network::packetTime(size_t Bytes) const {
-  double Seconds = static_cast<double>(Bytes) * 8.0 / Config.LinkBitsPerSecond;
+  double Seconds =
+      static_cast<double>(Bytes) * 8.0 / calib::LinkBitsPerSecond;
   return sim::SimTime::fromSecondsF(Seconds);
 }
 
 sim::SimTime Network::wireTime(size_t PayloadBytes) const {
-  size_t Mss = static_cast<size_t>(Config.MaxSegmentBytes);
+  size_t Mss = static_cast<size_t>(calib::MaxSegmentBytes);
   size_t Packets = PayloadBytes == 0 ? 1 : (PayloadBytes + Mss - 1) / Mss;
   size_t TotalBytes =
-      PayloadBytes + Packets * static_cast<size_t>(Config.FrameOverheadBytes);
+      PayloadBytes + Packets * static_cast<size_t>(calib::FrameOverheadBytes);
   return packetTime(TotalBytes);
 }
 
 sim::SimTime Network::firstPacketTime(size_t PayloadBytes) const {
-  size_t Mss = static_cast<size_t>(Config.MaxSegmentBytes);
+  size_t Mss = static_cast<size_t>(calib::MaxSegmentBytes);
   size_t FirstPayload = PayloadBytes < Mss ? PayloadBytes : Mss;
   return packetTime(FirstPayload +
-                    static_cast<size_t>(Config.FrameOverheadBytes));
+                    static_cast<size_t>(calib::FrameOverheadBytes));
 }
 
 // PARCS_HOT_BEGIN(net-message): every message is sent, reserved and
@@ -113,7 +111,7 @@ void Network::send(int Src, int Dst, int Port, std::vector<uint8_t> Payload,
       ++Delivered;
       PayloadBytes += Msg.Payload.size();
       sim::Channel<Message> &Chan = bind(Msg.Dst, Msg.Port);
-      Chan.trySend(std::move(Msg));
+      Chan.send(std::move(Msg));
     };
     static_assert(sim::EventCallback::fitsInline<decltype(Deliver)>(),
                   "loopback delivery must not heap-allocate its event");
@@ -162,7 +160,7 @@ void Network::transmit(Message Msg, int64_t EnqueueNs) {
   // reaches the receiver one packet time + switch latency after transmit
   // starts; later packets pipeline behind it).
   sim::SimTime RxStart = TxStart + firstPacketTime(Msg.Payload.size()) +
-                         Config.SwitchLatency;
+                         calib::SwitchLatency;
   if (Rx.RxFreeAt > RxStart)
     RxStart = Rx.RxFreeAt;
   sim::SimTime RxDone = RxStart + Wire;
@@ -198,11 +196,11 @@ void Network::arrive(int Dst) {
   int64_t DoneNs = Sim.now().nanosecondsCount();
   assert(R.ArriveNs == DoneNs && "downlink arrivals out of FIFO order");
 
-  size_t Mss = static_cast<size_t>(Config.MaxSegmentBytes);
+  size_t Mss = static_cast<size_t>(calib::MaxSegmentBytes);
   size_t Packets =
       Msg.Payload.empty() ? 1 : (Msg.Payload.size() + Mss - 1) / Mss;
   WireBytes += Msg.Payload.size() +
-               Packets * static_cast<size_t>(Config.FrameOverheadBytes);
+               Packets * static_cast<size_t>(calib::FrameOverheadBytes);
   Frames += Packets;
 
   --InFlight;
@@ -261,7 +259,7 @@ void Network::deliver(Message Msg) {
                                            << "B)");
   }
   sim::Channel<Message> &Port = bind(Msg.Dst, Msg.Port);
-  Port.trySend(std::move(Msg));
+  Port.send(std::move(Msg));
 }
 
 // PARCS_HOT_END

@@ -64,14 +64,6 @@ struct Message {
   std::vector<uint8_t> Payload;
 };
 
-/// Fabric parameters; defaults reproduce the paper's testbed.
-struct NetConfig {
-  double LinkBitsPerSecond = calib::LinkBitsPerSecond;
-  int FrameOverheadBytes = calib::FrameOverheadBytes;
-  int MaxSegmentBytes = calib::MaxSegmentBytes;
-  sim::SimTime SwitchLatency = calib::SwitchLatency;
-};
-
 /// Interface the fault-injection subsystem (src/fault) implements; it is
 /// the fabric's only source of faults.  The fabric consults the installed
 /// hook at well-defined points; a null hook (the default) leaves the event
@@ -106,10 +98,11 @@ public:
                             std::vector<uint8_t> &Payload) = 0;
 };
 
-/// The switched-Ethernet fabric connecting \c NodeCount nodes.
+/// The switched-Ethernet fabric connecting \c NodeCount nodes, with the
+/// paper's testbed parameters (vm/Calibration.h).
 class Network {
 public:
-  Network(sim::Simulator &Sim, int NodeCount, NetConfig Config = NetConfig());
+  Network(sim::Simulator &Sim, int NodeCount);
   Network(const Network &) = delete;
   Network &operator=(const Network &) = delete;
   /// Folds the fabric counters into the global metrics registry.
@@ -117,7 +110,6 @@ public:
 
   sim::Simulator &sim() { return Sim; }
   int nodeCount() const { return static_cast<int>(Nics.size()); }
-  const NetConfig &config() const { return Config; }
 
   /// Binds (node, port) and returns the delivery channel.  Binding twice
   /// returns the same channel.
@@ -203,7 +195,6 @@ private:
   sim::SimTime packetTime(size_t Bytes) const;
 
   sim::Simulator &Sim;
-  NetConfig Config;
   std::vector<Nic> Nics;
   uint64_t NextMessageId = 1;
   uint64_t Delivered = 0;

@@ -576,7 +576,7 @@ sim::Task<ErrorOr<Bytes>> RpcEndpoint::callReliable(int DstNode, int DstPort,
   uint64_t DedupId = NextDedupId++;
   if (firstContact(DstNode, DstPort))
     co_await Host.sim().delay(Profile.ConnectSetup);
-  sim::SimTime Backoff = Retry.BaseBackoff;
+  sim::SimTime Backoff = BaseBackoff;
   sim::SimTime Deadline = Retry.AttemptTimeout;
   int Attempt = 1;
   int OverloadWaits = 0;
@@ -875,7 +875,7 @@ sim::Task<void> RpcEndpoint::rejectOverloaded(net::Message Msg) {
   // re-synchronising them onto one future instant.
   constexpr sim::SimTime RetryAfterMax = sim::SimTime::milliseconds(50);
   size_t Overflow = AdmittedBacklog - Admission.MaxPending + 1;
-  int64_t BaseNs = Admission.RetryAfterBase.nanosecondsCount();
+  int64_t BaseNs = RetryAfterBase.nanosecondsCount();
   int64_t MaxNs = RetryAfterMax.nanosecondsCount();
   int64_t HintNs = BaseNs * static_cast<int64_t>(Overflow);
   if (HintNs < BaseNs)

@@ -104,9 +104,8 @@ struct RetryPolicy {
   /// once the original execution finishes.
   double TimeoutFactor = 1.0;
   sim::SimTime MaxAttemptTimeout;
-  /// Backoff before the first retry; it doubles per retry up to
-  /// MaxBackoff.
-  sim::SimTime BaseBackoff = sim::SimTime::milliseconds(2);
+  /// Cap on the backoff before a retry, which starts at
+  /// RpcEndpoint::BaseBackoff and doubles per retry.
   sim::SimTime MaxBackoff = sim::SimTime::milliseconds(200);
   /// How many StatusOverloaded rejections one logical call absorbs before
   /// callReliable() gives up with ErrorCode::Overloaded.  Rejections wait
@@ -130,12 +129,12 @@ struct RetryPolicy {
 /// event streams are exactly the legacy ones.
 struct AdmissionPolicy {
   /// Calls admitted concurrently (queued + executing).  0 disables.
+  /// The refusal's retry-after hint is
+  /// clamp(RpcEndpoint::RetryAfterBase * overflow, RetryAfterBase, 50 ms),
+  /// where overflow = backlog - MaxPending + 1: the deeper past budget the
+  /// arrival, the further out it is pushed.  Integer arithmetic on
+  /// simulation state only -- the hint replays exactly.
   size_t MaxPending = 0;
-  /// Retry-after hint = clamp(RetryAfterBase * overflow, RetryAfterBase,
-  /// 50 ms), where overflow = backlog - MaxPending + 1: the deeper past
-  /// budget the arrival, the further out it is pushed.  Integer
-  /// arithmetic on simulation state only -- the hint replays exactly.
-  sim::SimTime RetryAfterBase = sim::SimTime::milliseconds(1);
 
   bool enabled() const { return MaxPending > 0; }
 };
@@ -232,6 +231,11 @@ public:
   /// Seed of every endpoint's retry jitter stream; setRetryPolicy mixes
   /// in the endpoint's (node, port) so endpoints don't retry in lockstep.
   static constexpr uint64_t JitterSeed = 0x7e57ab1eULL;
+  /// callReliable()'s backoff before its first retry.
+  static constexpr sim::SimTime BaseBackoff = sim::SimTime::milliseconds(2);
+  /// The admission budget's retry-after hint per call past the budget.
+  static constexpr sim::SimTime RetryAfterBase =
+      sim::SimTime::milliseconds(1);
 
   /// Installs the retry policy used by callReliable() and reseeds the
   /// jitter stream (mixed with this endpoint's node:port).

@@ -86,15 +86,8 @@ private:
   template <typename Ret>
   static sim::Task<ErrorOr<Ret>>
   invokeTypedImpl(RemoteHandle Self, std::string Method, Bytes Encoded) {
-    ErrorOr<Bytes> Raw =
-        co_await Self.invoke(std::move(Method), std::move(Encoded));
-    if (!Raw)
-      co_return Raw.error();
-    Ret Value{};
-    if (!serial::decodeValues(*Raw, Value))
-      co_return Error(ErrorCode::MalformedMessage,
-                      "result bytes did not decode");
-    co_return Value;
+    co_return serial::decodeResult<Ret>(
+        co_await Self.invoke(std::move(Method), std::move(Encoded)));
   }
 
   RpcEndpoint *Local = nullptr;
@@ -130,19 +123,8 @@ namespace detail {
 template <typename Ret>
 sim::Task<void> runDelegate(RemoteHandle Handle, std::string Method,
                             Bytes Args, sim::Promise<ErrorOr<Ret>> Done) {
-  ErrorOr<Bytes> Raw =
-      co_await Handle.invoke(std::move(Method), std::move(Args));
-  if (!Raw) {
-    Done.set(Raw.error());
-    co_return;
-  }
-  Ret Value{};
-  if (!serial::decodeValues(*Raw, Value)) {
-    Done.set(
-        Error(ErrorCode::MalformedMessage, "result bytes did not decode"));
-    co_return;
-  }
-  Done.set(std::move(Value));
+  Done.set(serial::decodeResult<Ret>(
+      co_await Handle.invoke(std::move(Method), std::move(Args))));
 }
 
 } // namespace detail

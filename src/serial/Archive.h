@@ -391,6 +391,18 @@ template <typename... Ts> bool decodeValues(const Bytes &Data, Ts &...Out) {
   return Ok && Archive.atEnd();
 }
 
+/// Decodes a call's result bytes as one \p Ret: a failed call's error
+/// passes through, and bytes that do not decode as \p Ret are a
+/// MalformedMessage.
+template <typename Ret> ErrorOr<Ret> decodeResult(const ErrorOr<Bytes> &Raw) {
+  if (!Raw)
+    return Raw.error();
+  Ret Value{};
+  if (!decodeValues(*Raw, Value))
+    return Error(ErrorCode::MalformedMessage, "result bytes did not decode");
+  return Value;
+}
+
 } // namespace parcs::serial
 
 #endif // PARCS_SERIAL_ARCHIVE_H

@@ -124,11 +124,9 @@ __attribute__((noinline)) void Simulator::sampleQueueDepth(int64_t AtNs) {
                  static_cast<int64_t>(Kernel.pendingCount()));
 }
 
-uint64_t Simulator::run(uint64_t MaxEvents) {
-  uint64_t Executed = 0;
-  while (Executed < MaxEvents && step())
-    ++Executed;
-  return Executed;
+void Simulator::run() {
+  while (step()) {
+  }
 }
 
 void Simulator::runUntil(SimTime Until) {

@@ -150,9 +150,8 @@ public:
   /// Runs one event.  Returns false when the queue is empty.
   bool step();
 
-  /// Runs until the event queue drains or \p MaxEvents have executed.
-  /// Returns the number of events executed.
-  uint64_t run(uint64_t MaxEvents = UINT64_MAX);
+  /// Runs until the event queue drains.
+  void run();
 
   /// Runs events with timestamp <= \p Until (and advances the clock to
   /// \p Until even if the queue drains earlier).

@@ -16,9 +16,7 @@
 
 namespace parcs::telemetry {
 
-FlightRecorder::FlightRecorder(std::string Path, size_t RingEvents)
-    : Path(std::move(Path)) {
-  trace::setFlightCapacity(RingEvents);
+FlightRecorder::FlightRecorder(std::string Path) : Path(std::move(Path)) {
   trace::setFlightRecording(true);
   postmortem::setHandler(&FlightRecorder::onFatal, this);
 }

@@ -34,8 +34,9 @@ namespace parcs::telemetry {
 /// handler slot, as support/PostMortem.h documents).
 class FlightRecorder {
 public:
-  /// \p Path is the dump file; \p RingEvents the per-node tail length.
-  explicit FlightRecorder(std::string Path, size_t RingEvents = 512);
+  /// \p Path is the dump file; each node's tail is the trace flight
+  /// ring (512 events).
+  explicit FlightRecorder(std::string Path);
   ~FlightRecorder();
 
   FlightRecorder(const FlightRecorder &) = delete;

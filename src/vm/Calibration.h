@@ -27,6 +27,14 @@ namespace parcs::calib {
 using sim::SimTime;
 
 //===----------------------------------------------------------------------===//
+// Nodes (Section 4: "dual Athlon MP 1800+")
+//===----------------------------------------------------------------------===//
+
+/// CPUs per node: every cluster, farm and MPI machinefile in the paper's
+/// experiments runs on these dual-processor nodes.
+inline constexpr int CoresPerNode = 2;
+
+//===----------------------------------------------------------------------===//
 // Network fabric (Section 4: "100 Mbit Ethernet")
 //===----------------------------------------------------------------------===//
 
@@ -183,6 +191,13 @@ inline constexpr SimTime SchedulerQuantum = SimTime::milliseconds(10);
 /// (Sun JVM): a 500x500 scene takes ~100 s sequentially in Fig. 9, i.e.
 /// 400 us per pixel.
 inline constexpr SimTime RayTracerPerPixelJvm = SimTime::microseconds(400);
+
+//===----------------------------------------------------------------------===//
+// Prime sieve workload (Section 4's VM comparison, ablations A1 and A2)
+//===----------------------------------------------------------------------===//
+
+/// Reference-VM (Sun JVM) cost of one trial-division test, in ns.
+inline constexpr double SieveNsPerTest = 40.0;
 
 //===----------------------------------------------------------------------===//
 // SCOOPP runtime costs (Section 3)

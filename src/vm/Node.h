@@ -39,12 +39,10 @@ namespace parcs::vm {
 /// round-robin), exactly reproducible.
 class Node {
 public:
-  Node(sim::Simulator &Sim, int Id, VmKind Vm, int Cores = 2,
-       sim::SimTime Quantum = calib::SchedulerQuantum)
+  Node(sim::Simulator &Sim, int Id, VmKind Vm, int Cores = calib::CoresPerNode)
       : Sim(Sim), Id(Id), Vm(Vm), Model(vmCostModel(Vm)), Cores(Cores),
-        Quantum(Quantum), FreeCores(Cores) {
+        FreeCores(Cores) {
     assert(Cores > 0 && "node needs at least one core");
-    assert(Quantum > sim::SimTime() && "quantum must be positive");
   }
   Node(const Node &) = delete;
   Node &operator=(const Node &) = delete;
@@ -117,7 +115,6 @@ private:
   VmKind Vm;
   const VmCostModel &Model;
   int Cores;
-  sim::SimTime Quantum;
   /// Cores no charge holds.  Non-zero only while no charge waits.
   int FreeCores;
   /// Charges waiting for a core, oldest first.
@@ -171,7 +168,8 @@ private:
       : Owner(Owner), Remaining(CpuTime), Checked(Checked) {}
   /// The slice this charge runs next: a quantum or what is left.
   sim::SimTime slice() const {
-    return Remaining < Owner.Quantum ? Remaining : Owner.Quantum;
+    return Remaining < calib::SchedulerQuantum ? Remaining
+                                               : calib::SchedulerQuantum;
   }
   /// Schedules the end of the next slice on the core this charge holds.
   void startSlice();

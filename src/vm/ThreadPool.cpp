@@ -51,7 +51,7 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::post(WorkItem Work) {
   ++Posted;
   Pending.add(1);
-  Queue.trySend(std::move(Work));
+  Queue.send(std::move(Work));
   size_t Depth = Queue.size();
   if (Depth > PeakQueue)
     PeakQueue = Depth;

@@ -78,12 +78,10 @@ struct ChaosWorld {
   std::shared_ptr<EchoHandler> Echo;
 };
 
-RetryPolicy quickRetry(int MaxAttempts, SimTime AttemptTimeout,
-                       SimTime Backoff) {
+RetryPolicy quickRetry(int MaxAttempts, SimTime AttemptTimeout) {
   RetryPolicy Retry;
   Retry.MaxAttempts = MaxAttempts;
   Retry.AttemptTimeout = AttemptTimeout;
-  Retry.BaseBackoff = Backoff;
   return Retry;
 }
 
@@ -95,7 +93,7 @@ TEST(ChaosTest, RetriesRideOverCrashAndRestart) {
   // Node 1 dies at 5 ms and reboots at 12 ms; a reliable call issued
   // during the outage keeps retrying into the restarted node.
   ChaosWorld W("crash(1,5ms,12ms)");
-  W.Client.setRetryPolicy(quickRetry(8, ms(5), ms(1)));
+  W.Client.setRetryPolicy(quickRetry(8, ms(5)));
   ErrorOr<Bytes> Before(Bytes{}), During(Bytes{});
   struct Proc {
     static Task<void> run(ChaosWorld &W, ErrorOr<Bytes> &Before,
@@ -121,7 +119,7 @@ TEST(ChaosTest, RetriesRideOverCrashAndRestart) {
 
 TEST(ChaosTest, CrashWithoutRestartExhaustsRetries) {
   ChaosWorld W("crash(1,1ms)");
-  W.Client.setRetryPolicy(quickRetry(3, ms(4), ms(1)));
+  W.Client.setRetryPolicy(quickRetry(3, ms(4)));
   ErrorOr<Bytes> Out(Bytes{});
   struct Proc {
     static Task<void> run(ChaosWorld &W, ErrorOr<Bytes> &Out) {
@@ -163,7 +161,7 @@ TEST(ChaosTest, RestartClearsOrphanedDedupEntries) {
   ChaosWorld W("crash(1,10ms,20ms)");
   auto Slow = std::make_shared<SlowEchoHandler>(W.Machines.node(1));
   W.Server.publish("slow", Slow);
-  W.Client.setRetryPolicy(quickRetry(8, ms(8), ms(1)));
+  W.Client.setRetryPolicy(quickRetry(8, ms(8)));
   ErrorOr<Bytes> Warmup(Bytes{}), Out(Bytes{});
   struct Proc {
     static Task<void> run(ChaosWorld &W, ErrorOr<Bytes> &Warmup,
@@ -193,7 +191,7 @@ TEST(ChaosTest, RestartClearsOrphanedDedupEntries) {
 
 TEST(ChaosTest, PartitionHealsAndCallCompletes) {
   ChaosWorld W("partition(0,1,1ms,20ms)");
-  W.Client.setRetryPolicy(quickRetry(6, ms(5), ms(2)));
+  W.Client.setRetryPolicy(quickRetry(6, ms(5)));
   ErrorOr<Bytes> Out(Bytes{});
   struct Proc {
     static Task<void> run(ChaosWorld &W, ErrorOr<Bytes> &Out) {
@@ -302,7 +300,6 @@ struct MigChaosWorld {
     scoopp::ScooppConfig Config;
     Config.Retry.MaxAttempts = 6;
     Config.Retry.AttemptTimeout = ms(5);
-    Config.Retry.BaseBackoff = ms(2);
     return Config;
   }
 
@@ -427,6 +424,43 @@ TEST(ChaosTest, PartitionDuringHandoffHealsAndMigrationIsExactlyOnce) {
   EXPECT_EQ(FinalSum, 14);
   EXPECT_EQ(W.Runtime.om(2).hostedObjects(), 1)
       << "retried create_migrated must dedup, not clone";
+}
+
+//===----------------------------------------------------------------------===//
+// Placement under faults
+//===----------------------------------------------------------------------===//
+
+TEST(ChaosTest, LeastLoadedSkipsCrashedPeerAndCountsItsFailedProbe) {
+  // Node 1 crashes before any probe; it hosts nothing, so alive it would
+  // win.  The home node 0 hosts three objects and node 2 none.  Each
+  // creation probes node 1 in vain: the probe's retries exhaust, the
+  // object lands on node 2, and the failure counts against node 1's
+  // health, so the second one marks it down.
+  scoopp::ScooppConfig Config = MigChaosWorld::chaosConfig();
+  Config.Placement = scoopp::PlacementPolicy::LeastLoaded;
+  MigChaosWorld W("crash(1,1us)", Config);
+  for (int I = 0; I < 3; ++I)
+    ASSERT_TRUE(W.Runtime.instantiateImpl(0, "MigChaos").hasValue());
+  std::vector<int> Placed;
+  std::vector<int> Node1Healthy;
+  struct Proc {
+    static Task<void> run(MigChaosWorld &W, std::vector<int> &Placed,
+                          std::vector<int> &Node1Healthy) {
+      for (int I = 0; I < 2; ++I) {
+        MigChaosProxy P(W.Runtime, 0);
+        Error E = co_await P.create();
+        EXPECT_FALSE(E) << E.str();
+        Placed.push_back(P.ref().Node);
+        Node1Healthy.push_back(W.Runtime.nodeHealthy(1));
+      }
+    }
+  };
+  W.sim().spawn(Proc::run(W, Placed, Node1Healthy));
+  W.sim().run();
+  EXPECT_EQ(Placed, (std::vector<int>{2, 2}));
+  EXPECT_EQ(Node1Healthy, (std::vector<int>{1, 0}))
+      << "one failed probe per creation; two mark node 1 down";
+  EXPECT_EQ(W.Chaos.counters().Crashes, 1u);
 }
 
 //===----------------------------------------------------------------------===//

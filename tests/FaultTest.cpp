@@ -728,7 +728,6 @@ TEST(FaultTest, RetryOutlivesCorruptionWindow) {
   RetryPolicy Retry;
   Retry.MaxAttempts = 4;
   Retry.AttemptTimeout = ms(10);
-  Retry.BaseBackoff = ms(2);
   W.Client.setRetryPolicy(Retry);
   ErrorOr<Bytes> Out(Bytes{});
   struct Proc {
@@ -758,7 +757,6 @@ TEST(FaultTest, DedupMakesRetriesAtMostOnce) {
   RetryPolicy Retry;
   Retry.MaxAttempts = 5;
   Retry.AttemptTimeout = ms(20);
-  Retry.BaseBackoff = ms(2);
   W.Client.setRetryPolicy(Retry);
   ErrorOr<Bytes> Out(Bytes{});
   struct Proc {

@@ -95,7 +95,7 @@ TEST(NetworkTest, DeliveryTimeMatchesModel) {
   Net.send(0, 1, 50, bytes(1000));
   Sim.run();
   // Cut-through: first packet time + switch latency + full wire time.
-  SimTime Expected = Net.firstPacketTime(1000) + Net.config().SwitchLatency +
+  SimTime Expected = Net.firstPacketTime(1000) + calib::SwitchLatency +
                      Net.wireTime(1000);
   EXPECT_EQ(At, Expected);
 }
@@ -178,7 +178,7 @@ Task<void> recvAll(Simulator &Sim, Channel<Message> &Port, int Count,
 /// Delivery time of a \p Size-byte message that starts transmitting at
 /// \p TxStart onto an idle downlink.
 SimTime idleArrival(const Network &Net, SimTime TxStart, size_t Size) {
-  return TxStart + Net.firstPacketTime(Size) + Net.config().SwitchLatency +
+  return TxStart + Net.firstPacketTime(Size) + calib::SwitchLatency +
          Net.wireTime(Size);
 }
 

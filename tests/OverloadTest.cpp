@@ -174,23 +174,25 @@ TEST(AdmissionTest, CallReliableWaitsOutHintWithoutBurningAttempts) {
 }
 
 TEST(AdmissionTest, CallReliableResendsOneHintAfterEachRefusal) {
-  // Budget 1, held 5 ms by an occupier, and a 0.7 ms retry-after base: a
-  // reliable call arriving meanwhile is refused with hint H = 0.7 ms each
-  // time.  Its next attempt must go out exactly H after the refusal
-  // reaches callReliable -- not after the 3 ms backoff, and not at once.
-  constexpr int64_t HintNs = 700'000;
+  // Budget 1, held 5 ms by an occupier: a reliable call arriving meanwhile
+  // is one past the budget, so it is refused with hint H = RetryAfterBase
+  // (1 ms) each time.  Its next attempt must go out exactly H after the
+  // refusal reaches callReliable -- not after the 2 ms backoff, and not
+  // at once.
+  constexpr int64_t HintNs =
+      remoting::RpcEndpoint::RetryAfterBase.nanosecondsCount();
+  static_assert(HintNs != remoting::RpcEndpoint::BaseBackoff.nanosecondsCount(),
+                "the hint must be told apart from the backoff");
   trace::reset();
   trace::setEnabled(true);
   {
     AdmissionWorld W(1, ms(5));
     remoting::AdmissionPolicy Admission;
     Admission.MaxPending = 1;
-    Admission.RetryAfterBase = SimTime::nanoseconds(HintNs);
     W.Server.setAdmissionPolicy(Admission);
     remoting::RetryPolicy Retry;
     Retry.MaxAttempts = 3;
     Retry.AttemptTimeout = ms(50);
-    Retry.BaseBackoff = ms(3);
     W.Client.setRetryPolicy(Retry);
 
     ErrorOr<remoting::Bytes> First(remoting::Bytes{}),
@@ -637,10 +639,7 @@ TEST(RebalancerTest, SloBreachTriggersMigrationOffHottestNode) {
   Config.Placement = PlacementPolicy::LocalOnly;
   ScooppRuntime Runtime(Machines, Net, migRegistry(), Config);
 
-  SloRebalancer::Policy Policy;
-  Policy.MaxMigrations = 1;
-  Policy.MinLoadGap = 2;
-  SloRebalancer Rebalancer(Runtime, Plane, Policy);
+  SloRebalancer Rebalancer(Runtime, Plane, /*MaxMigrations=*/1);
 
   struct Proc {
     // Pile three objects onto node 1 (LocalOnly placement pins them),

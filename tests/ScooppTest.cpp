@@ -382,6 +382,36 @@ TEST(ScooppCallTest, SyncErrorsPropagate) {
   EXPECT_EQ(Out.error().code(), ErrorCode::UnknownMethod);
 }
 
+TEST(ScooppCallTest, MistypedReplyIsMalformedOnEveryTypedPath) {
+  // whereAmI answers an int32; read as an int64, its four bytes do not
+  // decode.  The proxy, a remote handle and a delegate all say so alike.
+  ScooppWorld W;
+  std::vector<ErrorOr<int64_t>> Got;
+  struct Proc {
+    static Task<void> run(ScooppWorld &W,
+                          std::vector<ErrorOr<int64_t>> &Got) {
+      CounterProxy P(W.Runtime, 0);
+      Error E = co_await P.create();
+      EXPECT_FALSE(E) << E.str();
+      Got.push_back(co_await P.invokeSyncTyped<int64_t>("whereAmI"));
+      remoting::RemoteHandle Handle(W.Runtime.endpoint(0), P.ref().Node,
+                                    ScooppRuntime::Port, P.ref().Name);
+      Got.push_back(co_await Handle.invokeTyped<int64_t>("whereAmI"));
+      remoting::AsyncResult<int64_t> Async =
+          remoting::beginInvoke<int64_t>(W.sim(), Handle, "whereAmI");
+      Got.push_back(co_await Async);
+    }
+  };
+  W.sim().spawn(Proc::run(W, Got));
+  W.sim().run();
+  ASSERT_EQ(Got.size(), 3u);
+  for (const ErrorOr<int64_t> &Result : Got) {
+    ASSERT_FALSE(Result.hasValue());
+    EXPECT_EQ(Result.error().code(), ErrorCode::MalformedMessage);
+    EXPECT_EQ(Result.error().message(), "result bytes did not decode");
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Method call aggregation
 //===----------------------------------------------------------------------===//
@@ -541,7 +571,6 @@ TEST(ScooppAdaptiveTest, FineGrainClassGetsAggregated) {
   ScooppConfig Config;
   Config.Grain.Adaptive = true;
   Config.Grain.MaxCallsPerMessage = 32;
-  Config.Grain.SmallGrainThreshold = us(500);
   ScooppWorld W(Config);
   struct Proc {
     static Task<void> run(ScooppWorld &W) {
@@ -567,7 +596,6 @@ TEST(ScooppAdaptiveTest, CoarseGrainClassStaysUnaggregated) {
   ScooppConfig Config;
   Config.Grain.Adaptive = true;
   Config.Grain.MaxCallsPerMessage = 32;
-  Config.Grain.SmallGrainThreshold = us(500);
   ScooppWorld W(Config);
   struct Proc {
     static Task<void> run(ScooppWorld &W) {
@@ -728,7 +756,7 @@ TEST(ScooppPassiveTest, GraphCopiesMoveBetweenParallelObjects) {
       B->Next = C;
 
       remoting::RemoteHandle Handle(W.Runtime.endpoint(0), 1,
-                                    W.Runtime.config().Port, "graphsum");
+                                    ScooppRuntime::Port, "graphsum");
       ErrorOr<Bytes> First =
           co_await Handle.invoke("consume", encodePassiveGraph(A));
       EXPECT_TRUE(First.hasValue());
@@ -1051,7 +1079,7 @@ TEST(ScooppOverheadTest, ProxyPenaltyUnderFivePercent) {
         auto Made = W.Runtime.instantiateImpl(1, "Counter");
         EXPECT_TRUE(Made.hasValue());
         remoting::RemoteHandle Handle(W.Runtime.endpoint(0), 1,
-                                      W.Runtime.config().Port, Made->first);
+                                      ScooppRuntime::Port, Made->first);
         (void)co_await Handle.invokeTyped<int32_t>("total");
         SimTime Start = W.sim().now();
         for (int I = 0; I < Rounds; ++I)

@@ -40,10 +40,9 @@ struct ChannelStressResult {
 };
 
 ChannelStressResult runChannelStress(uint64_t Seed, int Producers,
-                                     int ItemsPerProducer,
-                                     size_t Capacity) {
+                                     int ItemsPerProducer) {
   Simulator Sim;
-  Channel<std::pair<int, int>> Chan(Sim, Capacity);
+  Channel<std::pair<int, int>> Chan(Sim);
   ChannelStressResult Result;
   Rng R(Seed);
 
@@ -53,7 +52,7 @@ ChannelStressResult runChannelStress(uint64_t Seed, int Producers,
       Rng Mine(SubSeed);
       for (int Seq = 0; Seq < Items; ++Seq) {
         co_await Sim.delay(us(static_cast<int64_t>(Mine.nextBelow(50))));
-        co_await Chan.send({Id, Seq});
+        Chan.send({Id, Seq});
       }
     }
   };
@@ -88,8 +87,7 @@ class ChannelStressTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ChannelStressTest, ConservesAndOrdersItems) {
   const int Producers = 7, Items = 40;
-  ChannelStressResult Result =
-      runChannelStress(GetParam(), Producers, Items, /*Capacity=*/5);
+  ChannelStressResult Result = runChannelStress(GetParam(), Producers, Items);
   ASSERT_EQ(Result.Received.size(),
             static_cast<size_t>(Producers * Items));
   // Conservation: every (producer, seq) exactly once.
@@ -109,8 +107,8 @@ TEST_P(ChannelStressTest, ConservesAndOrdersItems) {
 }
 
 TEST_P(ChannelStressTest, DeterministicReplay) {
-  ChannelStressResult A = runChannelStress(GetParam(), 5, 30, 3);
-  ChannelStressResult B = runChannelStress(GetParam(), 5, 30, 3);
+  ChannelStressResult A = runChannelStress(GetParam(), 5, 30);
+  ChannelStressResult B = runChannelStress(GetParam(), 5, 30);
   EXPECT_EQ(A.Received, B.Received);
   EXPECT_EQ(A.FinalClockNs, B.FinalClockNs);
 }
@@ -171,7 +169,7 @@ TEST(SimStressTest, MultiStageChannelPipelinePreservesStream) {
   const int Stages = 6, Items = 200;
   std::vector<std::unique_ptr<Channel<int>>> Links;
   for (int I = 0; I <= Stages; ++I)
-    Links.push_back(std::make_unique<Channel<int>>(Sim, 4));
+    Links.push_back(std::make_unique<Channel<int>>(Sim));
 
   struct Stage {
     static Task<void> run(Simulator &Sim, Channel<int> &In, Channel<int> &Out,
@@ -179,7 +177,7 @@ TEST(SimStressTest, MultiStageChannelPipelinePreservesStream) {
       for (int I = 0; I < Items; ++I) {
         int Value = co_await In.recv();
         co_await Sim.delay(us(1));
-        co_await Out.send(Value + Increment);
+        Out.send(Value + Increment);
       }
     }
   };
@@ -187,12 +185,6 @@ TEST(SimStressTest, MultiStageChannelPipelinePreservesStream) {
     Sim.spawn(Stage::run(Sim, *Links[static_cast<size_t>(S)],
                          *Links[static_cast<size_t>(S + 1)], Items, 1));
 
-  struct Feeder {
-    static Task<void> run(Channel<int> &Out, int Items) {
-      for (int I = 0; I < Items; ++I)
-        co_await Out.send(I * 10);
-    }
-  };
   std::vector<int> Final;
   struct Drain {
     static Task<void> run(Channel<int> &In, int Items,
@@ -201,7 +193,8 @@ TEST(SimStressTest, MultiStageChannelPipelinePreservesStream) {
         Out.push_back(co_await In.recv());
     }
   };
-  Sim.spawn(Feeder::run(*Links[0], Items));
+  for (int I = 0; I < Items; ++I)
+    Links[0]->send(I * 10);
   Sim.spawn(Drain::run(*Links[static_cast<size_t>(Stages)], Items, Final));
   Sim.run();
 

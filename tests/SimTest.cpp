@@ -96,15 +96,17 @@ TEST(SimulatorTest, RunUntilAdvancesClock) {
   EXPECT_EQ(Fired, 2);
 }
 
-TEST(SimulatorTest, RunHonoursMaxEvents) {
+TEST(SimulatorTest, StepRunsOneEvent) {
   Simulator Sim;
   int Fired = 0;
   for (int I = 0; I < 5; ++I)
     Sim.schedule(us(I), [&] { ++Fired; });
-  EXPECT_EQ(Sim.run(3), 3u);
+  for (int I = 0; I < 3; ++I)
+    EXPECT_TRUE(Sim.step());
   EXPECT_EQ(Fired, 3);
   Sim.run();
   EXPECT_EQ(Fired, 5);
+  EXPECT_FALSE(Sim.step());
 }
 
 TEST(SimulatorTest, CountsEvents) {
@@ -361,7 +363,7 @@ TEST(TaskTest, UnfinishedSpawnedTasksAreReclaimed) {
     }
   };
   Sim->spawn(Proc::run(*Sim));
-  Sim->run(1); // Start the task; it parks on its delay.
+  Sim->step(); // Start the task; it parks on its delay.
   Sim.reset(); // Must reclaim the frame.
   SUCCEED();
 }
@@ -580,7 +582,7 @@ Task<void> produce(Simulator &Sim, Channel<int> &Chan, int Count,
                    SimTime Gap) {
   for (int I = 0; I < Count; ++I) {
     co_await Sim.delay(Gap);
-    co_await Chan.send(I);
+    Chan.send(I);
   }
 }
 
@@ -609,41 +611,9 @@ TEST(ChannelTest, ReceiverBeforeSender) {
     }
   };
   Sim.spawn(Proc::run(Chan, Got));
-  Sim.schedule(us(100), [&] { Chan.trySend("hello"); });
+  Sim.schedule(us(100), [&] { Chan.send("hello"); });
   Sim.run();
   EXPECT_EQ(Got, "hello");
-}
-
-TEST(ChannelTest, BoundedChannelBlocksSender) {
-  Simulator Sim;
-  Channel<int> Chan(Sim, 2);
-  std::vector<SimTime> SendTimes;
-  struct Producer {
-    static Task<void> run(Simulator &Sim, Channel<int> &Chan,
-                          std::vector<SimTime> &Times) {
-      for (int I = 0; I < 4; ++I) {
-        co_await Chan.send(I);
-        Times.push_back(Sim.now());
-      }
-    }
-  };
-  struct Consumer {
-    static Task<void> run(Simulator &Sim, Channel<int> &Chan) {
-      for (int I = 0; I < 4; ++I) {
-        co_await Sim.delay(us(100));
-        (void)co_await Chan.recv();
-      }
-    }
-  };
-  Sim.spawn(Producer::run(Sim, Chan, SendTimes));
-  Sim.spawn(Consumer::run(Sim, Chan));
-  Sim.run();
-  ASSERT_EQ(SendTimes.size(), 4u);
-  // First two fill the buffer immediately; the rest wait for receives.
-  EXPECT_EQ(SendTimes[0], us(0));
-  EXPECT_EQ(SendTimes[1], us(0));
-  EXPECT_EQ(SendTimes[2], us(100));
-  EXPECT_EQ(SendTimes[3], us(200));
 }
 
 TEST(ChannelTest, WokenReceiverIsNotStarvedByLateArrival) {
@@ -662,10 +632,10 @@ TEST(ChannelTest, WokenReceiverIsNotStarvedByLateArrival) {
   };
   Sim.spawn(Recv::run(Chan, 'A', Got));
   Sim.schedule(us(10), [&] {
-    Chan.trySend(1); // Wakes A (scheduled).
+    Chan.send(1); // Wakes A (scheduled).
     // B arrives in the same timestamp, before A's resume runs.
     Sim.spawn(Recv::run(Chan, 'B', Got));
-    Chan.trySend(2);
+    Chan.send(2);
   });
   Sim.run();
   ASSERT_EQ(Got.size(), 2u);
@@ -690,7 +660,7 @@ TEST(DeterminismTest, IdenticalRunsProduceIdenticalTraces) {
                               std::vector<int> &Trace) {
           co_await Sema.acquire();
           co_await Sim.delay(SimTime::microseconds(7 * (Id % 3) + 1));
-          co_await Chan.send(Id);
+          Chan.send(Id);
           Sema.release();
           Trace.push_back(Id);
         }

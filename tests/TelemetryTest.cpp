@@ -273,7 +273,7 @@ TEST(FlightRecorderTest, CrashWritesPostMortemDump) {
   std::string Path = testing::TempDir() + "parcs_flight_dump.json";
   std::remove(Path.c_str());
   {
-    telemetry::FlightRecorder Flight(Path, /*RingEvents=*/64);
+    telemetry::FlightRecorder Flight(Path);
     vm::Cluster Machines(2, vm::VmKind::MonoVm117);
     net::Network Net(Machines.sim(), 2);
     ErrorOr<fault::FaultPlan> Plan = fault::FaultPlan::parse("crash(1,5us)");

@@ -394,7 +394,7 @@ TEST(ThreadPoolTest, DefaultsToVmCap) {
 //===----------------------------------------------------------------------===//
 
 TEST(ClusterTest, BuildsRequestedShape) {
-  Cluster C(3, VmKind::MonoVm117, 2);
+  Cluster C(3, VmKind::MonoVm117);
   EXPECT_EQ(C.nodeCount(), 3);
   EXPECT_EQ(C.node(0).cores(), 2);
   EXPECT_EQ(C.node(2).id(), 2);
@@ -405,7 +405,8 @@ TEST(ClusterTest, CleanTeardownWithPendingWork) {
   Cluster C(2, VmKind::MonoVm117);
   SimTime Ignored;
   C.sim().spawn(burn(C.node(0), SimTime::seconds(100000), Ignored));
-  C.sim().run(10); // Partially execute, then drop the cluster.
+  for (int I = 0; I < 10; ++I) // Partially execute, then drop the cluster.
+    C.sim().step();
   SUCCEED();
 }
 
