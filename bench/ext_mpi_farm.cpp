@@ -40,8 +40,8 @@ int main() {
   for (int P = 1; P <= 6; ++P) {
     FarmConfig Config;
     Config.Processors = P;
-    FarmResult Mpi = runMpiRayFarm(Job, Config);
-    FarmResult Rmi = runRmiRayFarm(Job, Config);
+    FarmResult Mpi = runMpiRayFarm(Job, P);
+    FarmResult Rmi = runRmiRayFarm(Job, P);
     FarmResult Parcs = runScooppRayFarm(Job, Config);
     bool Ok = Mpi.Checksum == Reference.Checksum &&
               Rmi.Checksum == Reference.Checksum &&

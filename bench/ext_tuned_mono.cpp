@@ -60,7 +60,7 @@ int main() {
     Future.Stack = remoting::StackKind::MonoRemotingTuned;
     ray::FarmResult Now = ray::runScooppRayFarm(Job, Paper);
     ray::FarmResult Then = ray::runScooppRayFarm(Job, Future);
-    ray::FarmResult Rmi = ray::runRmiRayFarm(Job, Paper);
+    ray::FarmResult Rmi = ray::runRmiRayFarm(Job, P);
     row({std::to_string(P), fmt(Now.Elapsed.toSecondsF(), 1),
          fmt(Then.Elapsed.toSecondsF(), 1),
          fmt(Rmi.Elapsed.toSecondsF(), 1)});

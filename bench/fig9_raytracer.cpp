@@ -82,7 +82,7 @@ int main(int Argc, char **Argv) {
     FarmConfig Config;
     Config.Processors = P;
     FarmResult Parcs = runScooppRayFarm(Job, Config);
-    FarmResult Rmi = runRmiRayFarm(Job, Config);
+    FarmResult Rmi = runRmiRayFarm(Job, P);
     if (Parcs.Checksum != Reference.Checksum ||
         Rmi.Checksum != Reference.Checksum) {
       std::printf("CHECKSUM MISMATCH at P=%d -- farm rendered a different "

@@ -71,7 +71,7 @@ int main(int Argc, char **Argv) {
   FarmConfig Config;
   Config.Processors = Processors;
   FarmResult Parcs = runScooppRayFarm(Job, Config);
-  FarmResult Rmi = runRmiRayFarm(Job, Config);
+  FarmResult Rmi = runRmiRayFarm(Job, Processors);
 
   // The same farm with call aggregation on: render calls to a worker are
   // packed up to 4 per wire message, trading call latency for framing.

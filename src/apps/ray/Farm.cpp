@@ -168,8 +168,8 @@ assignBlocks(const RayJob &Job, int Workers) {
   return Blocks;
 }
 
-int nodesFor(const FarmConfig &Config) {
-  return (Config.Processors + calib::CoresPerNode - 1) / calib::CoresPerNode;
+int nodesFor(int Processors) {
+  return (Processors + calib::CoresPerNode - 1) / calib::CoresPerNode;
 }
 
 //===----------------------------------------------------------------------===//
@@ -344,7 +344,7 @@ FarmResult parcs::apps::ray::runScooppRayFarm(std::shared_ptr<const RayJob> Job,
                                               FarmConfig Config,
                                               scoopp::GrainPolicy Grain) {
   assert(Config.Processors >= 1 && "need at least one processor");
-  vm::Cluster Machines(nodesFor(Config), Config.Vm);
+  vm::Cluster Machines(nodesFor(Config.Processors), Config.Vm);
   net::Network Net(Machines.sim(), Machines.nodeCount());
   scoopp::ScooppConfig ScooppCfg;
   ScooppCfg.Stack = Config.Stack;
@@ -383,9 +383,9 @@ FarmResult parcs::apps::ray::runScooppRayFarm(std::shared_ptr<const RayJob> Job,
 }
 
 FarmResult parcs::apps::ray::runRmiRayFarm(std::shared_ptr<const RayJob> Job,
-                                           FarmConfig Config) {
-  assert(Config.Processors >= 1 && "need at least one processor");
-  vm::Cluster Machines(nodesFor(Config), vm::VmKind::SunJvm142);
+                                           int Processors) {
+  assert(Processors >= 1 && "need at least one processor");
+  vm::Cluster Machines(nodesFor(Processors), vm::VmKind::SunJvm142);
   net::Network Net(Machines.sim(), Machines.nodeCount());
   std::vector<std::unique_ptr<remoting::RpcEndpoint>> Endpoints;
   for (int I = 0; I < Machines.nodeCount(); ++I)
@@ -395,7 +395,7 @@ FarmResult parcs::apps::ray::runRmiRayFarm(std::shared_ptr<const RayJob> Job,
         rmi::RegistryPort));
   // One worker per processor, two per dual-CPU node.
   std::vector<remoting::RemoteHandle> Workers;
-  for (int W = 0; W < Config.Processors; ++W) {
+  for (int W = 0; W < Processors; ++W) {
     int NodeId = W / calib::CoresPerNode;
     std::string Name = "worker" + std::to_string(W);
     Endpoints[static_cast<size_t>(NodeId)]->publish(
@@ -487,10 +487,10 @@ sim::Task<void> mpiFarmRank(mpi::MpiComm Comm,
 } // namespace
 
 FarmResult parcs::apps::ray::runMpiRayFarm(std::shared_ptr<const RayJob> Job,
-                                           FarmConfig Config) {
-  assert(Config.Processors >= 1 && "need at least one processor");
-  int Ranks = Config.Processors + 1; // Master + workers.
-  int Nodes = (Ranks + calib::CoresPerNode - 1) / calib::CoresPerNode;
+                                           int Processors) {
+  assert(Processors >= 1 && "need at least one processor");
+  int Ranks = Processors + 1; // Master + workers.
+  int Nodes = nodesFor(Ranks);
   vm::Cluster Machines(Nodes, vm::VmKind::NativeCpp);
   net::Network Net(Machines.sim(), Nodes);
   mpi::MpiWorld World(Machines, Net, Ranks, calib::CoresPerNode);

@@ -70,7 +70,7 @@ struct FarmResult {
 void registerRayWorker(scoopp::ParallelClassRegistry &Registry,
                        std::shared_ptr<const RayJob> Job);
 
-/// Farm run shared by both stacks; deterministic.
+/// One ParC# farm run (runScooppRayFarm); deterministic.
 struct FarmConfig {
   /// "Processors" on the paper's x-axis; workers = processors, two per
   /// dual-CPU node.
@@ -97,15 +97,15 @@ FarmResult runScooppRayFarm(std::shared_ptr<const RayJob> Job,
                             FarmConfig Config,
                             scoopp::GrainPolicy Grain = scoopp::GrainPolicy());
 
-/// Runs the Java RMI farm on a fresh Sun JVM cluster.
-FarmResult runRmiRayFarm(std::shared_ptr<const RayJob> Job, FarmConfig Config);
+/// Runs the Java RMI farm on \p Processors processors of fresh Sun JVMs.
+FarmResult runRmiRayFarm(std::shared_ptr<const RayJob> Job, int Processors);
 
 /// Extension baseline: the traditional C/MPI farm the paper's
 /// introduction contrasts with object-oriented parallelism -- explicit
 /// message passing, packed buffers, native-code execution.  Rank 0 is the
 /// master; ranks 1..Processors render (so the world holds one extra
 /// rank).
-FarmResult runMpiRayFarm(std::shared_ptr<const RayJob> Job, FarmConfig Config);
+FarmResult runMpiRayFarm(std::shared_ptr<const RayJob> Job, int Processors);
 
 /// Sequential execution time of the whole frame under \p Vm (the paper's
 /// VM comparison), plus the reference checksum.

@@ -51,37 +51,34 @@ parcs::scoopp::decodePackedCalls(const Bytes &Payload) {
   return Calls;
 }
 
+// PARCS_HOT_BEGIN(intra-grain-call): remote dispatch admits each request
+// and times each execution in this one frame.
+
 sim::Task<ErrorOr<Bytes>> ImplAdapter::handleCall(std::string_view Method,
                                                   const Bytes &Args) {
-  if (Method.starts_with(PackedMethodPrefix))
-    return serve<ErrorOr<Bytes>>([this, Method, &Args](uint64_t DispatchCtx) {
-      return runPacked(
-          Method.substr(std::string_view(PackedMethodPrefix).size()), Args,
-          DispatchCtx);
-    });
-  return execute(
-      [this, Method, &Args] { return Inner->handleCall(Method, Args); });
-}
-
-sim::Task<ErrorOr<Bytes>> ImplAdapter::runPacked(std::string_view Method,
-                                                 const Bytes &Payload,
-                                                 uint64_t DispatchCtx) {
-  ErrorOr<std::vector<BufferedCall>> Calls = decodePackedCalls(Payload);
+  Admission Admitted = co_await admit();
+  if (!Method.starts_with(PackedMethodPrefix))
+    co_return co_await timed(Admitted.Ctx, Inner->handleCall(Method, Args));
+  // The packed-call request, Fig. 7's processN: fetch each invocation from
+  // the array structure and run the original method, all under the one
+  // admission.  Each buffered call executes under the causal id of the
+  // proxy invocation that produced it, falling back to the dispatch
+  // context for legacy ctx-free payloads.
+  Method.remove_prefix(std::string_view(PackedMethodPrefix).size());
+  ErrorOr<std::vector<BufferedCall>> Calls = decodePackedCalls(Args);
   if (!Calls)
     co_return Calls.error();
-  // Fig. 7's processN: fetch each invocation from the array structure and
-  // run the original method.  Each buffered call executes under the causal
-  // id of the proxy invocation that produced it, falling back to the
-  // dispatch context for legacy ctx-free payloads.
   for (const BufferedCall &Call : *Calls) {
     ErrorOr<Bytes> Result =
-        co_await timed(Call.Ctx ? Call.Ctx : DispatchCtx,
+        co_await timed(Call.Ctx ? Call.Ctx : Admitted.Ctx,
                        Inner->handleCall(Method, Call.Args));
     if (!Result)
       co_return Result.error();
   }
   co_return Bytes{};
 }
+
+// PARCS_HOT_END
 
 void ImplAdapter::noteExecuted(sim::SimTime Start, uint64_t ParentCtx) {
   sim::SimTime End = Om.runtime().sim().now();

@@ -17,10 +17,11 @@
 ///    fed to the node's ObjectManager's estimate for the class;
 ///  - active-object exclusion: one request runs on the IO at a time.
 ///
-/// execute() is the one way a method reaches the IO: remote dispatch
-/// (handleCall) runs the IO's byte-level handler through it, and an
-/// agglomerated object's proxy runs the IO's typed method through it
-/// (ProxyBase::invokeLocal), with no marshalling in between.
+/// admit() and timed() are the one way a method reaches the IO, both
+/// awaited in the frame that serves the request: remote dispatch
+/// (handleCall, single or packed) runs the IO's byte-level handler through
+/// them, and an agglomerated object's proxy (ProxyBase::invokeLocal) runs
+/// the IO's typed method through them, with no marshalling in between.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -77,6 +78,8 @@ public:
   CallHandler &inner() { return *Inner; }
   const std::string &className() const { return ClassName; }
 
+  /// Remote dispatch: one request that runs \p Method, or, when \p Method
+  /// carries PackedMethodPrefix, every call packed in \p Args in order.
   sim::Task<ErrorOr<Bytes>> handleCall(std::string_view Method,
                                        const Bytes &Args) override;
 
@@ -91,41 +94,30 @@ public:
   }
 
   // PARCS_HOT_BEGIN(intra-grain-call): every call on a parallel object,
-  // remote or agglomerated, single or packed, runs through serve() and
-  // Timed; they allocate nothing beyond the pooled frames of the
-  // coroutines they await.
+  // remote or agglomerated, single or packed, runs through admit() and
+  // Timed, which take no frame of their own and allocate nothing.
 
-  /// Runs \p Run, a call on inner() returning a sim::Task, as one request:
-  /// under CallLock, so the object serves one request at a time, timed
-  /// into the class's grain estimate and, on traced runs, recorded as a
-  /// scoopp.execute span parented at the causal id the caller handed off
-  /// (trace::handoff).  The task completes with Run's result.
-  template <typename Body> auto execute(Body Run) {
-    using T = typename decltype(Run())::value_type;
-    return serve<T>([this, Run = std::move(Run)](uint64_t ParentCtx) mutable {
-      return timed(ParentCtx, Run());
-    });
-  }
-
-private:
-  /// Releases the lock on scope exit (coroutine-safe: runs on frame
-  /// unwind).
-  struct MutexGuard {
-    explicit MutexGuard(sim::Mutex &Lock) : Lock(Lock) {}
-    ~MutexGuard() { Lock.unlock(); }
+  /// One admitted request: holds CallLock until it goes out of scope
+  /// (coroutine-safe: runs on frame unwind), so the object serves one
+  /// request at a time.  Ctx is the causal id its caller handed off.
+  struct [[nodiscard]] Admission {
+    Admission(sim::Mutex &Lock, uint64_t Ctx) : Lock(Lock), Ctx(Ctx) {}
+    Admission(const Admission &) = delete;
+    ~Admission() { Lock.unlock(); }
     sim::Mutex &Lock;
+    const uint64_t Ctx;
   };
 
-  /// Holds CallLock across one request -- a single call or a packed
-  /// batch -- and completes with what awaiting Run(DispatchCtx) yields.
-  /// The dispatcher's handed-off context is claimed before any
-  /// suspension: Task is lazy, so this runs synchronously inside the
-  /// caller's co_await while the slot is still ours.
-  template <typename T, typename Body> sim::Task<T> serve(Body Run) {
-    uint64_t DispatchCtx = trace::takeHandoff();
-    co_await CallLock.lock();
-    MutexGuard Guard(CallLock);
-    co_return co_await Run(DispatchCtx);
+  /// Awaiting admit() takes CallLock and yields the request's Admission.
+  /// The handed-off context (trace::handoff) is claimed when admit() is
+  /// called, before any suspension, while the slot is still ours.
+  auto admit() {
+    struct Awaiter : decltype(CallLock.lock()) {
+      sim::Mutex &Lock;
+      uint64_t Ctx;
+      Admission await_resume() { return {Lock, Ctx}; }
+    };
+    return Awaiter{CallLock.lock(), CallLock, trace::takeHandoff()};
   }
 
   /// One method execution, awaited in place so it costs no coroutine
@@ -149,18 +141,14 @@ private:
     }
   };
 
-  /// \p Call as one method execution starting now.
+  /// \p Call, a call on inner(), as one method execution starting now.
   template <typename T> Timed<T> timed(uint64_t ParentCtx, sim::Task<T> Call) {
     return {*this, ParentCtx, Om.runtime().sim().now(), std::move(Call)};
   }
 
   // PARCS_HOT_END
 
-  /// The packed-call request ("processN" in Fig. 7) for \p Method.
-  sim::Task<ErrorOr<Bytes>> runPacked(std::string_view Method,
-                                      const Bytes &Payload,
-                                      uint64_t DispatchCtx);
-
+private:
   /// Bookkeeping after one real call on the inner IO that started at
   /// \p Start: feeds the OM's grain estimate and, on traced runs, emits a
   /// scoopp.execute span parented at \p ParentCtx.

@@ -124,11 +124,11 @@ protected:
   /// The intra-grain call ("its subsequent (asynchronous parallel) method
   /// invocations are actually executed synchronously and serially", call b
   /// in Fig. 3): charges ProxyLocalCallCost, counts the call and hands its
-  /// causal id to the local IO, which runs \p Run -- a call on the IO that
-  /// returns a sim::Task -- under its lock (ImplAdapter::execute).  A
-  /// synchronous call (\p Ret an ErrorOr) returns Run's result; an
-  /// asynchronous one (\p Ret void) logs a failure under \p Method's name,
-  /// as invokeAsync does.  Requires isLocal().
+  /// causal id to the local IO, whose adapter admits it (the object's lock)
+  /// and times \p Run -- a call on the IO that returns a sim::Task -- in
+  /// this frame.  A synchronous call (\p Ret an ErrorOr) returns Run's
+  /// result; an asynchronous one (\p Ret void) logs a failure under
+  /// \p Method's name, as invokeAsync does.  Requires isLocal().
   template <typename Ret, typename Body>
   sim::Task<Ret> invokeLocal(std::string_view Method, Body Run) {
     assert(Local && "intra-grain call without a local IO");
@@ -137,7 +137,8 @@ protected:
     ++Runtime.stats().LocalCalls;
     if (InvokeCtx)
       trace::handoff(InvokeCtx);
-    auto Result = co_await Local->execute(std::move(Run));
+    ImplAdapter::Admission Admitted = co_await Local->admit();
+    auto Result = co_await Local->timed(Admitted.Ctx, Run());
     if constexpr (std::is_void_v<Ret>) {
       if (const Error *Failure = detail::failureOf(Result))
         noteLocalAsyncFailure(Method, *Failure);

@@ -135,7 +135,7 @@ TEST(RayFarmTest, RmiChecksumMatchesSequential) {
   auto Job = smallJob();
   ray::SequentialResult Seq =
       ray::sequentialRender(*Job, vm::VmKind::SunJvm142);
-  ray::FarmResult Farm = ray::runRmiRayFarm(Job, {/*Processors=*/4});
+  ray::FarmResult Farm = ray::runRmiRayFarm(Job, /*Processors=*/4);
   EXPECT_EQ(Farm.Checksum, Seq.Checksum);
   EXPECT_EQ(Farm.PixelBytes,
             static_cast<uint64_t>(Job->Width) * Job->Height * 3);
@@ -155,7 +155,7 @@ TEST(RayFarmTest, ParcsSlowerThanRmiAtEqualProcessors) {
   // sequential penalty.
   auto Job = smallJob();
   ray::FarmResult Parcs = ray::runScooppRayFarm(Job, {2});
-  ray::FarmResult Rmi = ray::runRmiRayFarm(Job, {2});
+  ray::FarmResult Rmi = ray::runRmiRayFarm(Job, 2);
   EXPECT_GT(Parcs.Elapsed, Rmi.Elapsed);
   double Ratio = Parcs.Elapsed.toSecondsF() / Rmi.Elapsed.toSecondsF();
   EXPECT_GT(Ratio, 1.2);
@@ -184,7 +184,7 @@ TEST(RayFarmTest, MpiFarmChecksumMatchesSequential) {
   auto Job = smallJob();
   ray::SequentialResult Seq =
       ray::sequentialRender(*Job, vm::VmKind::SunJvm142);
-  ray::FarmResult Farm = ray::runMpiRayFarm(Job, {/*Processors=*/4});
+  ray::FarmResult Farm = ray::runMpiRayFarm(Job, /*Processors=*/4);
   EXPECT_EQ(Farm.Checksum, Seq.Checksum);
   EXPECT_EQ(Farm.PixelBytes,
             static_cast<uint64_t>(Job->Width) * Job->Height * 3);
@@ -192,19 +192,17 @@ TEST(RayFarmTest, MpiFarmChecksumMatchesSequential) {
 
 TEST(RayFarmTest, StackOrderingMpiFastest) {
   auto Job = smallJob();
-  ray::FarmConfig Config;
-  Config.Processors = 2;
-  ray::FarmResult Mpi = ray::runMpiRayFarm(Job, Config);
-  ray::FarmResult Rmi = ray::runRmiRayFarm(Job, Config);
-  ray::FarmResult Parcs = ray::runScooppRayFarm(Job, Config);
+  ray::FarmResult Mpi = ray::runMpiRayFarm(Job, 2);
+  ray::FarmResult Rmi = ray::runRmiRayFarm(Job, 2);
+  ray::FarmResult Parcs = ray::runScooppRayFarm(Job, {2});
   EXPECT_LT(Mpi.Elapsed, Rmi.Elapsed);
   EXPECT_LT(Rmi.Elapsed, Parcs.Elapsed);
 }
 
 TEST(RayFarmTest, MpiFarmDeterministic) {
   auto Job = smallJob();
-  ray::FarmResult A = ray::runMpiRayFarm(Job, {3});
-  ray::FarmResult B = ray::runMpiRayFarm(Job, {3});
+  ray::FarmResult A = ray::runMpiRayFarm(Job, 3);
+  ray::FarmResult B = ray::runMpiRayFarm(Job, 3);
   EXPECT_EQ(A.Elapsed, B.Elapsed);
   EXPECT_EQ(A.Checksum, B.Checksum);
 }

@@ -95,12 +95,31 @@ public:
     co_await Host.compute(us(1));
     co_return Sum;
   }
-  /// Occupies the object for \p Micros, recording how many calls overlap.
+  /// Occupies the object for \p Micros, recording how many calls overlap
+  /// and when each ran.
   sim::Task<Unit> hold(int64_t Micros) {
     MaxActive = std::max(MaxActive, ++Active);
+    int64_t Start = nowNs();
     co_await Host.compute(us(Micros));
+    Spans.emplace_back(Start, nowNs());
     --Active;
     co_return Unit();
+  }
+  /// Occupies the object, as hold() does, while \p Nested -- a call on
+  /// another object -- runs.
+  sim::Task<Unit> around(sim::Task<ErrorOr<Unit>> Nested) {
+    MaxActive = std::max(MaxActive, ++Active);
+    int64_t Start = nowNs();
+    ErrorOr<Unit> Result = co_await std::move(Nested);
+    EXPECT_TRUE(Result.hasValue());
+    Spans.emplace_back(Start, nowNs());
+    --Active;
+    co_return Unit();
+  }
+  /// Works for \p Micros, then fails.
+  sim::Task<ErrorOr<int32_t>> failAfter(int64_t Micros) {
+    co_await Host.compute(us(Micros));
+    co_return Error(ErrorCode::RemoteFault, "failAfter");
   }
   /// Sums \p Values, then overwrites its own copy of them.
   sim::Task<int32_t> sumAndClobber(std::vector<int32_t> Values) {
@@ -127,16 +146,26 @@ public:
     }
     if (Method == "total")
       co_return serial::encodeValues(co_await total());
+    if (Method == "hold") {
+      int64_t Micros = 0;
+      if (!serial::decodeValues(Args, Micros))
+        co_return Error(ErrorCode::MalformedMessage, "hold args");
+      co_return serial::encodeValues(co_await hold(Micros));
+    }
     co_return Error(ErrorCode::UnknownMethod, std::string(Method));
   }
 
   int32_t Sum = 0;
   int Active = 0;
   int MaxActive = 0;
+  /// The virtual [start, end] of each hold() and around(), in end order.
+  std::vector<std::pair<int64_t, int64_t>> Spans;
   /// Calls that arrived through the byte-level handler.
   int Marshalled = 0;
 
 private:
+  int64_t nowNs() { return Host.sim().now().nanosecondsCount(); }
+
   vm::Node &Host;
 };
 
@@ -163,6 +192,16 @@ public:
   sim::Task<ErrorOr<Unit>> hold(int64_t Micros) {
     return invokeLocal<ErrorOr<Unit>>(
         "hold", [Io = Direct, Micros] { return Io->hold(Micros); });
+  }
+  sim::Task<ErrorOr<Unit>> around(sim::Task<ErrorOr<Unit>> Nested) {
+    return invokeLocal<ErrorOr<Unit>>(
+        "around", [Io = Direct, Nested = std::move(Nested)]() mutable {
+          return Io->around(std::move(Nested));
+        });
+  }
+  sim::Task<ErrorOr<int32_t>> failAfter(int64_t Micros) {
+    return invokeLocal<ErrorOr<int32_t>>(
+        "failAfter", [Io = Direct, Micros] { return Io->failAfter(Micros); });
   }
   sim::Task<ErrorOr<int32_t>>
   sumAndClobber(const std::vector<int32_t> &Values) {
@@ -924,33 +963,141 @@ TEST(ScooppDirectCallTest, DirectAndMarshalledCallsAgree) {
   EXPECT_EQ(Direct.GrainNs, Marshalled.GrainNs);
 }
 
-TEST(ScooppDirectCallTest, OverlappingDirectCallsRunOneAtATime) {
-  ScooppWorld W(agglomerating());
-  int MaxActive = -1;
+/// What two overlapping direct calls on agglomerated object A leave
+/// behind.  The first holds A for 10 us, or, when nested, holds A while
+/// A's method makes a direct call that holds agglomerated object B for
+/// 10 us; the second holds A for 10 us.
+struct OverlapRun {
   int Finished = 0;
+  int MaxActiveA = -1;
+  std::vector<std::pair<int64_t, int64_t>> SpansA, SpansB;
+};
+
+OverlapRun runOverlappingDirectCalls(bool Nested) {
+  ScooppWorld W(agglomerating());
+  OverlapRun Out;
   struct Proc {
-    static Task<void> caller(TypedCounterProxy &P, sim::WaitGroup &Done,
+    static Task<void> caller(Task<ErrorOr<Unit>> Call, sim::WaitGroup &Done,
                              int &Finished) {
-      ErrorOr<Unit> Held = co_await P.hold(10);
+      ErrorOr<Unit> Held = co_await std::move(Call);
       EXPECT_TRUE(Held.hasValue());
       ++Finished;
       Done.done();
     }
-    static Task<void> run(ScooppWorld &W, int &MaxActive, int &Finished) {
-      TypedCounterProxy P(W.Runtime, 0);
-      (void)co_await P.create();
+    static Task<void> run(ScooppWorld &W, bool Nested, OverlapRun &Out) {
+      TypedCounterProxy A(W.Runtime, 0);
+      TypedCounterProxy B(W.Runtime, 0);
+      (void)co_await A.create();
+      (void)co_await B.create();
       sim::WaitGroup Done(W.sim());
       Done.add(2);
-      W.sim().spawn(caller(P, Done, Finished));
-      W.sim().spawn(caller(P, Done, Finished));
+      W.sim().spawn(caller(Nested ? A.around(B.hold(10)) : A.hold(10), Done,
+                           Out.Finished));
+      W.sim().spawn(caller(A.hold(10), Done, Out.Finished));
       co_await Done.wait();
-      MaxActive = P.impl()->MaxActive;
+      Out.MaxActiveA = A.impl()->MaxActive;
+      Out.SpansA = A.impl()->Spans;
+      Out.SpansB = B.impl()->Spans;
     }
   };
-  W.sim().spawn(Proc::run(W, MaxActive, Finished));
+  W.sim().spawn(Proc::run(W, Nested, Out));
   W.sim().run();
-  EXPECT_EQ(Finished, 2);
-  EXPECT_EQ(MaxActive, 1) << "two direct calls ran on the object at once";
+  return Out;
+}
+
+TEST(ScooppDirectCallTest, OverlappingDirectCallsRunOneAtATime) {
+  OverlapRun Flat = runOverlappingDirectCalls(/*Nested=*/false);
+  EXPECT_EQ(Flat.Finished, 2);
+  EXPECT_EQ(Flat.MaxActiveA, 1) << "two direct calls ran on the object at once";
+  ASSERT_EQ(Flat.SpansA.size(), 2u);
+  EXPECT_EQ(Flat.SpansA[1].first, Flat.SpansA[0].second)
+      << "the second call did not wait for the first";
+
+  // The lock covers a nested direct call: A's first call returns only
+  // after its direct call on B has, and A's second call starts then, at
+  // the virtual time it always has.
+  OverlapRun Nested = runOverlappingDirectCalls(/*Nested=*/true);
+  EXPECT_EQ(Nested.Finished, 2);
+  EXPECT_EQ(Nested.MaxActiveA, 1);
+  ASSERT_EQ(Nested.SpansA.size(), 2u);
+  ASSERT_EQ(Nested.SpansB.size(), 1u);
+  EXPECT_GT(Nested.SpansB[0].first, Nested.SpansA[0].first);
+  EXPECT_LE(Nested.SpansB[0].second, Nested.SpansA[0].second);
+  EXPECT_EQ(Nested.SpansA[1].first, Nested.SpansA[0].second)
+      << "A's second call did not wait for the nested call to return";
+  EXPECT_EQ(Nested.SpansA[1].first, 26'240);
+}
+
+TEST(ScooppDirectCallTest, FailingDirectCallReleasesTheLockAndFeedsTheGrain) {
+  ScooppWorld W(agglomerating());
+  ErrorOr<int32_t> Failed(0);
+  ErrorOr<int32_t> Next = Error(ErrorCode::RemoteFault, "not run");
+  int64_t GrainNs = -1;
+  struct Proc {
+    static Task<void> run(ScooppWorld &W, ErrorOr<int32_t> &Failed,
+                          int64_t &GrainNs, ErrorOr<int32_t> &Next) {
+      TypedCounterProxy P(W.Runtime, 0);
+      (void)co_await P.create();
+      Failed = co_await P.failAfter(5);
+      const GrainEstimator &Grain =
+          W.Runtime.om(0).grainEstimator(TypedCounterProxy::ClassName);
+      if (Grain.hasData())
+        GrainNs = Grain.average().nanosecondsCount();
+      // A lock the failure kept would leave this call waiting forever.
+      Next = co_await P.total();
+    }
+  };
+  W.sim().spawn(Proc::run(W, Failed, GrainNs, Next));
+  W.sim().run();
+  ASSERT_FALSE(Failed.hasValue());
+  EXPECT_EQ(Failed.error().code(), ErrorCode::RemoteFault);
+  EXPECT_EQ(GrainNs, us(5).nanosecondsCount())
+      << "the failed call fed no grain sample";
+  ASSERT_TRUE(Next.hasValue()) << Next.error().str();
+  EXPECT_EQ(*Next, 0);
+}
+
+TEST(ScooppAggregationTest, PackedBatchHoldsTheLockAcrossItsCalls) {
+  // A sync call that reaches the object while a packed batch of four
+  // hold() calls runs there waits for the whole batch, not just for the
+  // call in progress, even though the dispatch pool would let them
+  // overlap.
+  ScooppConfig Config;
+  Config.Grain.MaxCallsPerMessage = 4;
+  Config.DispatchWorkers = 4;
+  ScooppWorld W(Config);
+  TypedCounterImpl *Impl = nullptr;
+  ErrorOr<Unit> Mid = Error(ErrorCode::RemoteFault, "not run");
+  struct Proc {
+    static Task<void> run(ScooppWorld &W, TypedCounterImpl *&Impl,
+                          ErrorOr<Unit> &Mid) {
+      TypedCounterProxy P(W.Runtime, 0);
+      (void)co_await P.create();
+      EXPECT_FALSE(P.isLocal());
+      std::shared_ptr<CallHandler> Served =
+          W.Runtime.endpoint(P.ref().Node).findPublished(P.ref().Name);
+      Impl = dynamic_cast<TypedCounterImpl *>(
+          &static_cast<ImplAdapter &>(*Served).inner());
+      for (int I = 0; I < 4; ++I)
+        co_await P.invokeAsync("hold", serial::encodeValues(int64_t(100)));
+      EXPECT_EQ(W.Runtime.stats().PackedMessages, 1u);
+      co_await W.sim().delay(us(100));
+      Mid = co_await P.invokeSyncTyped<Unit>("hold", int64_t(1));
+    }
+  };
+  W.sim().spawn(Proc::run(W, Impl, Mid));
+  W.sim().run();
+  ASSERT_TRUE(Mid.hasValue()) << Mid.error().str();
+  ASSERT_NE(Impl, nullptr);
+  EXPECT_EQ(Impl->MaxActive, 1);
+  ASSERT_EQ(Impl->Spans.size(), 5u);
+  for (size_t I = 1; I < 4; ++I)
+    EXPECT_EQ(Impl->Spans[I].first, Impl->Spans[I - 1].second)
+        << "the batch let go of the object before call " << I;
+  // The sync call arrived mid-batch and waited for the lock: it starts the
+  // instant the batch lets go.
+  EXPECT_EQ(Impl->Spans[4].first, Impl->Spans[3].second);
+  EXPECT_EQ(Impl->Spans[4].second - Impl->Spans[4].first, 1000);
 }
 
 TEST(ScooppDirectCallTest, CalleeMutationLeavesCallerArgumentUnchanged) {
